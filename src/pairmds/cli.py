@@ -3,7 +3,8 @@
 Code files are self-contained JSON (schema below): the matrix, the claimed
 parameters, the certificate, and enough provenance to re-verify without
 regenerating.  Identical commands produce byte-identical files.  Exit codes:
-0 success/verified, 1 verification failure, 2 usage/parameter/file error.
+0 success/verified, 1 verification failure, 2 usage/parameter/file error or
+a search that ran out of its cap ("inconclusive").
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .linalg import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     LinearCode,
-    null_space,
+    dot,
     rank,
     rs_parity_check,
 )
@@ -171,17 +172,9 @@ def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
     window_ok = ecmds.window_check(arrangement)
     g = ecmds.generator_matrix(arrangement)
     # H must annihilate the evaluation code and have complementary rank
-    product_zero = True
-    for hrow in h.entries:
-        for grow in g.entries:
-            s = 0
-            for t in range(n):
-                s = f.add(s, f.mul(hrow[t], grow[t]))
-            if s != 0:
-                product_zero = False
-                break
-        if not product_zero:
-            break
+    product_zero = g.cols == n and all(
+        dot(f, hrow, grow) == 0 for hrow in h.entries for grow in g.entries
+    )
     rank_ok = rank(h) == n - k
     nss = ecmds.subset_sum_count(arrangement)
     ok = window_ok and product_zero and rank_ok
@@ -349,6 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConstructionError as exc:
         print(f"internal construction failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except EnumerationCapExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

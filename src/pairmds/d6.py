@@ -7,7 +7,10 @@ A, B: planes are consumed in pairs, drawing greedily alternating "proper"
 points (points off the plane of the three predecessors); even q handles the
 odd plane count by interleaving the first three planes with the next two.
 Blocked endgames fall back to two alternate endgame patterns and then to
-bounded backtracking, and the result is always re-verified.
+bounded backtracking.  The ordering is not re-checked on its own: the
+certificate that ``construct_d6`` computes from the finished matrix
+(conditions 1-3 of ``pairmetric.check_theorem_conditions``) is the
+re-verification, and a matrix that fails it is never returned.
 
 q = 3 and q = 4 have too few points per plane for the walk and use fixed
 matrices.
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .gf import FieldSpec
-from .linalg import CodeMatrix, LinearCode, null_space
-from .pairmetric import PairCertificate, check_theorem_conditions
+from .gf import FieldSpec, absolute_trace
+from .linalg import CodeMatrix, LinearCode, dot, null_space
+from .pairmetric import PairCertificate, _first_dependent_subset, check_theorem_conditions
 
 Point = Tuple[int, int, int, int]
 
@@ -42,17 +45,6 @@ _Q4_N7_COLUMNS: Tuple[Point, ...] = (
     (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 0), (1, 2, 0, 1), (1, 3, 2, 0),
     (1, 1, 0, 2), (1, 2, 1, 2),
 )
-
-
-def normalize_point(f: FieldSpec, coords: Sequence[int]) -> Point:
-    """Scale homogeneous coordinates so the first nonzero one equals 1."""
-    for x in coords:
-        if x:
-            if x == 1:
-                return tuple(coords)
-            inv = f.inv(x)
-            return tuple(f.mul(inv, y) for y in coords)
-    raise ValueError("the zero vector is not a projective point")
 
 
 def _det3(f: FieldSpec, m) -> int:
@@ -99,15 +91,6 @@ class Ovoid:
         return [[p for p in plane if p not in ab] for plane in self.planes]
 
 
-def _trace(f: FieldSpec, x: int) -> int:
-    t = 0
-    y = x
-    for _ in range(f.a):
-        t = f.add(t, y)
-        y = f.mul(y, y)
-    return t
-
-
 def _quadric_points(f: FieldSpec, c: int) -> List[Point]:
     pts: List[Point] = [(0, 1, 0, 0)]
     even = f.p == 2
@@ -134,7 +117,7 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     if q < 3:
         raise ParameterError("ovoids need q >= 3")
     if f.p == 2:
-        c = next(x for x in f.elements() if _trace(f, x) == 1)
+        c = next(x for x in f.elements() if absolute_trace(f, x) == 1)
     else:
         squares = {f.mul(x, x) for x in f.elements()}
         c = next(x for x in f.elements() if x not in squares)
@@ -164,9 +147,7 @@ def secant_planes_raw(
     normals.append(tuple(w2))
     planes = []
     for w in normals:
-        on_plane = [
-            p for p in pts if _dot(f, w, p) == 0
-        ]
+        on_plane = [p for p in pts if dot(f, w, p) == 0]
         planes.append(sorted(on_plane))
     return planes
 
@@ -176,14 +157,6 @@ def secant_planes(o: Ovoid, A: Point, B: Point) -> List[List[Point]]:
     return secant_planes_raw(o.field, o.points, A, B)
 
 
-def _dot(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
-    s = 0
-    for x, y in zip(u, v):
-        if x and y:
-            s = f.add(s, f.mul(x, y))
-    return s
-
-
 def _verify_ovoid(o: Ovoid) -> None:
     f = o.field
     q = f.q
@@ -191,20 +164,10 @@ def _verify_ovoid(o: Ovoid) -> None:
         raise ConstructionError("ovoid size is not q^2 + 1")
     if len(set(o.points)) != len(o.points):
         raise ConstructionError("duplicate ovoid points")
-    # no 3 collinear: the line through any two points carries no third point
-    point_set = set(o.points)
-    pts = o.points
-    npts = len(pts)
-    for i in range(npts):
-        pi = pts[i]
-        for j in range(i + 1, npts):
-            pj = pts[j]
-            for lam in range(1, q):
-                third = normalize_point(
-                    f, [f.add(pi[t], f.mul(lam, pj[t])) for t in range(4)]
-                )
-                if third in point_set:
-                    raise ConstructionError(f"collinear points {pi}, {pj}, {third}")
+    # no 3 collinear: no three points are linearly dependent in F_q^4
+    triple = _first_dependent_subset(f, o.points, 3)
+    if triple is not None:
+        raise ConstructionError(f"collinear points {[o.points[i] for i in triple]}")
     # the pencil planes partition the rest into q+1 classes of size q-1
     seen: set = set()
     for plane in o.planes:
@@ -373,23 +336,12 @@ def order_points(o: Ovoid, n: int, max_states: int = DEFAULT_MAX_STATES) -> List
     for slots in _schedule_variants(q, n, even):
         seq = _try_schedule(o, slots, n, budget)
         if seq is not None:
-            _verify_order(f, seq)
             return seq
         if budget.left <= 0:
             break
     raise ConstructionError(
         f"point ordering failed for q={q}, n={n} within {max_states} states"
     )
-
-
-def _verify_order(f: FieldSpec, seq: Sequence[Point]) -> None:
-    n = len(seq)
-    if len(set(seq)) != n:
-        raise ConstructionError("ordered points are not distinct")
-    for i in range(n):
-        w = [seq[(i + t) % n] for t in range(4)]
-        if coplanar(f, *w):
-            raise ConstructionError(f"coplanar cyclic window at {i}")
 
 
 def construct_d6(f: FieldSpec, n: int, max_states: int = DEFAULT_MAX_STATES):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .gf import FieldSpec
+from .gf import FieldSpec, absolute_trace
 from .linalg import CodeMatrix, LinearCode, null_space, rank
 from .pairmetric import ROUTE_EC, PairCertificate
 
@@ -132,14 +132,7 @@ class _SolveTables:
     def __init__(self, f: FieldSpec):
         self.f = f
         if f.p == 2:
-            self.trace = [0] * f.q
-            for x in f.elements():
-                t = 0
-                y = x
-                for _ in range(f.a):
-                    t ^= y
-                    y = f.mul(y, y)
-                self.trace[x] = t
+            self.trace = [absolute_trace(f, x) for x in f.elements()]
             # least z with z^2 + z = u, for each solvable u
             self.artin: Dict[int, int] = {}
             for z in f.elements():
@@ -349,7 +342,7 @@ def subset_sum_count(a: EvalArrangement) -> int:
     for p in a.points:
         pi = index[p]
         row = add_row[pi]
-        for size in range(min(k, 1_000_000), 0, -1):
+        for size in range(k, 0, -1):
             prev = counts[size - 1]
             cur = counts[size]
             for g in range(ng):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
@@ -404,6 +404,15 @@ def field(p: int, a: int) -> FieldSpec:
     return FieldSpec(p, a)
 
 
+def absolute_trace(f: FieldSpec, x: int) -> int:
+    """Tr(x) = x + x^p + x^(p^2) + ... + x^(p^(a-1)), an element of GF(p)."""
+    t = 0
+    for _ in range(f.a):
+        t = f.add(t, x)
+        x = f.pow(x, f.p)
+    return t
+
+
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q, factoring q as p^a."""
     if q < 2:
@@ -423,13 +432,3 @@ def field_of_order(q: int) -> FieldSpec:
     if t != 1:
         raise FieldError(f"{q} is not a prime power")
     return field(p, a)
-
-
-def iter_supported_orders(limit: int = 256) -> Iterator[int]:
-    """Prime powers q <= limit with a tabulated modulus, ascending."""
-    for q in range(2, limit + 1):
-        try:
-            field_of_order(q)
-        except FieldError:
-            continue
-        yield q

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .gf import FieldSpec
 
@@ -18,7 +18,7 @@ DEFAULT_ENUM_CAP = 1 << 22
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when a brute-force enumeration would exceed the configured cap."""
+    """Raised when a brute-force enumeration or subset search would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,30 @@ class CodeMatrix:
 
     def transpose(self) -> "CodeMatrix":
         return CodeMatrix(self.field, tuple(zip(*self.entries))) if self.entries else self
+
+
+def normalize_point(f: FieldSpec, coords: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """Scale a vector so its first nonzero entry is 1; None for the zero vector.
+
+    Two nonzero vectors span the same line (are the same projective point)
+    exactly when their normal forms are equal.
+    """
+    for x in coords:
+        if x:
+            if x == 1:
+                return tuple(coords)
+            inv = f.inv(x)
+            return tuple(f.mul(inv, y) for y in coords)
+    return None
+
+
+def dot(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
+    """Sum of u_t * v_t over the field."""
+    s = 0
+    for x, y in zip(u, v):
+        if x and y:
+            s = f.add(s, f.mul(x, y))
+    return s
 
 
 def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:

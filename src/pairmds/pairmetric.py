@@ -7,7 +7,6 @@ case analyses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -15,8 +14,10 @@ from .gf import FieldSpec
 from .linalg import (
     CodeMatrix,
     DEFAULT_ENUM_CAP,
+    EnumerationCapExceeded,
     LinearCode,
     enumerate_codewords,
+    normalize_point,
     rank_of_vectors,
 )
 
@@ -140,89 +141,90 @@ def singleton_verdict(q: int, n: int, size_exponent: int, d_pair: int) -> bool:
     return size_exponent == n - d_pair + 2
 
 
-def _normalize_column(f: FieldSpec, col: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """Scale so the first nonzero entry is 1; None for the zero column."""
-    for x in col:
-        if x:
-            if x == 1:
-                return tuple(col)
-            inv = f.inv(x)
-            return tuple(f.mul(inv, y) for y in col)
-    return None
+def _first_dependent_subset(f, cols, size):
+    """Lexicographically first set of `size` linearly dependent columns, or None.
+
+    Projection from a point: a column c_i together with a set T of later
+    columns is dependent exactly when c_i is zero or the images of T in the
+    quotient by <c_i> are dependent (a relation among those images lifts to
+    one among T and c_i, and a relation that uses c_i must also use T).  So
+    the search fixes the smallest index i in ascending order, projects the
+    later columns from c_i (one coordinate fewer), and recurses for the first
+    dependent (size - 1)-set among the images; the first i that yields one
+    gives the answer.  At size 2, two columns are dependent exactly when one
+    is zero or both have the same normalised form, so pairs are matched by
+    hashing; that level reads the projections lazily and stops as soon as the
+    first column has a partner.
+
+    A full scan projects about C(n, size - 1) columns.  At most
+    _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is raised.
+    """
+    left = _SUBSET_SCAN_CAP
+
+    def project(pivot, later):
+        nonlocal left
+        p = next(t for t, x in enumerate(pivot) if x)
+        keep = [t for t in range(len(pivot)) if t != p]
+        inv = f.inv(pivot[p])
+        # v - v[p] * pivot / pivot[p], with coordinate p (now 0) dropped
+        neg = [f.neg(f.mul(inv, pivot[t])) for t in keep]
+        for v in later:
+            left -= 1
+            if left < 0:
+                raise EnumerationCapExceeded(
+                    f"dependent-set search over C({len(cols)},{size}) exceeds "
+                    f"{_SUBSET_SCAN_CAP} projected columns"
+                )
+            a = v[p]
+            if a:
+                yield tuple([f.add(v[t], f.mul(a, c)) for t, c in zip(keep, neg)])
+            else:
+                yield tuple([v[t] for t in keep])
+
+    def first_pair(vectors):
+        it = iter(vectors)
+        head = next(it, None)
+        if head is None:
+            return None
+        key0 = normalize_point(f, head)
+        first: Dict[Tuple[int, ...], int] = {}  # normal form -> first index
+        partner: Dict[int, int] = {}  # first index -> next index of its form
+        for k, v in enumerate(it, 1):
+            key = normalize_point(f, v)
+            if key0 is None or key is None or key == key0:
+                return 0, k
+            j = first.setdefault(key, k)
+            if j < k and j not in partner:
+                partner[j] = k
+        if partner:
+            j = min(partner)
+            return j, partner[j]
+        return None
+
+    def search(vectors, size):
+        if size == 2:
+            return first_pair(vectors)
+        vectors = list(vectors)
+        for i in range(len(vectors) - size + 1):
+            pivot = vectors[i]
+            if not any(pivot):
+                return tuple(range(i, i + size))
+            if size == 1:
+                continue
+            found = search(project(pivot, vectors[i + 1:]), size - 1)
+            if found is not None:
+                return (i,) + tuple(i + 1 + t for t in found)
+        return None
+
+    if size < 1:  # the empty set is independent
+        return None
+    return search(cols, size)
 
 
 def _first_dependent_small_subset(f, cols, size):
-    """Lexicographically first dependent subset of the given size, or None.
-
-    size is d_H - 1: specialised fast paths exist for sizes 2 and 3; the
-    generic path scans all subsets and is capped.
-    """
-    n = len(cols)
-    normalized = [_normalize_column(f, c) for c in cols]
-    for j, nc in enumerate(normalized):
-        if nc is None:
-            rest = [i for i in range(n) if i != j][: size - 1]
-            return tuple(sorted([j] + rest))
-    if size >= 2:
-        seen: Dict[Tuple[int, ...], int] = {}
-        for j, nc in enumerate(normalized):
-            if nc in seen:
-                i = seen[nc]
-                extras = [t for t in range(n) if t not in (i, j)][: size - 2]
-                return tuple(sorted([i, j] + extras))
-            seen[nc] = j
-    if size == 2:
-        return None
-    if size == 3:
-        # a dependent triple of pairwise-independent columns means one column
-        # lies in the projective line spanned by two others
-        index_of: Dict[Tuple[int, ...], int] = {}
-        for j, nc in enumerate(normalized):
-            if nc not in index_of:
-                index_of[nc] = j
-        best = None
-        for i in range(n):
-            ci = cols[i]
-            for j in range(i + 1, n):
-                cj = cols[j]
-                for lam in range(1, f.q):
-                    pt = _normalize_column(
-                        f, [f.add(ci[t], f.mul(lam, cj[t])) for t in range(len(ci))]
-                    )
-                    k = index_of.get(pt)
-                    if k is not None and k > j:
-                        cand = (i, j, k)
-                        if best is None or cand < best:
-                            best = cand
-                if best is not None and best[:2] == (i, j):
-                    # later (i, j) pairs can only give lexicographically
-                    # larger triples once the first two entries are fixed
-                    return best
-            if best is not None and best[0] == i:
-                return best
-        return best
-    # generic fallback
-    count = 0
-    for subset in itertools.combinations(range(n), size):
-        count += 1
-        if count > _SUBSET_SCAN_CAP:
-            raise RuntimeError(f"subset scan over C({n},{size}) exceeds cap")
-        if rank_of_vectors(f, [cols[j] for j in subset]) < size:
-            return subset
-    return None
-
-
-def _first_dependent_subset(f, cols, size):
-    """Lexicographically first dependent subset of exactly `size` columns."""
-    n = len(cols)
-    count = 0
-    for subset in itertools.combinations(range(n), size):
-        count += 1
-        if count > _SUBSET_SCAN_CAP:
-            raise RuntimeError(f"subset scan over C({n},{size}) exceeds cap")
-        if rank_of_vectors(f, [cols[j] for j in subset]) < size:
-            return subset
-    return None
+    # condition 1 only; kept because perfbench/tracer.py wraps both names and
+    # perfbench/tests asserts that no wrap target is missing
+    return _first_dependent_subset(f, cols, size)
 
 
 def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:

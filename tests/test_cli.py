@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from pairmds.cli import main
+from pairmds import pairmetric
+from pairmds.cli import _code_file, main
+from pairmds.gf import field_of_order
+from pairmds.linalg import LinearCode, rs_parity_check
+from pairmds.pairmetric import ROUTE_MDS, PairCertificate
 
 
 def run(args):
@@ -117,6 +121,31 @@ def test_rs_route(tmp_path, capsys):
     assert doc["construction"] == "rs"
     assert doc["certificate"]["route"] == "mds-hamming"
     assert run(["verify", str(out), "--oracle"]) == 0
+
+
+def test_long_rs_file_verifies(tmp_path, capsys):
+    # every 4 of the 90 columns must be checked independent: C(90, 4) is
+    # 2.6M minors, far past what a scan of all 4-subsets can afford
+    f = field_of_order(97)
+    h = rs_parity_check(f, 90, 4)
+    cert = PairCertificate(
+        q=97, n=90, d_pair=6, dim_exponent=86, route=ROUTE_MDS, ok=True, checks={"d_H": 5}
+    )
+    path = tmp_path / "rs.json"
+    path.write_text(json.dumps(_code_file(f, LinearCode(h), cert, {"construction": "rs"})))
+    assert run(["verify", str(path)]) == 0
+    assert "verified (mds-hamming)" in capsys.readouterr().out
+
+
+def test_search_cap_is_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rs.json"
+    assert run(["construct", "--q", "9", "--n", "10", "--dpair", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pairmetric, "_SUBSET_SCAN_CAP", 10)
+    assert run(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("inconclusive: ")
+    assert captured.err.count("\n") == 1 and not captured.out
 
 
 def test_ec_route_verify_detects_window_tamper(tmp_path, capsys):

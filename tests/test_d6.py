@@ -7,13 +7,12 @@ from pairmds.d6 import (
     construct_d6,
     coplanar,
     elliptic_quadric,
-    normalize_point,
     order_points,
     secant_planes,
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, rank_of_vectors
+from pairmds.linalg import CodeMatrix, normalize_point, rank_of_vectors
 from pairmds.pairmetric import check_theorem_conditions
 
 from goldens import OVOID_Q3, OVOID_Q4, OVOID_Q4_N7

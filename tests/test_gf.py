@@ -7,6 +7,7 @@ from pairmds.gf import (
     FIELD_TABLE_ENV,
     FieldError,
     FieldSpec,
+    absolute_trace,
     field,
     field_of_order,
 )
@@ -32,6 +33,16 @@ def test_table_lookup_examples():
         field(4, 1)
     with pytest.raises(FieldError):
         field(2, 17)  # 2^17 above the supported cap
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27])
+def test_absolute_trace_is_a_balanced_linear_map_onto_the_prime_field(q):
+    f = field_of_order(q)
+    tr = [absolute_trace(f, x) for x in f.elements()]
+    assert tr[1] == f.a % f.p
+    assert sorted(tr) == sorted(list(range(f.p)) * (q // f.p))
+    for x, y in itertools.product(f.elements(), repeat=2):
+        assert tr[f.add(x, y)] == f.add(tr[x], tr[y])
 
 
 def test_add_examples():

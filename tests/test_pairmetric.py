@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, LinearCode
+from pairmds.linalg import CodeMatrix, LinearCode, rank_of_vectors
 from pairmds.pairmetric import (
     COND_ANY_SMALL_INDEPENDENT,
     COND_CONSECUTIVE_INDEPENDENT,
     COND_DEPENDENT_SET_EXISTS,
     PairCertificate,
+    _first_dependent_subset,
     check_mds_conditions,
     check_theorem_conditions,
     hamming_weight,
@@ -209,6 +210,59 @@ def test_check_mds_conditions():
     rows[3][0] = rows[3][1]
     cert2 = check_mds_conditions(CodeMatrix.from_rows(f, rows))
     assert not cert2.ok and cert2.failing_set is not None
+
+
+def first_dependent_subset_by_scan(f, cols, size):
+    """Reference: the first dependent subset in itertools.combinations order."""
+    for subset in itertools.combinations(range(len(cols)), size):
+        if rank_of_vectors(f, [cols[j] for j in subset]) < size:
+            return subset
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_first_dependent_subset_matches_combinations_scan(data):
+    # prime, binary and odd-extension fields; zero and repeated (rescaled)
+    # columns make small dependent sets common
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25]))
+    f = field_of_order(q)
+    rows = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 8))
+    entry = st.integers(0, q - 1)
+    cols = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append((0,) * rows)
+        elif kind == "repeat" and cols:
+            base = data.draw(st.sampled_from(cols))
+            lam = data.draw(st.integers(1, q - 1))
+            cols.append(tuple(f.mul(lam, x) for x in base))
+        else:
+            cols.append(tuple(data.draw(entry) for _ in range(rows)))
+    for size in range(1, rows + 2):
+        want = first_dependent_subset_by_scan(f, cols, size)
+        assert _first_dependent_subset(f, cols, size) == want, (q, cols, size)
+
+
+@pytest.mark.parametrize(
+    "cols, size, want",
+    [
+        # column 0 has no partner; of the two repeated points the earlier wins
+        ([(1, 0), (0, 1), (1, 1), (0, 2), (2, 2)], 2, (1, 3)),
+        # the first repeat of a point, not a later one
+        ([(1, 0), (0, 1), (0, 2), (0, 3)], 2, (1, 2)),
+        # a zero column pairs with every column before it
+        ([(1, 0), (0, 1), (0, 0)], 2, (0, 2)),
+        ([(0, 0), (1, 0), (0, 1)], 2, (0, 1)),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1)], 3, (0, 1, 2)),
+    ],
+)
+def test_first_dependent_subset_examples(cols, size, want):
+    f = field(5, 1)
+    assert first_dependent_subset_by_scan(f, cols, size) == want
+    assert _first_dependent_subset(f, cols, size) == want
 
 
 def test_singleton_verdict():

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import d5, d6, ecmds
 from .errors import ConstructionError, ParameterError
@@ -57,13 +57,13 @@ def _field(q: int) -> FieldSpec:
         raise _CliError(str(exc)) from exc
 
 
-def _construct(f: FieldSpec, n: int, d_pair: int, max_states: int):
+def _construct(f: FieldSpec, n: int, d_pair: int):
     """Dispatch: d_pair 5 and 6 have dedicated constructions, short lengths
     use Reed-Solomon, everything else the elliptic-curve family."""
     if d_pair == 5:
         return d5.construct_d5(f, n)
     if d_pair == 6:
-        return d6.construct_d6(f, n, max_states=max_states)
+        return d6.construct_d6(f, n)
     if d_pair < 3:
         raise ParameterError("pair distance must be at least 3")
     if n < d_pair:
@@ -110,7 +110,7 @@ def _dump(doc: Dict, out: Optional[str]) -> None:
 def cmd_construct(args) -> int:
     f = _field(args.q)
     try:
-        code, cert, provenance = _construct(f, args.n, args.dpair, args.max_states)
+        code, cert, provenance = _construct(f, args.n, args.dpair)
     except ParameterError as exc:
         raise _CliError(str(exc)) from exc
     doc = _code_file(f, code, cert, provenance)
@@ -123,22 +123,42 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+_INT_FIELDS = ("q", "p", "a", "n", "d_pair", "dimension")
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_code_file(path: str) -> Dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read code file: {exc}") from exc
-    required = ("q", "p", "a", "n", "d_pair", "dimension", "parity_check", "certificate")
-    for key in required:
+    if not isinstance(doc, dict):
+        raise _CliError("code file is not a JSON object")
+    for key in _INT_FIELDS + ("parity_check", "certificate"):
         if key not in doc:
             raise _CliError(f"code file missing field {key!r}")
+    for key in _INT_FIELDS:
+        if not _is_int(doc[key]):
+            raise _CliError(f"code file field {key!r} is not an integer")
+    matrix = doc["parity_check"]
+    if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
+        raise _CliError("parity_check is not a list of rows")
+    if not all(_is_int(x) for row in matrix for x in row):
+        raise _CliError("parity_check holds a non-integer entry")
+    for key in ("certificate", "provenance"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise _CliError(f"code file field {key!r} is not an object")
     return doc
 
 
-def _reverify(doc: Dict) -> PairCertificate:
+def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
+    """The parsed parity-check matrix and the certificate recomputed from it."""
     f = _field(doc["q"])
-    if list(f.modulus) != list(doc.get("modulus", f.modulus)):
+    if doc.get("modulus", list(f.modulus)) != list(f.modulus):
         raise _CliError("code file was produced with a different field basis")
     try:
         h = CodeMatrix.from_rows(f, doc["parity_check"])
@@ -149,11 +169,11 @@ def _reverify(doc: Dict) -> PairCertificate:
         raise _CliError("matrix shape disagrees with the declared parameters")
     route = doc["certificate"].get("route")
     if route == ROUTE_THEOREM:
-        return check_theorem_conditions(h, h.rows)
+        return h, check_theorem_conditions(h, h.rows)
     if route == ROUTE_MDS:
-        return check_mds_conditions(h)
+        return h, check_mds_conditions(h)
     if route == ROUTE_EC:
-        return _reverify_ec(f, doc, h)
+        return h, _reverify_ec(f, doc, h)
     raise _CliError(f"unknown certificate route {route!r}")
 
 
@@ -161,11 +181,13 @@ def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
     prov = doc.get("provenance", {})
     try:
         coeffs = prov["curve"]
-        pts = [tuple(p) for p in prov["points"]]
+        pts = [tuple(f.check(c) for c in p) for p in prov["points"]]
         k = prov["k"]
+        if not _is_int(k):
+            raise TypeError(f"k = {k!r} is not an integer")
         curve = ecmds.EllipticCurve(f, *coeffs)
         arrangement = ecmds.EvalArrangement(curve, tuple(pts), k)
-    except (KeyError, TypeError, ParameterError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"elliptic provenance is unusable: {exc}") from exc
     n = h.cols
     failure_checks: Dict[str, object] = {}
@@ -202,7 +224,7 @@ def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
 
 def cmd_verify(args) -> int:
     doc = _load_code_file(args.path)
-    cert = _reverify(doc)
+    h, cert = _reverify(doc)
     claimed = doc["d_pair"]
     if cert.ok and cert.d_pair != claimed:
         print(f"claimed d_pair {claimed} but certificate proves {cert.d_pair}")
@@ -214,11 +236,8 @@ def cmd_verify(args) -> int:
         )
         return EXIT_VERIFY_FAILED
     if args.oracle:
-        f = _field(doc["q"])
-        h = CodeMatrix.from_rows(f, doc["parity_check"])
-        code = LinearCode(h)
         try:
-            brute = min_pair_distance_bruteforce(code, cap=args.enum_cap)
+            brute = min_pair_distance_bruteforce(LinearCode(h), cap=args.enum_cap)
         except EnumerationCapExceeded:
             print(f"verified ({cert.route}); oracle skipped: q^k above cap")
             return EXIT_OK
@@ -254,7 +273,7 @@ def cmd_table(args) -> int:
     for n in lengths:
         t0 = time.perf_counter()
         try:
-            code, cert, provenance = _construct(f, n, args.dpair, args.max_states)
+            code, cert, provenance = _construct(f, n, args.dpair)
             verified = cert.ok
             route = cert.route
         except (ParameterError, ConstructionError) as exc:
@@ -300,9 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--q", type=int, required=True, help="field order (prime power)")
     p_con.add_argument("--n", type=int, required=True, help="code length")
     p_con.add_argument("--dpair", type=int, required=True, help="pair distance")
-    p_con.add_argument("--format", choices=["json"], default="json")
     p_con.add_argument("--out", default=None, help="output path (default stdout)")
-    p_con.add_argument("--max-states", type=int, default=d6.DEFAULT_MAX_STATES)
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="re-verify a code file from the matrix alone")
@@ -315,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--q", type=int, required=True)
     p_tab.add_argument("--dpair", type=int, required=True)
     p_tab.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p_tab.add_argument("--max-states", type=int, default=d6.DEFAULT_MAX_STATES)
     p_tab.set_defaults(func=cmd_table)
 
     p_ec = sub.add_parser("ec-search", help="find a maximal elliptic curve over GF(q)")

@@ -16,6 +16,7 @@ q = 4 use fixed matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -143,12 +144,13 @@ def insertion_scheme_even(x: XOrder) -> InsertionScheme:
     return InsertionScheme(f, tuple(assignment))
 
 
-def _full_columns(f: FieldSpec) -> List[Column]:
+@functools.lru_cache(maxsize=None)
+def _full_columns(f: FieldSpec) -> Tuple[Column, ...]:
     q = f.q
     if q == 2:
-        return list(_H2_COLUMNS)
+        return _H2_COLUMNS
     if q == 4:
-        return list(_H4_COLUMNS)
+        return _H4_COLUMNS
     x = canonical_xorder(f)
     if f.p == 2:
         ins = insertion_scheme_even(x).assignment
@@ -159,19 +161,12 @@ def _full_columns(f: FieldSpec) -> List[Column]:
         cols.append((0, 1, ins[i]))
         cols.extend(_block_columns(x, i))
     cols.append((0, 0, 1))
-    return cols
-
-
-_FULL_CACHE: Dict[FieldSpec, Tuple[Column, ...]] = {}
+    return tuple(cols)
 
 
 def build_h_full(f: FieldSpec) -> CodeMatrix:
     """The full 3 x (q^2+q+1) matrix H(q)."""
-    cached = _FULL_CACHE.get(f)
-    if cached is None:
-        cached = tuple(_full_columns(f))
-        _FULL_CACHE[f] = cached
-    return CodeMatrix.from_columns(f, cached)
+    return CodeMatrix.from_columns(f, _full_columns(f))
 
 
 def _small_n_variant(f: FieldSpec, cols: Sequence[Column], n: int) -> Optional[CodeMatrix]:
@@ -202,10 +197,7 @@ def build_h(f: FieldSpec, n: int) -> CodeMatrix:
     if q == 2:
         cols = {5: _H2_N5, 6: _H2_N6, 7: _H2_COLUMNS}[n]
         return CodeMatrix.from_columns(f, cols)
-    full = _FULL_CACHE.get(f)
-    if full is None:
-        build_h_full(f)
-        full = _FULL_CACHE[f]
+    full = _full_columns(f)
     beta = n % (q + 1)
     e3: Column = (0, 0, 1)
     if beta != 2:

@@ -6,11 +6,11 @@ ordering walks the pencil of secant planes through two distinguished points
 A, B: planes are consumed in pairs, drawing greedily alternating "proper"
 points (points off the plane of the three predecessors); even q handles the
 odd plane count by interleaving the first three planes with the next two.
-Blocked endgames fall back to two alternate endgame patterns and then to
-bounded backtracking.  The ordering is not re-checked on its own: the
-certificate that ``construct_d6`` computes from the finished matrix
-(conditions 1-3 of ``pairmetric.check_theorem_conditions``) is the
-re-verification, and a matrix that fails it is never returned.
+Blocked endgames fall back to bounded backtracking.  The ordering is not
+re-checked on its own: the certificate that ``construct_d6`` computes from
+the finished matrix (conditions 1-3 of
+``pairmetric.check_theorem_conditions``) is the re-verification, and a
+matrix that fails it is never returned.
 
 q = 3 and q = 4 have too few points per plane for the walk and use fixed
 matrices.
@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, LinearCode, dot, null_space
+from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, dot, null_space
 from .pairmetric import PairCertificate, _first_dependent_subset, check_theorem_conditions
 
 Point = Tuple[int, int, int, int]
@@ -186,77 +186,33 @@ def _verify_ovoid(o: Ovoid) -> None:
 # -- ordering ----------------------------------------------------------
 
 
-def _pair_slots(pa: int, pb: int, count: int, pattern: int, complete: bool) -> List[int]:
-    """Slots for one plane pair; `pattern` rewrites the endgame of a complete pair.
+def _schedule(q: int, n: int, even: bool) -> List[object]:
+    """The slot schedule: a slot is 'A', 'B', or a plane index.
 
-    Pattern 1 is plain alternation; 2 and 3 are the two documented endgame
-    reorders (..., a, a, b, b, a, b and ..., b, a).
-    """
-    slots = [pa if t % 2 == 0 else pb for t in range(count)]
-    if complete and pattern != 1 and count >= 6:
-        if pattern == 2:
-            slots[-6:] = [pa, pa, pb, pb, pa, pb]
-        elif pattern == 3:
-            slots[-2:] = [pb, pa]
-    return slots
-
-
-def _schedule_variants(q: int, n: int, even: bool) -> Iterator[List[object]]:
-    """Candidate slot schedules, most faithful first.
-
-    A slot is 'A', 'B', or a plane index.  Variants differ only in the
-    endgame pattern of complete plane pairs.
+    After the prefix, each plane pair alternates its two planes.
     """
     per_plane = q - 1
     if even and n > q * q - q + 2:
-        head: List[object] = ["A", "B"]
-        fixed: List[object] = []
-        for _ in range(q - 2):
-            fixed.extend([0, 1, 2])
-        fixed.extend([3, 0, 4, 1, 3, 2, 4, 3, 4])
-        cont_len = 2 * (q - 4)
-        pair_specs: List[Tuple[int, int, int]] = [(3, 4, cont_len)]
-        for t in range(5, q, 2):
-            pair_specs.append((t, t + 1, 2 * per_plane))
-        prefix = head + fixed
+        # triple alternation over planes 0-2, closed by an interleave with
+        # planes 3 and 4, which then continue as a shortened pair
+        slots: List[object] = ["A", "B"] + [0, 1, 2] * (q - 2)
+        slots += [3, 0, 4, 1, 3, 2, 4, 3, 4]
+        pairs = [(3, 4, 2 * (q - 4))] + [(t, t + 1, 2 * per_plane) for t in range(5, q, 2)]
+    elif n % 2 == 1 and n <= 2 * q - 1:
+        # the wrap window Z, A, B, P1 must avoid a fourth point of plane 0,
+        # so odd short lengths alternate planes 2 and 3
+        slots = ["A", "B", 0]
+        pairs = [(2, 3, 2 * per_plane)]
     else:
-        if n % 2 == 1 and n <= 2 * q - 1:
-            # the wrap window Z, A, B, P1 must avoid a fourth point of
-            # plane 0, so odd short lengths alternate planes 2 and 3
-            prefix = ["A", "B", 0]
-            pair_specs = [(2, 3, 2 * per_plane)]
-        else:
-            prefix = ["A", "B"]
-            last = q if q % 2 == 1 else q - 1
-            pair_specs = [(t, t + 1, 2 * per_plane) for t in range(0, last, 2)]
-
-    remaining = n - len(prefix)
-    used_specs: List[Tuple[int, int, int, bool]] = []
-    for pa, pb, length in pair_specs:
-        if remaining <= 0:
-            break
-        take = min(remaining, length)
-        used_specs.append((pa, pb, take, take == length))
-        remaining -= take
-    if remaining > 0:
+        slots = ["A", "B"]
+        last = q if q % 2 == 1 else q - 1
+        pairs = [(t, t + 1, 2 * per_plane) for t in range(0, last, 2)]
+    for pa, pb, length in pairs:
+        take = min(n - len(slots), length)
+        slots.extend(pa if t % 2 == 0 else pb for t in range(take))
+    if len(slots) < n:
         raise ParameterError(f"length {n} exceeds the points reachable by the schedule")
-
-    def materialize(patterns: Dict[int, int]) -> List[object]:
-        slots = list(prefix)
-        for idx, (pa, pb, take, complete) in enumerate(used_specs):
-            slots.extend(_pair_slots(pa, pb, take, patterns.get(idx, 1), complete))
-        return slots
-
-    yield materialize({})
-    completable = [i for i, spec in enumerate(used_specs) if spec[3] and spec[2] >= 6]
-    for idx in reversed(completable):
-        for pattern in (2, 3):
-            yield materialize({idx: pattern})
-    if len(completable) >= 2:
-        a, b = completable[-1], completable[-2]
-        for pat_a in (2, 3):
-            for pat_b in (2, 3):
-                yield materialize({a: pat_a, b: pat_b})
+    return slots
 
 
 class _Budget:
@@ -323,8 +279,12 @@ def _try_schedule(
         iters.append(candidates(t))
 
 
-def order_points(o: Ovoid, n: int, max_states: int = DEFAULT_MAX_STATES) -> List[Point]:
-    """Order n ovoid points so no 4 cyclically consecutive ones are coplanar."""
+def order_points(o: Ovoid, n: int) -> List[Point]:
+    """Order n ovoid points so no 4 cyclically consecutive ones are coplanar.
+
+    Raises ``EnumerationCapExceeded`` when the backtracking spends
+    ``DEFAULT_MAX_STATES`` states without finishing.
+    """
     f = o.field
     q = f.q
     if not 6 <= n <= q * q + 1:
@@ -332,19 +292,18 @@ def order_points(o: Ovoid, n: int, max_states: int = DEFAULT_MAX_STATES) -> List
     even = f.p == 2
     if (even and q < 8) or (not even and q < 5):
         raise ParameterError(f"plane walk needs q >= 5 odd or q >= 8 even, got q={q}")
-    budget = _Budget(max_states)
-    for slots in _schedule_variants(q, n, even):
-        seq = _try_schedule(o, slots, n, budget)
-        if seq is not None:
-            return seq
-        if budget.left <= 0:
-            break
-    raise ConstructionError(
-        f"point ordering failed for q={q}, n={n} within {max_states} states"
-    )
+    budget = _Budget(DEFAULT_MAX_STATES)
+    seq = _try_schedule(o, _schedule(q, n, even), n, budget)
+    if seq is not None:
+        return seq
+    if budget.left < 0:
+        raise EnumerationCapExceeded(
+            f"point ordering for q={q}, n={n} spent its {DEFAULT_MAX_STATES} search states"
+        )
+    raise ConstructionError(f"point ordering for q={q}, n={n} exhausted its search tree")
 
 
-def construct_d6(f: FieldSpec, n: int, max_states: int = DEFAULT_MAX_STATES):
+def construct_d6(f: FieldSpec, n: int):
     """Linear MDS (n, 6)_q symbol-pair code with a recomputed certificate."""
     q = f.q
     if q < 3:
@@ -360,7 +319,7 @@ def construct_d6(f: FieldSpec, n: int, max_states: int = DEFAULT_MAX_STATES):
         provenance["layout"] = "fixed-matrix"
     else:
         o = elliptic_quadric(f)
-        cols = tuple(order_points(o, n, max_states=max_states))
+        cols = tuple(order_points(o, n))
         provenance["quadric_form_c"] = o.form_c
         provenance["A"] = list(o.A)
         provenance["B"] = list(o.B)

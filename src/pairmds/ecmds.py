@@ -11,6 +11,7 @@ re-run on the result.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -148,15 +149,9 @@ class _SolveTables:
                     self.sqrt_of[s] = x
 
 
-_SOLVE_CACHE: Dict[FieldSpec, _SolveTables] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _solver(f: FieldSpec) -> _SolveTables:
-    tab = _SOLVE_CACHE.get(f)
-    if tab is None:
-        tab = _SolveTables(f)
-        _SOLVE_CACHE[f] = tab
-    return tab
+    return _SolveTables(f)
 
 
 def _ys_for_x(c: EllipticCurve, x: int) -> List[int]:
@@ -230,9 +225,7 @@ def _curve_candidates(f: FieldSpec) -> Iterator[EllipticCurve]:
                                 continue
 
 
-_MAXIMAL_CACHE: Dict[FieldSpec, EllipticCurve] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     """First curve in ascending coefficient order attaining n_max(q).
 
@@ -241,13 +234,9 @@ def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     """
     if f.q > 1 << 10:
         raise ParameterError("maximal-curve search supports q <= 2^10")
-    cached = _MAXIMAL_CACHE.get(f)
-    if cached is not None:
-        return cached
     target = n_max(f)
     for curve in _curve_candidates(f):
         if ec_point_count(curve) == target:
-            _MAXIMAL_CACHE[f] = curve
             return curve
     raise ConstructionError(f"no curve over GF({f.q}) attains {target} points")
 

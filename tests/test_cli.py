@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pairmds import pairmetric
+from pairmds import d6, pairmetric
 from pairmds.cli import _code_file, main
 from pairmds.gf import field_of_order
 from pairmds.linalg import LinearCode, rs_parity_check
@@ -146,6 +146,58 @@ def test_search_cap_is_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("inconclusive: ")
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+def _set(*path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "base,mutate",
+    [
+        ("d5", _set("parity_check", 0, 0, value="1")),
+        ("d5", _set("parity_check", 0, 0, value=1.0)),
+        ("d5", _set("certificate", value=None)),
+        ("d5", _set("parity_check", value=5)),
+        ("d5", _set("q", value="5")),
+        ("d5", _set("d_pair", value="5")),
+        ("ec", _set("provenance", "points", 1, value=[1])),
+        ("ec", _set("provenance", "points", 0, 0, value=10**30)),
+        ("ec", _set("provenance", "k", value=1.5)),
+    ],
+    ids=["string-entry", "float-entry", "null-certificate", "scalar-matrix",
+         "string-q", "string-dpair", "short-ec-point", "ec-point-out-of-field",
+         "float-ec-k"],
+)
+def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
+    q, n, dpair = {"d5": ("5", "13", "5"), "ec": ("11", "14", "9")}[base]
+    out = tmp_path / "code.json"
+    assert run(["construct", "--q", q, "--n", n, "--dpair", dpair, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_spent_ordering_budget_is_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(d6, "DEFAULT_MAX_STATES", 10)
+    out = tmp_path / "d6.json"
+    assert run(["construct", "--q", "7", "--n", "30", "--dpair", "6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("inconclusive: ")
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not out.exists()
 
 
 def test_ec_route_verify_detects_window_tamper(tmp_path, capsys):

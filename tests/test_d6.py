@@ -144,6 +144,18 @@ def test_order_points_even_q_full_interleave():
     assert planes[29:37] == [3, 4, 3, 4, 3, 4, 3, 4]
 
 
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_order_points_every_length(q):
+    o = elliptic_quadric(field_of_order(q))
+    f = o.field
+    ovoid = set(o.points)
+    for n in range(6, q * q + 2):
+        pts = order_points(o, n)
+        assert len(pts) == n and len(set(pts)) == n and set(pts) <= ovoid
+        for i in range(n):
+            assert not coplanar(f, *[pts[(i + t) % n] for t in range(4)]), (n, i)
+
+
 def test_order_points_range_errors():
     o = elliptic_quadric(field(5, 1))
     with pytest.raises(ParameterError):

@@ -23,8 +23,6 @@ from .linalg import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     LinearCode,
-    dot,
-    rank,
     rs_parity_check,
 )
 from .pairmetric import (
@@ -158,6 +156,8 @@ def _load_code_file(path: str) -> Dict:
 def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
     """The parsed parity-check matrix and the certificate recomputed from it."""
     f = _field(doc["q"])
+    if (doc["p"], doc["a"]) != (f.p, f.a):
+        raise _CliError(f"declared p={doc['p']}, a={doc['a']} is not the field of order {f.q}")
     if doc.get("modulus", list(f.modulus)) != list(f.modulus):
         raise _CliError("code file was produced with a different field basis")
     try:
@@ -167,9 +167,14 @@ def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
     n = doc["n"]
     if h.cols != n or h.rows != n - doc["dimension"]:
         raise _CliError("matrix shape disagrees with the declared parameters")
+    if doc["dimension"] < 1:
+        raise _CliError("a code needs dimension >= 1")
     route = doc["certificate"].get("route")
     if route == ROUTE_THEOREM:
-        return h, check_theorem_conditions(h, h.rows)
+        try:
+            return h, check_theorem_conditions(h, h.rows)
+        except ValueError as exc:  # parameters outside the theorem's range
+            raise _CliError(str(exc)) from exc
     if route == ROUTE_MDS:
         return h, check_mds_conditions(h)
     if route == ROUTE_EC:
@@ -177,11 +182,17 @@ def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
     raise _CliError(f"unknown certificate route {route!r}")
 
 
+def _elements(f: FieldSpec, values: object) -> Tuple[int, ...]:
+    if not (isinstance(values, list) and all(_is_int(x) for x in values)):
+        raise TypeError(f"{values!r} is not a list of integers")
+    return tuple(f.check(x) for x in values)
+
+
 def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
     prov = doc.get("provenance", {})
     try:
-        coeffs = prov["curve"]
-        pts = [tuple(f.check(c) for c in p) for p in prov["points"]]
+        coeffs = _elements(f, prov["curve"])
+        pts = [_elements(f, p) for p in prov["points"]]
         k = prov["k"]
         if not _is_int(k):
             raise TypeError(f"k = {k!r} is not an integer")
@@ -189,37 +200,7 @@ def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
         arrangement = ecmds.EvalArrangement(curve, tuple(pts), k)
     except (KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"elliptic provenance is unusable: {exc}") from exc
-    n = h.cols
-    failure_checks: Dict[str, object] = {}
-    window_ok = ecmds.window_check(arrangement)
-    g = ecmds.generator_matrix(arrangement)
-    # H must annihilate the evaluation code and have complementary rank
-    product_zero = g.cols == n and all(
-        dot(f, hrow, grow) == 0 for hrow in h.entries for grow in g.entries
-    )
-    rank_ok = rank(h) == n - k
-    nss = ecmds.subset_sum_count(arrangement)
-    ok = window_ok and product_zero and rank_ok
-    if not window_ok:
-        failure_checks["failed"] = "window-check"
-    elif not product_zero:
-        failure_checks["failed"] = "parity-generator-product"
-    elif not rank_ok:
-        failure_checks["failed"] = "parity-rank"
-    return PairCertificate(
-        q=f.q,
-        n=n,
-        d_pair=n - k + 2,
-        dim_exponent=k,
-        route=ROUTE_EC,
-        ok=ok,
-        failed_condition=failure_checks.get("failed"),
-        checks={
-            "window_check": window_ok,
-            "subset_sum_count": nss,
-            "d_H": n - k if nss > 0 else n - k + 1,
-        },
-    )
+    return ecmds.check_ec_conditions(arrangement, ecmds.generator_matrix(arrangement), h)
 
 
 def cmd_verify(args) -> int:

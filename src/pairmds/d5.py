@@ -169,8 +169,10 @@ def build_h_full(f: FieldSpec) -> CodeMatrix:
     return CodeMatrix.from_columns(f, _full_columns(f))
 
 
-def _small_n_variant(f: FieldSpec, cols: Sequence[Column], n: int) -> Optional[CodeMatrix]:
-    """Length-n layout with a second (0, 1, y) column forced in.
+def _small_n_variant(
+    f: FieldSpec, cols: Sequence[Column], n: int
+) -> Optional[Tuple[CodeMatrix, PairCertificate]]:
+    """Length-n layout with a second (0, 1, y) column forced in, and its certificate.
 
     Used when the plain truncation of H(q) contains no dependent triple
     (possible for small n, where the chosen columns form an arc): the triple
@@ -184,32 +186,31 @@ def _small_n_variant(f: FieldSpec, cols: Sequence[Column], n: int) -> Optional[C
         m = CodeMatrix.from_columns(f, candidate)
         cert = check_theorem_conditions(m, 3)
         if cert.ok:
-            return m
+            return m, cert
     return None
 
 
-def build_h(f: FieldSpec, n: int) -> CodeMatrix:
-    """A 3 x n parity check passing all three pair-distance-5 conditions."""
+def build_h(f: FieldSpec, n: int) -> Tuple[CodeMatrix, PairCertificate]:
+    """A 3 x n parity check passing all three pair-distance-5 conditions,
+    and the certificate that says so."""
     q = f.q
     n_max = q * q + q + 1
     if not 5 <= n <= n_max:
         raise ParameterError(f"n must lie in [5, q^2+q+1] = [5, {n_max}], got {n}")
-    if q == 2:
-        cols = {5: _H2_N5, 6: _H2_N6, 7: _H2_COLUMNS}[n]
-        return CodeMatrix.from_columns(f, cols)
     full = _full_columns(f)
-    beta = n % (q + 1)
     e3: Column = (0, 0, 1)
-    if beta != 2:
-        chosen = list(full[: n - 1]) + [e3]
+    if q == 2:
+        chosen = {5: _H2_N5, 6: _H2_N6, 7: full}[n]
+    elif n % (q + 1) != 2:
+        chosen = full[: n - 1] + (e3,)
     else:
         # appending (0,0,1) after a trailing (0,1,y) column would create the
         # dependent cyclic triple {(0,1,y), (0,0,1), (0,1,y')}
-        chosen = list(full[:2]) + [e3] + list(full[2 : n - 1])
+        chosen = full[:2] + (e3,) + full[2 : n - 1]
     m = CodeMatrix.from_columns(f, chosen)
     cert = check_theorem_conditions(m, 3)
     if cert.ok:
-        return m
+        return m, cert
     if cert.failed_condition == COND_DEPENDENT_SET_EXISTS:
         variant = _small_n_variant(f, full, n)
         if variant is not None:
@@ -222,10 +223,7 @@ def build_h(f: FieldSpec, n: int) -> CodeMatrix:
 
 def construct_d5(f: FieldSpec, n: int):
     """Linear MDS (n, 5)_q symbol-pair code with a recomputed certificate."""
-    h = build_h(f, n)
-    cert = check_theorem_conditions(h, 3)
-    if not cert.ok:  # pragma: no cover - build_h already verified
-        raise ConstructionError("certificate recomputation failed")
+    h, cert = build_h(f, n)
     code = LinearCode(h)
     provenance: Dict[str, object] = {"construction": "d5"}
     if f.q in (2, 4):

@@ -5,13 +5,15 @@ ordering the evaluation points so that no k cyclically consecutive points sum
 to the identity promotes them to MDS symbol-pair codes of pair distance
 n - k + 2.  The arrangement pairs each point with its negative, threads the
 pairs so that windows always cut a pair, patches the tail with the two SWITCH
-rules, and falls back to bounded local rearrangement; window_check is always
-re-run on the result.
+rules, and falls back to bounded local rearrangement.  check_ec_conditions
+certifies the result from the arrangement and the matrices alone; construct_ec
+and `pairmds verify` both call it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, LinearCode, null_space, rank
+from .linalg import CodeMatrix, LinearCode, dot, null_space, rank
 from .pairmetric import ROUTE_EC, PairCertificate
 
 ECPoint = Optional[Tuple[int, int]]  # None is the identity O at infinity
@@ -206,31 +208,25 @@ def n_max(f: FieldSpec) -> int:
 
 
 def _curve_candidates(f: FieldSpec) -> Iterator[EllipticCurve]:
-    if f.p >= 5:
-        for a4 in f.elements():
-            for a6 in f.elements():
-                try:
-                    yield EllipticCurve(f, 0, 0, 0, a4, a6)
-                except ParameterError:
-                    continue
+    if f.p == 2:
+        coeffs = itertools.product(f.elements(), repeat=5)
     else:
-        for a1 in f.elements():
-            for a2 in f.elements():
-                for a3 in f.elements():
-                    for a4 in f.elements():
-                        for a6 in f.elements():
-                            try:
-                                yield EllipticCurve(f, a1, a2, a3, a4, a6)
-                            except ParameterError:
-                                continue
+        # y -> y - (a1 x + a3)/2 removes the cross terms, so every curve is
+        # isomorphic to one with a1 = a3 = 0
+        coeffs = ((0, a2, 0, a4, a6) for a2, a4, a6 in itertools.product(f.elements(), repeat=3))
+    for c in coeffs:
+        try:
+            yield EllipticCurve(f, *c)
+        except ParameterError:
+            continue
 
 
 @functools.lru_cache(maxsize=None)
 def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     """First curve in ascending coefficient order attaining n_max(q).
 
-    Scans short Weierstrass forms for p >= 5 and the general form for
-    characteristics 2 and 3.
+    Scans the general form in characteristic 2 and y^2 = x^3 + a2 x^2 + a4 x
+    + a6 in odd characteristic, which finds the general scan's first curve.
     """
     if f.q > 1 << 10:
         raise ParameterError("maximal-curve search supports q <= 2^10")
@@ -526,20 +522,53 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
                 f"no valid arrangement found for n={n}, k={k} over GF({f.q})"
             )
         seq = repaired
-    arrangement = EvalArrangement(c, tuple(seq), k)
-    if not window_check(arrangement):  # pragma: no cover - guarded above
-        raise ConstructionError("arrangement failed the window check")
-    return arrangement
+    return EvalArrangement(c, tuple(seq), k)
+
+
+def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> PairCertificate:
+    """Certify h, with g = generator_matrix(a), as the parity check of an MDS
+    symbol-pair code of pair distance n - k + 2.
+
+    The checks: no k cyclically consecutive points of ``a`` sum to O; h has n
+    columns and h g^T = 0; h has full row rank n - k.  The evaluation code
+    then has minimum Hamming distance n - k when some k-subset of D sums to O
+    (the subset-sum count) and n - k + 1 when none does, and in both cases
+    pair distance n - k + 2 by the run-length bound and the Singleton ceiling.
+    """
+    f = a.curve.field
+    n, k = a.n, a.k
+    window_ok = window_check(a)
+    product_zero = h.cols == n and all(
+        dot(f, hrow, grow) == 0 for hrow in h.entries for grow in g.entries
+    )
+    rank_ok = h.rows == rank(h) == n - k
+    nsolutions = subset_sum_count(a)
+    failed = None
+    if not window_ok:
+        failed = "window-check"
+    elif not product_zero:
+        failed = "parity-generator-product"
+    elif not rank_ok:
+        failed = "parity-rank"
+    return PairCertificate(
+        q=f.q,
+        n=n,
+        d_pair=n - k + 2,
+        dim_exponent=k,
+        route=ROUTE_EC,
+        ok=failed is None,
+        failed_condition=failed,
+        checks={
+            "window_check": window_ok,
+            "subset_sum_count": nsolutions,
+            "d_H": n - k if nsolutions > 0 else n - k + 1,
+        },
+    )
 
 
 def construct_ec(f: FieldSpec, n: int, d: int):
-    """Linear MDS (n, d+2)_q symbol-pair code from a maximal elliptic curve.
-
-    The certificate route is algebraic: with the window check satisfied, the
-    code has minimum Hamming distance n-k (when some k-subset of D sums to O)
-    or n-k+1 (when none does), and in both cases pair distance exactly d+2
-    by the run-length bound and the Singleton ceiling.
-    """
+    """Linear MDS (n, d+2)_q symbol-pair code from a maximal elliptic curve,
+    certified by check_ec_conditions."""
     k = n - d
     limit = n_max(f) - 3
     if not 7 <= d + 2 <= n:
@@ -550,29 +579,17 @@ def construct_ec(f: FieldSpec, n: int, d: int):
     arrangement = arrange(curve, n, k)
     g = generator_matrix(arrangement)
     h = null_space(g)
-    code = LinearCode(h)
-    if code.k != k:  # pragma: no cover - rank checked in generator_matrix
-        raise ConstructionError("dual dimension mismatch")
-    nsolutions = subset_sum_count(arrangement)
-    if n > f.q + 1 and nsolutions == 0:
+    cert = check_ec_conditions(arrangement, g, h)
+    if not cert.ok:
+        raise ConstructionError(
+            f"elliptic construction failed verification at q={f.q}, n={n}: {cert.failed_condition}"
+        )
+    if n > f.q + 1 and cert.checks["subset_sum_count"] == 0:
         raise ConstructionError("subset-sum count contradicts the length bound")
-    cert = PairCertificate(
-        q=f.q,
-        n=n,
-        d_pair=d + 2,
-        dim_exponent=k,
-        route=ROUTE_EC,
-        ok=True,
-        checks={
-            "window_check": window_check(arrangement),
-            "subset_sum_count": nsolutions,
-            "d_H": n - k if nsolutions > 0 else n - k + 1,
-        },
-    )
     provenance = {
         "construction": "elliptic",
         "curve": list(curve.coefficients()),
         "points": [list(p) for p in arrangement.points],
         "k": k,
     }
-    return code, cert, provenance
+    return LinearCode(h), cert, provenance

@@ -9,7 +9,7 @@ for short lengths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .gf import FieldSpec
@@ -172,7 +172,6 @@ class LinearCode:
     """A linear code given by a full-row-rank parity-check matrix."""
 
     parity_check: CodeMatrix
-    _basis: CodeMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = rank(self.parity_check)
@@ -182,7 +181,6 @@ class LinearCode:
             )
         if self.k < 1:
             raise ValueError("code dimension must be >= 1")
-        object.__setattr__(self, "_basis", null_space(self.parity_check))
 
     @property
     def field(self) -> FieldSpec:
@@ -201,7 +199,7 @@ class LinearCode:
         return self.n - self.parity_check.rows
 
     def codeword_basis(self) -> CodeMatrix:
-        return self._basis
+        return null_space(self.parity_check)
 
 
 def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Tuple[int, ...]]:

@@ -58,11 +58,11 @@ def test_criterion_1_golden_matrices():
         rows = lambda m: [list(r) for r in m.entries]
         f5, f2, f4, f3 = (field_of_order(x) for x in (5, 2, 4, 3))
         assert rows(d5.build_h_full(f5)) == H5_FULL
-        assert rows(d5.build_h(f5, 13)) == H5_N13
-        assert rows(d5.build_h(f5, 14)) == H5_N14
+        assert rows(d5.build_h(f5, 13)[0]) == H5_N13
+        assert rows(d5.build_h(f5, 14)[0]) == H5_N14
         assert rows(d5.build_h_full(f2)) == H2_FULL
-        assert rows(d5.build_h(f2, 5)) == H2_N5
-        assert rows(d5.build_h(f2, 6)) == H2_N6
+        assert rows(d5.build_h(f2, 5)[0]) == H2_N5
+        assert rows(d5.build_h(f2, 6)[0]) == H2_N6
         assert rows(d5.build_h_full(f4)) == H4_FULL
         assert rows(d6.construct_d6(f3, 10)[0].parity_check) == OVOID_Q3
         assert rows(d6.construct_d6(f4, 17)[0].parity_check) == OVOID_Q4

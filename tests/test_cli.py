@@ -1,9 +1,13 @@
+import functools
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pairmds import d6, pairmetric
-from pairmds.cli import _code_file, main
+from pairmds.cli import _code_file, _reverify, main
 from pairmds.gf import field_of_order
 from pairmds.linalg import LinearCode, rs_parity_check
 from pairmds.pairmetric import ROUTE_MDS, PairCertificate
@@ -170,10 +174,18 @@ def _set(*path, value):
         ("ec", _set("provenance", "points", 1, value=[1])),
         ("ec", _set("provenance", "points", 0, 0, value=10**30)),
         ("ec", _set("provenance", "k", value=1.5)),
+        ("d5", lambda doc: doc.update(p=7, a=9)),
+        ("ec", _set("provenance", "curve", 0, value=0.0)),
+        ("d5", lambda doc: doc.update(
+            n=4, dimension=1, parity_check=[r[:4] for r in doc["parity_check"]])),
+        ("d5", lambda doc: doc.update(
+            n=3, dimension=0, parity_check=[r[:3] for r in doc["parity_check"]],
+            certificate={"route": "mds-hamming"})),
     ],
     ids=["string-entry", "float-entry", "null-certificate", "scalar-matrix",
          "string-q", "string-dpair", "short-ec-point", "ec-point-out-of-field",
-         "float-ec-k"],
+         "float-ec-k", "foreign-field", "float-curve-coefficient", "n-below-d-H-plus-2",
+         "dimension-0"],
 )
 def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
     q, n, dpair = {"d5": ("5", "13", "5"), "ec": ("11", "14", "9")}[base]
@@ -236,3 +248,101 @@ def test_ec_route_verify_detects_window_tamper(tmp_path, capsys):
 
 def test_unknown_subcommand_usage_error():
     assert run(["frobnicate"]) == 2
+
+
+# one small valid code file per construction route: (q, n, d_pair)
+_BASES = {
+    "d5": ("5", "13", "5"),
+    "ovoid": ("5", "12", "6"),
+    "rs": ("9", "10", "8"),
+    "elliptic": ("11", "14", "9"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _base_text(base):
+    q, n, dpair = _BASES[base]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert run(["construct", "--q", q, "--n", n, "--dpair", dpair]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+def test_file_certificate_equals_reverified(base):
+    doc = json.loads(_base_text(base))
+    _h, cert = _reverify(doc)
+    assert cert.to_json_dict() == doc["certificate"]
+
+
+def _duplicate_row(doc):
+    doc["parity_check"][1] = list(doc["parity_check"][0])
+
+
+def _change_entry(doc):
+    row = doc["parity_check"][0]
+    row[3] = (row[3] + 1) % doc["q"]
+
+
+@pytest.mark.parametrize(
+    "mutate,check",
+    [(_duplicate_row, "parity-rank"), (_change_entry, "parity-generator-product")],
+)
+def test_ec_verify_names_failed_parity_check(tmp_path, capsys, mutate, check):
+    doc = json.loads(_base_text("elliptic"))
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad)]) == 1
+    assert capsys.readouterr().out == f"verification FAILED: {check}\n"
+
+
+_DELETE = object()
+_HOSTILE = st.one_of(
+    st.just(_DELETE),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.sampled_from([-(10**30), 10**30]),
+    st.floats(),
+    st.text(max_size=2),
+    st.lists(st.integers(-1, 12), max_size=3),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=1),
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
+    # one field of a valid file replaced by a hostile value or deleted: any
+    # such file ends in exit 0, 1 or 2 with one line of output, no traceback
+    doc = json.loads(_base_text(data.draw(st.sampled_from(sorted(_BASES)))))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(_HOSTILE)
+    if not path:
+        doc = None if value is _DELETE else value
+    else:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["verify", str(bad)])
+    assert code in (0, 1, 2)
+    assert (out.getvalue() + err.getvalue()).count("\n") == 1

@@ -28,12 +28,12 @@ def as_rows(m: CodeMatrix):
 def test_golden_matrices():
     f5 = field(5, 1)
     assert as_rows(build_h_full(f5)) == H5_FULL
-    assert as_rows(build_h(f5, 13)) == H5_N13
-    assert as_rows(build_h(f5, 14)) == H5_N14
+    assert as_rows(build_h(f5, 13)[0]) == H5_N13
+    assert as_rows(build_h(f5, 14)[0]) == H5_N14
     f2 = field(2, 1)
     assert as_rows(build_h_full(f2)) == H2_FULL
-    assert as_rows(build_h(f2, 5)) == H2_N5
-    assert as_rows(build_h(f2, 6)) == H2_N6
+    assert as_rows(build_h(f2, 5)[0]) == H2_N5
+    assert as_rows(build_h(f2, 6)[0]) == H2_N6
     assert as_rows(build_h_full(field(2, 2))) == H4_FULL
 
 
@@ -115,10 +115,10 @@ def test_full_matrix_cyclic_windows(q):
 
 def test_build_h_beta2_places_e3_third():
     f5 = field(5, 1)
-    h = build_h(f5, 14)  # 14 = 2*6 + 2
+    h = build_h(f5, 14)[0]  # 14 = 2*6 + 2
     assert h.column(2) == (0, 0, 1)
     f3 = field(3, 1)
-    h3 = build_h(f3, 10)  # 10 = 2*4 + 2
+    h3 = build_h(f3, 10)[0]  # 10 = 2*4 + 2
     assert h3.column(2) == (0, 0, 1)
     assert check_theorem_conditions(h3, 3).ok
 
@@ -128,7 +128,7 @@ def test_small_n_fallback_keeps_all_conditions():
     # second (0, 1, y) column
     for q, n in [(5, 5), (7, 5), (7, 6), (8, 7), (9, 6)]:
         f = field_of_order(q)
-        h = build_h(f, n)
+        h = build_h(f, n)[0]
         cert = check_theorem_conditions(h, 3)
         assert cert.ok, (q, n)
         heads = [c[:2] for c in h.columns()]

@@ -120,6 +120,15 @@ def test_find_maximal_curve(q, count):
     assert c.discriminant() != 0
 
 
+@pytest.mark.parametrize(
+    "q,coeffs", [(3, (0, 0, 0, 2, 1)), (9, (0, 0, 0, 1, 0)), (27, (0, 2, 0, 0, 2))]
+)
+def test_first_maximal_curve_characteristic_3(q, coeffs):
+    # the odd-characteristic scan over a1 = a3 = 0 finds the curve that the
+    # scan over all five coefficients finds first
+    assert find_maximal_curve(field_of_order(q)).coefficients() == coeffs
+
+
 def test_rr_basis_examples():
     c = find_maximal_curve(field(11, 1))
     assert [(m.i, m.j) for m in rr_basis(c, 1)] == [(0, 0)]

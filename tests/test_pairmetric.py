@@ -285,7 +285,7 @@ def test_theorem_checker_agrees_with_bruteforce_when_feasible():
 
     for q, n in [(2, 5), (2, 6), (2, 7), (3, 7), (3, 10), (4, 9), (5, 8)]:
         f = field_of_order(q)
-        h = build_h(f, n)
+        h = build_h(f, n)[0]
         cert = check_theorem_conditions(h, 3)
         assert cert.ok
         assert min_pair_distance_bruteforce(LinearCode(h)) == 5

@@ -8,6 +8,11 @@ pairs so that windows always cut a pair, patches the tail with the two SWITCH
 rules, and falls back to bounded local rearrangement.  check_ec_conditions
 certifies the result from the arrangement and the matrices alone; construct_ec
 and `pairmds verify` both call it.
+
+Window sums, the SWITCH repairs and the subset-sum count run on one group
+table per curve (``_group``, cached per process): the point list with O
+first, the point-to-index map, the N x N addition table and the negation
+table, every entry computed once by the validating ``ec_add``/``ec_neg``.
 """
 
 from __future__ import annotations
@@ -129,6 +134,22 @@ def ec_sum(c: EllipticCurve, pts: Sequence[ECPoint]) -> ECPoint:
     return acc
 
 
+@dataclass(frozen=True)
+class _GroupTable:
+    """The rational points of a curve as indices; index 0 is O."""
+
+    points: List[ECPoint]
+    index: Dict[ECPoint, int]
+    add: List[List[int]]  # add[i][j] = index of points[i] + points[j]
+    neg: List[int]  # neg[i] = index of -points[i]
+
+    def indices(self, pts: Sequence[ECPoint]) -> List[int]:
+        try:
+            return [self.index[p] for p in pts]
+        except KeyError as exc:
+            raise ParameterError(f"point {exc.args[0]} is not on the curve") from None
+
+
 class _SolveTables:
     """Per-field helpers for solving the Weierstrass quadratic in y."""
 
@@ -190,6 +211,15 @@ def ec_points(c: EllipticCurve) -> List[ECPoint]:
     for x in c.field.elements():
         pts.extend((x, y) for y in _ys_for_x(c, x))
     return pts
+
+
+@functools.lru_cache(maxsize=None)
+def _group(c: EllipticCurve) -> _GroupTable:
+    pts = ec_points(c)
+    index = {p: i for i, p in enumerate(pts)}
+    add = [[index[ec_add(c, p, r)] for r in pts] for p in pts]
+    neg = [index[ec_neg(c, p)] for p in pts]
+    return _GroupTable(pts, index, add, neg)
 
 
 def ec_point_count(c: EllipticCurve) -> int:
@@ -301,12 +331,23 @@ def window_check(a: EvalArrangement) -> bool:
 
 
 def _window_violations(c: EllipticCurve, pts: List[Tuple[int, int]], k: int) -> List[int]:
-    n = len(pts)
+    """Starts i of the cyclic k-windows pts[i], ..., pts[i+k-1] that sum to O.
+
+    One running sum slides along the sequence: each step adds the negative
+    of the point leaving the window and the point entering it.
+    """
+    g = _group(c)
+    add, neg = g.add, g.neg
+    idx = g.indices(pts)
+    n = len(idx)
+    s = 0
+    for t in range(k):
+        s = add[s][idx[t % n]]
     out = []
     for i in range(n):
-        s = ec_sum(c, [pts[(i + t) % n] for t in range(k)])
-        if s is None:
+        if s == 0:
             out.append(i)
+        s = add[add[s][neg[idx[i]]]][idx[(i + k) % n]]
     return out
 
 
@@ -316,24 +357,20 @@ def subset_sum_count(a: EvalArrangement) -> int:
     Dynamic programming over (subset size, group element), the group being
     indexed by the curve's full point list.
     """
-    c = a.curve
-    pts = ec_points(c)
-    index = {p: i for i, p in enumerate(pts)}
-    ng = len(pts)
+    g = _group(a.curve)
+    ng = len(g.points)
     k = a.k
-    add_row = [[index[ec_add(c, p, q)] for q in pts] for p in pts]
     counts = [[0] * ng for _ in range(k + 1)]
     counts[0][0] = 1  # index 0 is O
-    for p in a.points:
-        pi = index[p]
-        row = add_row[pi]
+    for pi in g.indices(a.points):
+        row = g.add[pi]
         for size in range(k, 0, -1):
             prev = counts[size - 1]
             cur = counts[size]
-            for g in range(ng):
-                cnt = prev[g]
+            for h in range(ng):
+                cnt = prev[h]
                 if cnt:
-                    cur[row[g]] += cnt
+                    cur[row[h]] += cnt
     return counts[k][0]
 
 
@@ -422,10 +459,14 @@ def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
     """One pass of the SWITCH repairs: a window summing to O swaps its first
     element with the predecessor (or its last with the successor when the
     window wraps past the seam), in place."""
+    g = _group(c)
     n = len(seq)
     for start in range(n):
         window = [(start + t) % n for t in range(k)]
-        if ec_sum(c, [seq[i] for i in window]) is not None:
+        s = 0
+        for pi in g.indices([seq[i] for i in window]):
+            s = g.add[s][pi]
+        if s != 0:
             continue
         last = window[-1]
         if last < start:  # wrapped window: push its tail forward

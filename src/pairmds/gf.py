@@ -10,6 +10,13 @@ embedded table (the polynomial whose integer encoding is smallest).  The table
 can be overridden by pointing the ``PAIRMDS_FIELD_TABLE`` environment variable
 at a text file with lines ``p a c0 c1 ... ca`` (coefficients by ascending
 degree, monic).
+
+Arithmetic is table-driven and every table is built eagerly when a field is
+constructed: exp/log tables for multiplication and inversion in every field,
+and, in odd-characteristic extension fields, a q-entry negation table plus,
+for q <= 2^8, a flat q x q addition table (at most 65,536 small ints).  Larger
+odd-extension fields add digit by digit.  ``FieldSpec.row_sub_mul`` is the
+row kernel of Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ import os
 from typing import List, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
+
+# odd-extension fields up to this order get a flat q x q addition table
+ADD_TABLE_MAX_ORDER = 1 << 8
 
 FIELD_TABLE_ENV = "PAIRMDS_FIELD_TABLE"
 
@@ -163,8 +173,11 @@ class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
     Immutable after construction; all lookup tables are built eagerly so a
-    FieldSpec can be shared freely across threads.  Use :func:`field` to get
-    the cached instance for given (p, a).
+    FieldSpec can be shared freely across threads.  Every field has exp/log
+    tables; odd-extension fields also have a negation table, and for
+    q <= ADD_TABLE_MAX_ORDER a flat addition table indexed by x * q + y.
+    Prime fields compute mod p and binary fields XOR, so they need neither.
+    Use :func:`field` to get the cached instance for given (p, a).
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None):
@@ -195,6 +208,12 @@ class FieldSpec:
         if len(self.modulus) != a + 1 or self.modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree a")
         self._exp, self._log, self._generator = self._build_tables()
+        self._neg: List[int] | None = None
+        self._add: List[int] | None = None
+        if p != 2 and a > 1:
+            self._neg = [self._neg_digits(x) for x in range(q)]
+            if q <= ADD_TABLE_MAX_ORDER:
+                self._add = [self._add_digits(x, y) for x in range(q) for y in range(q)]
 
     # -- representation ------------------------------------------------
 
@@ -227,8 +246,8 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------
 
     def check(self, x: int) -> int:
-        if not 0 <= x < self.q:
-            raise FieldError(f"element code {x} out of range for GF({self.q})")
+        if type(x) is not int or not 0 <= x < self.q:
+            raise FieldError(f"element code {x!r} is not an integer in 0..{self.q - 1}")
         return x
 
     def add(self, x: int, y: int) -> int:
@@ -236,6 +255,40 @@ class FieldSpec:
             return x ^ y
         if self.a == 1:
             return (x + y) % self.p
+        if self._add is not None:
+            return self._add[x * self.q + y]
+        return self._add_digits(x, y)
+
+    def neg(self, x: int) -> int:
+        if self.p == 2:
+            return x
+        if self.a == 1:
+            return (-x) % self.p
+        return self._neg[x]
+
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
+
+    def row_sub_mul(self, u: Sequence[int], c: int, v: Sequence[int]) -> List[int]:
+        """The row u - c*v, elementwise."""
+        if c == 0:
+            return list(u)
+        if self.a == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(u, v)]
+        exp, log = self._exp, self._log
+        if self.p == 2:
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(u, v)]
+        lc = log[self._neg[c]]
+        add = self._add
+        if add is not None:
+            q = self.q
+            return [add[x * q + exp[lc + log[y]]] if y else x for x, y in zip(u, v)]
+        return [self._add_digits(x, exp[lc + log[y]]) if y else x for x, y in zip(u, v)]
+
+    def _add_digits(self, x: int, y: int) -> int:
+        """Digit-by-digit sum in an odd-characteristic extension field."""
         p = self.p
         out = 0
         mult = 1
@@ -246,11 +299,8 @@ class FieldSpec:
             mult *= p
         return out
 
-    def neg(self, x: int) -> int:
-        if self.p == 2:
-            return x
-        if self.a == 1:
-            return (-x) % self.p
+    def _neg_digits(self, x: int) -> int:
+        """Digit-by-digit negation in an odd-characteristic extension field."""
         p = self.p
         out = 0
         mult = 1
@@ -259,9 +309,6 @@ class FieldSpec:
             x //= p
             mult *= p
         return out
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def _mul_raw(self, x: int, y: int) -> int:
         """Polynomial product reduced by the modulus, without tables."""

@@ -106,11 +106,10 @@ def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], Li
         inv = f.inv(rows[r][c])
         if inv != 1:
             rows[r] = [f.mul(inv, x) for x in rows[r]]
+        rr = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                coef = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [f.sub(ri[j], f.mul(coef, rr[j])) for j in range(ncols)]
+                rows[i] = f.row_sub_mul(rows[i], rows[i][c], rr)
         pivots.append(c)
         r += 1
         if r == nrows:

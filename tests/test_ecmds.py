@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairmds import ecmds
 from pairmds.ecmds import (
@@ -23,7 +24,7 @@ from pairmds.ecmds import (
     window_check,
 )
 from pairmds.errors import ParameterError
-from pairmds.gf import field, field_of_order
+from pairmds.gf import FieldError, field, field_of_order
 from pairmds.linalg import LinearCode, null_space, rank
 from pairmds.pairmetric import (
     min_hamming_distance_bruteforce,
@@ -332,3 +333,71 @@ def test_construct_ec_range_errors():
         construct_ec(f, 10, 4)  # pair distance 6 belongs elsewhere
     with pytest.raises(ParameterError):
         construct_ec(f, 6, 5)  # d + 2 > n
+
+
+def test_float_curve_coefficient_rejected():
+    with pytest.raises(FieldError):
+        EllipticCurve(field_of_order(11), 0.0, 0, 0, 1, 3)
+
+
+@pytest.mark.parametrize("q", [13, 16])
+def test_group_table_matches_group_law(q):
+    c = find_maximal_curve(field_of_order(q))
+    g = ecmds._group(c)
+    assert g.points == ec_points(c)
+    assert [g.index[p] for p in g.points] == list(range(len(g.points)))
+    for i, p in enumerate(g.points):
+        assert g.neg[i] == g.index[ec_neg(c, p)]
+        for j, r in enumerate(g.points):
+            assert g.add[i][j] == g.index[ec_add(c, p, r)]
+
+
+@pytest.mark.parametrize("q", [13, 16])
+def test_subset_sum_count_builds_the_group_table_once(q, monkeypatch):
+    c = find_maximal_curve(field_of_order(q))
+    pts = ec_points(c)
+    arrangement = EvalArrangement(c, tuple(pts[1:q + 3]), 5)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return ec_add(*args)
+
+    monkeypatch.setattr(ecmds, "ec_add", counted)
+    ecmds._group.cache_clear()
+    first = subset_sum_count(arrangement)
+    assert calls[0] == len(pts) ** 2
+    assert subset_sum_count(arrangement) == first
+    assert calls[0] == len(pts) ** 2
+
+
+@st.composite
+def _window_case(draw):
+    q = draw(st.sampled_from([13, 16, 25, 27]))
+    c = find_maximal_curve(field_of_order(q))
+    if draw(st.booleans()):
+        flat, torsion = ecmds._paired_points(c)
+        pts = flat + torsion
+        pts = pts[: draw(st.integers(2, len(pts)))]
+    else:
+        pool = ec_points(c)[1:]
+        pts = draw(st.permutations(pool))[: draw(st.integers(2, len(pool)))]
+    k = draw(st.integers(1, len(pts) - 1))
+    return c, list(pts), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_window_case())
+def test_sliding_window_violations_match_definition(case):
+    c, pts, k = case
+    n = len(pts)
+    want = [i for i in range(n) if ec_sum(c, [pts[(i + t) % n] for t in range(k)]) is None]
+    assert ecmds._window_violations(c, pts, k) == want
+
+
+@pytest.mark.parametrize("q", [13, 16, 25, 27])
+def test_pair_tiled_order_violates_every_even_window_start(q):
+    c = find_maximal_curve(field_of_order(q))
+    flat, _ = ecmds._paired_points(c)
+    assert ecmds._window_violations(c, flat, 2) == list(range(0, len(flat), 2))
+    assert ecmds._window_violations(c, flat, 4) == list(range(0, len(flat), 2))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,3 +168,54 @@ def test_field_of_order_rejects_non_prime_powers():
     for q in (1, 6, 10, 12, 100):
         with pytest.raises(FieldError):
             field_of_order(q)
+
+
+@pytest.mark.parametrize("x", [0.0, 2.5, True, False, "1", None])
+def test_check_rejects_non_integers(x):
+    with pytest.raises(FieldError):
+        field(11, 1).check(x)
+
+
+def digit_add(p, x, y):
+    """Reference sum of two element codes, base-p digit by digit."""
+    out, mult = 0, 1
+    while x or y:
+        out += ((x + y) % p) * mult
+        x, y, mult = x // p, y // p, mult * p
+    return out
+
+
+def digit_neg(p, x):
+    out, mult = 0, 1
+    while x:
+        out += (-x % p) * mult
+        x, mult = x // p, mult * p
+    return out
+
+
+# prime, binary, odd extensions with an addition table, and one without
+KERNEL_FIELDS = [2, 5, 13, 97, 4, 16, 256, 9, 25, 27, 49, 243, 729]
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_table_arithmetic_and_row_kernel_match_digit_loops(q):
+    f = field_of_order(q)
+    p = f.p
+    rng = random.Random(q)
+    for x in f.elements():
+        assert f.neg(x) == digit_neg(p, x)
+    if q <= 256:
+        pairs = itertools.product(f.elements(), repeat=2)
+    else:
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(5000)]
+    for x, y in pairs:
+        assert f.add(x, y) == digit_add(p, x, y)
+        assert f.sub(x, y) == digit_add(p, x, digit_neg(p, y))
+    cs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(20)]
+    rows = [[0] * 12, [rng.randrange(q) for _ in range(12)]]
+    rows += [[rng.choice((0, rng.randrange(q))) for _ in range(12)] for _ in range(10)]
+    for c in cs:
+        for u in rows:
+            for v in rows:
+                want = [digit_add(p, x, digit_neg(p, f.mul(c, y))) for x, y in zip(u, v)]
+                assert f.row_sub_mul(u, c, v) == want

@@ -124,16 +124,15 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     pts = _quadric_points(f, c)
     A: Point = (0, 1, 0, 0)
     B: Point = (1, 0, 0, 0)
-    planes = tuple(tuple(pl) for pl in secant_planes_raw(f, pts, A, B))
+    planes = tuple(tuple(pl) for pl in secant_planes(f, pts, A, B))
     o = Ovoid(f, tuple(sorted(pts)), A, B, planes, c)
     if q <= 13:
         _verify_ovoid(o)
     return o
 
 
-def secant_planes_raw(
-    f: FieldSpec, pts: Sequence[Point], A: Point, B: Point
-) -> List[List[Point]]:
+def secant_planes(f: FieldSpec, pts: Sequence[Point], A: Point, B: Point) -> List[List[Point]]:
+    """The q+1 planes of the pencil through line AB, with their points from pts."""
     if A == B:
         raise ParameterError("A and B must be distinct")
     ab = CodeMatrix.from_rows(f, [list(A), list(B)])
@@ -150,11 +149,6 @@ def secant_planes_raw(
         on_plane = [p for p in pts if dot(f, w, p) == 0]
         planes.append(sorted(on_plane))
     return planes
-
-
-def secant_planes(o: Ovoid, A: Point, B: Point) -> List[List[Point]]:
-    """The q+1 planes of the pencil through line AB, with their ovoid points."""
-    return secant_planes_raw(o.field, o.points, A, B)
 
 
 def _verify_ovoid(o: Ovoid) -> None:

@@ -13,6 +13,8 @@ Window sums, the SWITCH repairs and the subset-sum count run on one group
 table per curve (``_group``, cached per process): the point list with O
 first, the point-to-index map, the N x N addition table and the negation
 table, every entry computed once by the validating ``ec_add``/``ec_neg``.
+Since the table grows as N^2, curves are supported over fields of order at
+most ``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .pairmetric import ROUTE_EC, PairCertificate
 ECPoint = Optional[Tuple[int, int]]  # None is the identity O at infinity
 
 REARRANGE_ATTEMPTS = 10_000
+
+MAX_CURVE_ORDER = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -213,8 +217,14 @@ def ec_points(c: EllipticCurve) -> List[ECPoint]:
     return pts
 
 
+def _check_curve_order(f: FieldSpec) -> None:
+    if f.q > MAX_CURVE_ORDER:
+        raise ParameterError(f"elliptic curves are supported for q <= {MAX_CURVE_ORDER}")
+
+
 @functools.lru_cache(maxsize=None)
 def _group(c: EllipticCurve) -> _GroupTable:
+    _check_curve_order(c.field)
     pts = ec_points(c)
     index = {p: i for i, p in enumerate(pts)}
     add = [[index[ec_add(c, p, r)] for r in pts] for p in pts]
@@ -258,8 +268,7 @@ def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     Scans the general form in characteristic 2 and y^2 = x^3 + a2 x^2 + a4 x
     + a6 in odd characteristic, which finds the general scan's first curve.
     """
-    if f.q > 1 << 10:
-        raise ParameterError("maximal-curve search supports q <= 2^10")
+    _check_curve_order(f)
     target = n_max(f)
     for curve in _curve_candidates(f):
         if ec_point_count(curve) == target:

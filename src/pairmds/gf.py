@@ -6,10 +6,8 @@ is the additive identity and code 1 the multiplicative identity, so prime
 fields behave like plain integers mod p.
 
 Every extension field uses one fixed monic irreducible modulus, shipped in an
-embedded table (the polynomial whose integer encoding is smallest).  The table
-can be overridden by pointing the ``PAIRMDS_FIELD_TABLE`` environment variable
-at a text file with lines ``p a c0 c1 ... ca`` (coefficients by ascending
-degree, monic).
+embedded table (the polynomial whose integer encoding is smallest), so the
+field, and every code file built over it, is a function of (p, a) alone.
 
 Arithmetic is table-driven and every table is built eagerly when a field is
 constructed: exp/log tables for multiplication and inversion in every field,
@@ -22,15 +20,12 @@ row kernel of Gaussian elimination.
 from __future__ import annotations
 
 import functools
-import os
 from typing import List, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
 # odd-extension fields up to this order get a flat q x q addition table
 ADD_TABLE_MAX_ORDER = 1 << 8
-
-FIELD_TABLE_ENV = "PAIRMDS_FIELD_TABLE"
 
 # One monic irreducible polynomial per (p, a), a >= 2, p^a <= 2^16: the one
 # with the smallest integer encoding sum(c_i * p^i).  Degree-1 moduli are
@@ -151,24 +146,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _load_table_override() -> dict:
-    path = os.environ.get(FIELD_TABLE_ENV)
-    if not path:
-        return {}
-    table = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [int(tok) for tok in line.split()]
-            p, a, coeffs = parts[0], parts[1], tuple(parts[2:])
-            if len(coeffs) != a + 1 or coeffs[-1] != 1:
-                raise FieldError(f"override modulus for ({p},{a}) is not monic of degree {a}")
-            table[(p, a)] = coeffs
-    return table
-
-
 class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
@@ -180,7 +157,7 @@ class FieldSpec:
     Use :func:`field` to get the cached instance for given (p, a).
     """
 
-    def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, a: int):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if a < 1:
@@ -188,25 +165,10 @@ class FieldSpec:
         q = p**a
         if q > MAX_ORDER:
             raise FieldError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
-        if modulus is None:
-            if a == 1:
-                modulus = (0, 1)
-            else:
-                override = _load_table_override()
-                if (p, a) in override:
-                    modulus = override[(p, a)]
-                    if not self._irreducible(list(modulus), p):
-                        raise FieldError(f"override modulus for ({p},{a}) is reducible")
-                elif (p, a) in _IRREDUCIBLE:
-                    modulus = _IRREDUCIBLE[(p, a)]
-                else:
-                    raise FieldError(f"no modulus tabulated for GF({p}^{a})")
         self.p = p
         self.a = a
         self.q = q
-        self.modulus: Tuple[int, ...] = tuple(modulus)
-        if len(self.modulus) != a + 1 or self.modulus[-1] != 1:
-            raise FieldError("modulus must be monic of degree a")
+        self.modulus: Tuple[int, ...] = (0, 1) if a == 1 else _IRREDUCIBLE[(p, a)]
         self._exp, self._log, self._generator = self._build_tables()
         self._neg: List[int] | None = None
         self._add: List[int] | None = None
@@ -221,13 +183,10 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, a={self.a})"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.a, self.modulus) == (other.p, other.a, other.modulus)
-        )
+        return isinstance(other, FieldSpec) and (self.p, self.a) == (other.p, other.a)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.a, self.modulus))
+        return hash((self.p, self.a))
 
     def digits(self, x: int) -> List[int]:
         """Base-p digits of a code, least significant first (length a)."""
@@ -409,41 +368,6 @@ class FieldSpec:
             val = self._mul_raw(val, gen) if self.a > 1 else (val * gen) % self.p
         return exp, log, gen
 
-    @staticmethod
-    def _irreducible(coeffs: List[int], p: int) -> bool:
-        """Exhaustive factor search; adequate for q <= 2^16."""
-        a = len(coeffs) - 1
-        for r in range(p):
-            v = 0
-            for c in reversed(coeffs):
-                v = (v * r + c) % p
-            if v == 0:
-                return False
-        for d in range(2, a // 2 + 1):
-            for code in range(p**d):
-                div = []
-                t = code
-                for _ in range(d):
-                    div.append(t % p)
-                    t //= p
-                div.append(1)
-                if _poly_rem(coeffs, div, p) == [0]:
-                    return False
-        return True
-
-
-def _poly_rem(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
-    u = list(u)
-    dv = len(v) - 1
-    for i in range(len(u) - 1, dv - 1, -1):
-        c = u[i]
-        if c:
-            for j in range(dv + 1):
-                u[i - dv + j] = (u[i - dv + j] - c * v[j]) % p
-    while len(u) > 1 and u[-1] == 0:
-        u.pop()
-    return u
-
 
 @functools.lru_cache(maxsize=None)
 def field(p: int, a: int) -> FieldSpec:
@@ -464,6 +388,8 @@ def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q, factoring q as p^a."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")
+    if q > MAX_ORDER:
+        raise FieldError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
     p = q
     for d in range(2, q):
         if d * d > q:

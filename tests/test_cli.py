@@ -6,11 +6,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pairmds import d6, pairmetric
+from pairmds import d6, ecmds, pairmetric
 from pairmds.cli import _code_file, _reverify, main
 from pairmds.gf import field_of_order
-from pairmds.linalg import LinearCode, rs_parity_check
-from pairmds.pairmetric import ROUTE_MDS, PairCertificate
+from pairmds.linalg import LinearCode, null_space, rs_parity_check
+from pairmds.pairmetric import ROUTE_EC, ROUTE_MDS, PairCertificate
 
 
 def run(args):
@@ -43,6 +43,11 @@ def test_out_of_range_exit_2_names_bound(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "q^2+q+1" in err
+    assert not out.exists()
+    # q = 2^61 - 1 is prime: rejected by the field-order bound, not by factoring
+    code = run(["construct", "--q", str(2**61 - 1), "--n", "13", "--dpair", "5", "--out", str(out)])
+    assert code == 2
+    assert "65536" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -181,11 +186,12 @@ def _set(*path, value):
         ("d5", lambda doc: doc.update(
             n=3, dimension=0, parity_check=[r[:3] for r in doc["parity_check"]],
             certificate={"route": "mds-hamming"})),
+        ("d5", _set("q", value=2**61 - 1)),
     ],
     ids=["string-entry", "float-entry", "null-certificate", "scalar-matrix",
          "string-q", "string-dpair", "short-ec-point", "ec-point-out-of-field",
          "float-ec-k", "foreign-field", "float-curve-coefficient", "n-below-d-H-plus-2",
-         "dimension-0"],
+         "dimension-0", "huge-prime-q"],
 )
 def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
     q, n, dpair = {"d5": ("5", "13", "5"), "ec": ("11", "14", "9")}[base]
@@ -199,6 +205,28 @@ def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
     assert run(["verify", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_elliptic_file_above_curve_bound_exit_2(tmp_path, capsys):
+    # a (12, 9) evaluation code on y^2 + xy = x^3 + 1 over GF(2^11): its
+    # group table would have about 2^22 entries
+    f = field_of_order(2048)
+    curve = ecmds.EllipticCurve(f, 1, 0, 0, 0, 1)
+    points = ecmds.ec_points(curve)[1:13]
+    h = null_space(ecmds.generator_matrix(ecmds.EvalArrangement(curve, tuple(points), 5)))
+    cert = PairCertificate(q=2048, n=12, d_pair=9, dim_exponent=5, route=ROUTE_EC, ok=True)
+    provenance = {
+        "construction": "elliptic",
+        "curve": list(curve.coefficients()),
+        "points": [list(p) for p in points],
+        "k": 5,
+    }
+    path = tmp_path / "ec.json"
+    path.write_text(json.dumps(_code_file(f, LinearCode(h), cert, provenance)))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "1024" in captured.err
     assert captured.err.count("\n") == 1 and not captured.out
 
 

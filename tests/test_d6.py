@@ -62,7 +62,7 @@ def test_every_plane_meets_ovoid_in_1_or_q_plus_1_points_q3():
 def test_secant_planes_q5():
     f = field(5, 1)
     o = elliptic_quadric(f)
-    planes = secant_planes(o, o.A, o.B)
+    planes = secant_planes(o.field, o.points, o.A, o.B)
     assert len(planes) == 6
     union = set()
     for i, pl in enumerate(planes):
@@ -73,14 +73,14 @@ def test_secant_planes_q5():
             assert set(pl) & set(pl2) == {o.A, o.B}
     assert union == set(o.points)
     with pytest.raises(ParameterError):
-        secant_planes(o, o.A, o.A)
+        secant_planes(o.field, o.points, o.A, o.A)
 
 
 def test_secant_planes_arbitrary_base_points():
     f = field(5, 1)
     o = elliptic_quadric(f)
     A, B = o.points[3], o.points[17]
-    planes = secant_planes(o, A, B)
+    planes = secant_planes(o.field, o.points, A, B)
     assert len(planes) == 6
     assert all(len(pl) == 6 for pl in planes)
     assert set().union(*map(set, planes)) == set(o.points)
@@ -92,7 +92,7 @@ def test_coplanar_examples():
     assert not coplanar(f, *e)
     assert coplanar(f, e[0], e[1], e[2], e[0])
     o = elliptic_quadric(f)
-    plane = secant_planes(o, o.A, o.B)[0]
+    plane = secant_planes(o.field, o.points, o.A, o.B)[0]
     others = [p for p in plane if p not in (o.A, o.B)]
     assert coplanar(f, o.A, o.B, others[0], others[1])
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairmds.gf import (
-    FIELD_TABLE_ENV,
+    _IRREDUCIBLE,
+    MAX_ORDER,
     FieldError,
     FieldSpec,
     absolute_trace,
@@ -149,19 +150,52 @@ def test_field_axioms_sampled(q, data):
         assert f.mul(f.div(x, y), y) == x
 
 
-def test_table_override(tmp_path, monkeypatch):
-    # GF(8) has two monic irreducible cubics; force the other one
-    path = tmp_path / "table.txt"
-    path.write_text("2 3 1 0 1 1\n")
-    monkeypatch.setenv(FIELD_TABLE_ENV, str(path))
+def poly_rem(u, v, p):
+    """Remainder of u modulo the monic v over GF(p), coefficients by ascending degree."""
+    u = list(u)
+    dv = len(v) - 1
+    for i in range(len(u) - 1, dv - 1, -1):
+        c = u[i]
+        if c:
+            for j in range(dv + 1):
+                u[i - dv + j] = (u[i - dv + j] - c * v[j]) % p
+    return u[:dv]
+
+
+def monic(p, d, code):
+    """The monic degree-d polynomial whose lower coefficients are the base-p digits of code."""
+    return tuple(code // p**i % p for i in range(d)) + (1,)
+
+
+def is_irreducible(p, u):
+    """Trial division by every monic polynomial of degree 1..deg(u)/2."""
+    a = len(u) - 1
+    return all(
+        any(poly_rem(u, monic(p, d, code), p))
+        for d in range(1, a // 2 + 1)
+        for code in range(p**d)
+    )
+
+
+def test_embedded_moduli_are_the_least_monic_irreducibles():
+    primes = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
+    keys = {(p, a) for p in primes for a in range(2, 17) if p**a <= MAX_ORDER}
+    assert set(_IRREDUCIBLE) == keys
+    for (p, a), mod in _IRREDUCIBLE.items():
+        assert len(mod) == a + 1 and mod[-1] == 1
+        assert all(0 <= c < p for c in mod)
+        assert is_irreducible(p, mod)
+        # every monic polynomial of degree a with a smaller encoding factors
+        low = sum(c * p**i for i, c in enumerate(mod[:-1]))
+        assert not any(is_irreducible(p, monic(p, a, code)) for code in range(low))
+
+
+def test_field_does_not_read_a_table_file(tmp_path, monkeypatch):
+    # the field is a function of (p, a): no environment variable changes it
+    monkeypatch.setenv("PAIRMDS_FIELD_TABLE", str(tmp_path / "missing.txt"))
     f = FieldSpec(2, 3)
-    assert f.modulus == (1, 0, 1, 1)
-    for x in range(1, 8):
-        assert f.mul(x, f.inv(x)) == 1
-    # a reducible override must be rejected
-    path.write_text("2 3 1 1 1 1\n")  # x^3+x^2+x+1 = (x+1)(x^2+1)
-    with pytest.raises(FieldError):
-        FieldSpec(2, 3)
+    assert f == field(2, 3)
+    assert f.modulus == field(2, 3).modulus == (1, 1, 0, 1)
 
 
 def test_field_of_order_rejects_non_prime_powers():

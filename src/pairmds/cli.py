@@ -10,6 +10,7 @@ a search that ran out of its cap ("inconclusive").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -289,7 +290,10 @@ def cmd_ec_search(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args``
+    call still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pairmds",
         description="Construct and verify linear MDS symbol-pair codes over GF(q).",

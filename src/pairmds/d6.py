@@ -12,18 +12,23 @@ the finished matrix (conditions 1-3 of
 ``pairmetric.check_theorem_conditions``) is the re-verification, and a
 matrix that fails it is never returned.
 
+The ovoid depends on q alone, so ``elliptic_quadric`` builds (and, for
+q <= 13, verifies) it once per field per process; every later
+``construct_d6`` over the same field reuses it and only re-runs the ordering.
+
 q = 3 and q = 4 have too few points per plane for the walk and use fixed
 matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, dot, null_space
+from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4, dot, null_space
 from .pairmetric import PairCertificate, _first_dependent_subset, check_theorem_conditions
 
 Point = Tuple[int, int, int, int]
@@ -47,32 +52,9 @@ _Q4_N7_COLUMNS: Tuple[Point, ...] = (
 )
 
 
-def _det3(f: FieldSpec, m) -> int:
-    a, b, c = m[0]
-    d, e, g = m[1]
-    h, i, j = m[2]
-    t1 = f.mul(a, f.sub(f.mul(e, j), f.mul(g, i)))
-    t2 = f.mul(b, f.sub(f.mul(d, j), f.mul(g, h)))
-    t3 = f.mul(c, f.sub(f.mul(d, i), f.mul(e, h)))
-    return f.add(f.sub(t1, t2), t3)
-
-
-def _det4(f: FieldSpec, rows) -> int:
-    out = 0
-    sign = 1
-    for c in range(4):
-        piv = rows[0][c]
-        if piv:
-            minor = [[rows[r][cc] for cc in range(4) if cc != c] for r in range(1, 4)]
-            term = f.mul(piv, _det3(f, minor))
-            out = f.add(out, term if sign > 0 else f.neg(term))
-        sign = -sign
-    return out
-
-
 def coplanar(f: FieldSpec, p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     """True iff the 4x4 coordinate matrix of the four points is singular."""
-    return _det4(f, (p1, p2, p3, p4)) == 0
+    return det4(f, (p1, p2, p3, p4)) == 0
 
 
 @dataclass(frozen=True)
@@ -106,12 +88,16 @@ def _quadric_points(f: FieldSpec, c: int) -> List[Point]:
     return pts
 
 
+@functools.lru_cache(maxsize=None)
 def elliptic_quadric(f: FieldSpec) -> Ovoid:
     """The standard ovoid (elliptic quadric) with A = (0,1,0,0), B = (1,0,0,0).
 
     Odd q uses the form y^2 - c z^2 with c the least non-square; even q uses
     y^2 + yz + c z^2 with c the least element of absolute trace 1.  All ovoid
     axioms are verified at construction for q <= 13.
+
+    Built once per field per process and shared: an ``Ovoid`` is frozen and
+    holds only tuples, so no caller can change the cached instance.
     """
     q = f.q
     if q < 3:

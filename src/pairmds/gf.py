@@ -146,6 +146,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _prime_factors(m: int) -> List[int]:
+    """The distinct prime factors of m >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
@@ -288,6 +303,19 @@ class FieldSpec:
                     prod[i - self.a + j] = (prod[i - self.a + j] - c * mod[j]) % p
         return self.from_digits(prod[: self.a])
 
+    def _pow_raw(self, x: int, e: int) -> int:
+        """x^e by square-and-multiply, without tables."""
+        if self.a == 1:
+            return pow(x, e, self.p)
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, x)
+            e >>= 1
+            if e:
+                x = self._mul_raw(x, x)
+        return out
+
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
@@ -333,16 +361,6 @@ class FieldSpec:
         """All element codes in the canonical (ascending) order."""
         return range(self.q)
 
-    def order_of(self, x: int) -> int:
-        if x == 0:
-            raise FieldError("0 has no multiplicative order")
-        n = 1
-        y = x
-        while y != 1:
-            y = self._mul_raw(y, x) if self.a > 1 else (y * x) % self.p
-            n += 1
-        return n
-
     def primitive_element(self) -> int:
         """The least element code whose multiplicative order is q-1."""
         return self._generator
@@ -351,11 +369,13 @@ class FieldSpec:
         q = self.q
         if q == 2:
             return [1, 1], [0, 0], 1
-        gen = None
-        for x in range(2, q):
-            if self.order_of(x) == q - 1:
-                gen = x
-                break
+        # x generates the unit group exactly when x^((q-1)/r) != 1 for every
+        # prime r dividing q-1, so a candidate costs O(log q) products per r
+        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        gen = next(
+            (x for x in range(2, q) if all(self._pow_raw(x, e) != 1 for e in exponents)),
+            None,
+        )
         if gen is None:  # pragma: no cover - the unit group is always cyclic
             raise FieldError("no generator found")
         exp = [0] * (2 * (q - 1))

@@ -1,7 +1,8 @@
 """Matrices and linear codes over GF(q).
 
 Row-major matrices of element codes, Gaussian elimination with first-nonzero
-pivoting (so reduced forms and null-space bases are deterministic), codeword
+pivoting (so reduced forms and null-space bases are deterministic), closed-form
+3x3 and 4x4 determinants for the checker's small windows, codeword
 enumeration for brute-force oracles, and the Reed-Solomon parity check used
 for short lengths.
 """
@@ -86,6 +87,27 @@ def dot(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
         if x and y:
             s = f.add(s, f.mul(x, y))
     return s
+
+
+def det3(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 3x3 matrix, by the closed-form cofactor expansion."""
+    (a, b, c), (d, e, g), (h, i, j) = m
+    mul, sub = f.mul, f.sub
+    t1 = mul(a, sub(mul(e, j), mul(g, i)))
+    t2 = mul(b, sub(mul(d, j), mul(g, h)))
+    t3 = mul(c, sub(mul(d, i), mul(e, h)))
+    return f.add(sub(t1, t2), t3)
+
+
+def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 4x4 matrix, by cofactor expansion along the first row."""
+    out = 0
+    for c, piv in enumerate(m[0]):
+        if piv:
+            minor = [[row[cc] for cc in range(4) if cc != c] for row in m[1:]]
+            term = f.mul(piv, det3(f, minor))
+            out = f.add(out, term if c % 2 == 0 else f.neg(term))
+    return out
 
 
 def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:

@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     LinearCode,
+    det3,
     enumerate_codewords,
     normalize_point,
     rank_of_vectors,
@@ -232,7 +233,9 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
 
     1. any d_h - 1 columns are linearly independent;
     2. some d_h columns are linearly dependent;
-    3. every d_h cyclically consecutive columns are independent.
+    3. every d_h cyclically consecutive columns are independent (one
+       closed-form 3x3 determinant per window when d_h = 3, elimination
+       for any other row count).
 
     Returns a success certificate claiming pair distance d_h + 2, or a
     failure certificate naming the violated condition and a witness.
@@ -265,10 +268,16 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     if witness is None:
         return failure(COND_DEPENDENT_SET_EXISTS, None)
 
-    for i in range(n):
-        window = [(i + t) % n for t in range(d_h)]
-        if rank_of_vectors(f, [cols[j] for j in window]) < d_h:
-            return failure(COND_CONSECUTIVE_INDEPENDENT, window)
+    if d_h == 3:
+        wrapped = cols + cols[:2]
+        for i in range(n):
+            if not det3(f, wrapped[i:i + 3]):
+                return failure(COND_CONSECUTIVE_INDEPENDENT, [i, (i + 1) % n, (i + 2) % n])
+    else:
+        for i in range(n):
+            window = [(i + t) % n for t in range(d_h)]
+            if rank_of_vectors(f, [cols[j] for j in window]) < d_h:
+                return failure(COND_CONSECUTIVE_INDEPENDENT, window)
 
     return PairCertificate(
         q=f.q,

@@ -6,10 +6,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pairmds import d6, ecmds, pairmetric
-from pairmds.cli import _code_file, _reverify, main
+from pairmds import cli, d6, ecmds, pairmetric
+from pairmds.cli import _code_file, _reverify, build_parser, main
 from pairmds.gf import field_of_order
-from pairmds.linalg import LinearCode, null_space, rs_parity_check
+from pairmds.linalg import DEFAULT_ENUM_CAP, LinearCode, null_space, rs_parity_check
 from pairmds.pairmetric import ROUTE_EC, ROUTE_MDS, PairCertificate
 
 
@@ -238,6 +238,40 @@ def test_spent_ordering_budget_is_inconclusive_exit_2(tmp_path, capsys, monkeypa
     assert captured.err.startswith("inconclusive: ")
     assert captured.err.count("\n") == 1 and not captured.out
     assert not out.exists()
+
+
+def test_spent_ordering_budget_is_inconclusive_with_the_ovoid_built_earlier(
+    tmp_path, capsys, monkeypatch
+):
+    d6.elliptic_quadric(field_of_order(7))
+    monkeypatch.setattr(d6, "DEFAULT_MAX_STATES", 10)
+    out = tmp_path / "d6.json"
+    assert run(["construct", "--q", "7", "--n", "30", "--dpair", "6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("inconclusive: ")
+    assert not captured.out and not out.exists()
+
+
+def test_consecutive_calls_share_the_parser_but_not_arguments(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    out = tmp_path / "code.json"
+    assert run(["construct", "--q", "5", "--n", "13", "--dpair", "5", "--out", str(out)]) == 0
+    # --out does not carry over: the next construct writes to stdout
+    assert run(["construct", "--q", "5", "--n", "13", "--dpair", "5"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    caps = []
+
+    def oracle(code, cap):
+        caps.append(cap)
+        return 5
+
+    monkeypatch.setattr(cli, "min_pair_distance_bruteforce", oracle)
+    assert run(["verify", str(out), "--oracle", "--enum-cap", "10"]) == 0
+    assert "oracle agrees" in capsys.readouterr().out
+    assert run(["verify", str(out)]) == 0
+    assert "oracle" not in capsys.readouterr().out
+    assert run(["verify", str(out), "--oracle"]) == 0
+    assert caps == [10, DEFAULT_ENUM_CAP]
 
 
 def test_ec_route_verify_detects_window_tamper(tmp_path, capsys):

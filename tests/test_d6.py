@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from pairmds import d6
+from pairmds.cli import main
 from pairmds.d6 import (
     Ovoid,
     construct_d6,
@@ -224,3 +226,31 @@ def test_construct_d6_spot_checks(q, n):
     code, cert, _ = construct_d6(f, n)
     assert cert.ok and cert.d_pair == 6 and code.k == n - 4
     assert check_theorem_conditions(code.parity_check, 4).ok
+
+
+def test_ovoid_is_built_and_verified_once_per_field(tmp_path, monkeypatch):
+    calls = {"_quadric_points": 0, "_verify_ovoid": 0}
+    for name in calls:
+        real = getattr(d6, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(d6, name, counted)
+    elliptic_quadric.cache_clear()
+    f = field_of_order(7)
+    assert construct_d6(f, 20)[1].ok and construct_d6(f, 20)[1].ok
+    assert calls == {"_quadric_points": 1, "_verify_ovoid": 1}
+    # a sweep over all 21 lengths at q = 5 builds the q = 5 ovoid once
+    assert main(["table", "--q", "5", "--dpair", "6", "--out", str(tmp_path / "t.csv")]) == 0
+    assert calls == {"_quadric_points": 2, "_verify_ovoid": 2}
+
+
+def test_ordering_leaves_the_cached_ovoid_unchanged():
+    f = field_of_order(9)
+    o = elliptic_quadric(f)
+    order_points(o, 60)
+    construct_d6(f, 41)
+    assert elliptic_quadric(f) is o
+    assert o == elliptic_quadric.__wrapped__(f)

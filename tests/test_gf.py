@@ -91,13 +91,41 @@ def test_primitive_element_examples():
     assert brute_order(field(2, 2), 2) == 3
 
 
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def test_primitive_element_is_least_of_full_order():
-    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+    for q in range(3, 1025):
+        if not is_prime_power(q):
+            continue
         f = field_of_order(q)
         g = f.primitive_element()
         assert brute_order(f, g) == q - 1
         for x in range(1, g):
             assert brute_order(f, x) < q - 1
+
+
+def test_generator_search_is_a_few_powers_per_candidate(monkeypatch):
+    calls = [0]
+    mul_raw = FieldSpec._mul_raw
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return mul_raw(self, x, y)
+
+    monkeypatch.setattr(FieldSpec, "_mul_raw", counted)
+    f = FieldSpec(3, 10)
+    q = f.q
+    # the exp-table walk makes q - 1 table-free products; the rest is the
+    # search, which tests x^((q-1)/r) for r in {2, 11, 61} with at most
+    # 2 * 16 products per power, for each candidate 2..34 (34 generates)
+    assert f.primitive_element() == 34
+    search = calls[0] - (q - 1)
+    assert 0 < search <= (34 - 1) * 3 * 2 * q.bit_length()
 
 
 def test_elements_order():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairmds.gf import field, field_of_order
 from pairmds.linalg import (
@@ -9,9 +10,12 @@ from pairmds.linalg import (
     EnumerationCapExceeded,
     LinearCode,
     columns_independent,
+    det3,
+    det4,
     enumerate_codewords,
     null_space,
     rank,
+    rank_of_vectors,
     rs_parity_check,
 )
 
@@ -159,3 +163,45 @@ def test_rs_minimum_distance_bruteforce_oracle():
         f = field_of_order(q)
         code = LinearCode(rs_parity_check(f, n, r))
         assert min_hamming_distance_bruteforce(code) == r + 1
+
+
+def leibniz_det(f, m):
+    """Determinant as the signed sum over all permutations."""
+    out = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        term = 1
+        for r, c in enumerate(perm):
+            term = f.mul(term, m[r][c])
+        out = f.add(out, f.neg(term) if inversions % 2 else term)
+    return out
+
+
+# prime, binary and odd-extension fields
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 7, 13, 4, 8, 16, 9, 25, 27]),
+    size=st.sampled_from([3, 4]),
+    plant=st.sampled_from(["random", "zero-row", "combination"]),
+    data=st.data(),
+)
+def test_small_determinants_match_rank_and_leibniz(q, size, plant, data):
+    f = field_of_order(q)
+    elem = st.integers(0, q - 1)
+    rows = [data.draw(st.lists(elem, min_size=size, max_size=size)) for _ in range(size)]
+    i = data.draw(st.integers(0, size - 1))
+    if plant == "zero-row":
+        rows[i] = [0] * size
+    elif plant == "combination":
+        # row i becomes a combination of the others, so the matrix is singular
+        combo = [0] * size
+        for r in range(size):
+            if r != i:
+                c = data.draw(elem)
+                combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, rows[r])]
+        rows[i] = combo
+    det = (det3 if size == 3 else det4)(f, rows)
+    assert det == leibniz_det(f, rows)
+    assert (det != 0) == (rank_of_vectors(f, rows) == size)
+    if plant != "random":
+        assert det == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -185,6 +186,60 @@ def test_check_theorem_conditions_condition3_failure():
     assert not cert.ok
     assert cert.failed_condition == COND_CONSECUTIVE_INDEPENDENT
     assert cert.failing_set == [0, 1, 2] or tuple(cert.failing_set) == (0, 1, 2)
+
+
+def first_singular_window(f, cols, d_h):
+    """Reference for condition 3: the first cyclic window of rank < d_h, by elimination."""
+    n = len(cols)
+    for i in range(n):
+        window = tuple((i + t) % n for t in range(d_h))
+        if rank_of_vectors(f, [cols[j] for j in window]) < d_h:
+            return window
+    return None
+
+
+@pytest.mark.parametrize("q,n,k", [(8, 40, 18), (9, 50, 10), (11, 60, 12)])
+def test_condition3_witness_is_a_planted_wrap_window(q, n, k):
+    from pairmds.d5 import construct_d5
+
+    f = field_of_order(q)
+    cols = construct_d5(f, n)[0].parity_check.columns()
+    assert rank_of_vectors(f, [cols[n - 1], cols[0], cols[k]]) == 2
+    # moving column k next to columns n-1 and 0 plants a dependent window
+    # that wraps around; every earlier window stays independent
+    cols[1], cols[k] = cols[k], cols[1]
+    cert = check_theorem_conditions(CodeMatrix.from_columns(f, cols), 3)
+    assert cert.failed_condition == COND_CONSECUTIVE_INDEPENDENT
+    assert tuple(cert.failing_set) == (n - 1, 0, 1) == first_singular_window(f, cols, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def construction_columns(q, n, d_pair):
+    from pairmds.d5 import construct_d5
+    from pairmds.d6 import construct_d6
+
+    build = construct_d5 if d_pair == 5 else construct_d6
+    return tuple(build(field_of_order(q), n)[0].parity_check.columns())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    point=st.sampled_from([(7, 30, 5), (8, 40, 5), (9, 25, 5), (7, 20, 6), (8, 30, 6)]),
+    data=st.data(),
+)
+def test_condition3_witness_matches_elimination_on_permuted_columns(point, data):
+    # permuting columns keeps conditions 1 and 2, so condition 3 decides
+    q, n, d_pair = point
+    f = field_of_order(q)
+    d_h = d_pair - 2
+    cols = list(data.draw(st.permutations(construction_columns(q, n, d_pair))))
+    cert = check_theorem_conditions(CodeMatrix.from_columns(f, cols), d_h)
+    want = first_singular_window(f, cols, d_h)
+    if want is None:
+        assert cert.ok
+    else:
+        assert cert.failed_condition == COND_CONSECUTIVE_INDEPENDENT
+        assert tuple(cert.failing_set) == want
 
 
 def test_check_theorem_conditions_repeated_identity_padding():

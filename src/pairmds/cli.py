@@ -133,7 +133,8 @@ def _load_code_file(path: str) -> Dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder's stack
         raise _CliError(f"cannot read code file: {exc}") from exc
     if not isinstance(doc, dict):
         raise _CliError("code file is not a JSON object")

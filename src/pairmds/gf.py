@@ -13,14 +13,22 @@ Arithmetic is table-driven and every table is built eagerly when a field is
 constructed: exp/log tables for multiplication and inversion in every field,
 and, in odd-characteristic extension fields, a q-entry negation table plus,
 for q <= 2^8, a flat q x q addition table (at most 65,536 small ints).  Larger
-odd-extension fields add digit by digit.  ``FieldSpec.row_sub_mul`` is the
-row kernel of Gaussian elimination.
+odd-extension fields add digit by digit.  The exp table is filled by the
+table-free multiply-by-x step (a shift and one reduction), one coset of the
+subgroup generated by x at a time, so a general product is needed only once
+per coset.
+
+Vector kernels run a whole vector through the tables in one pass:
+``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination,
+``mul_rows`` and ``sub_rows`` the elementwise steps of the batched window
+determinants, and ``normal_form`` and ``projector`` the project-and-normalise
+step of the checker's dependent-set search.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
@@ -261,6 +269,124 @@ class FieldSpec:
             return [add[x * q + exp[lc + log[y]]] if y else x for x, y in zip(u, v)]
         return [self._add_digits(x, exp[lc + log[y]]) if y else x for x, y in zip(u, v)]
 
+    def mul_rows(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
+        """The elementwise product of two rows (as long as the shorter)."""
+        if self.a == 1:
+            p = self.p
+            return [x * y % p for x, y in zip(u, v)]
+        exp, log = self._exp, self._log
+        return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(u, v)]
+
+    def sub_rows(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
+        """The elementwise difference u - v of two rows (as long as the shorter)."""
+        if self.a == 1:
+            p = self.p
+            return [(x - y) % p for x, y in zip(u, v)]
+        if self.p == 2:
+            return [x ^ y for x, y in zip(u, v)]
+        neg, add = self._neg, self._add
+        if add is not None:
+            q = self.q
+            return [add[x * q + neg[y]] for x, y in zip(u, v)]
+        return [self._add_digits(x, neg[y]) for x, y in zip(u, v)]
+
+    def normal_form(self, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """v scaled so its first nonzero entry is 1; None for the zero vector.
+
+        Two nonzero vectors span the same line (are the same projective point)
+        exactly when their normal forms are equal.
+        """
+        for x in v:
+            if x:
+                if x == 1:
+                    return tuple(v)
+                exp, log = self._exp, self._log
+                s = self.q - 1 - log[x]
+                return tuple([exp[log[y] + s] if y else 0 for y in v])
+        return None
+
+    def projector(
+        self, pivot: Tuple[int, ...]
+    ) -> Callable[[Optional[Tuple[int, ...]]], Optional[Tuple[int, ...]]]:
+        """Projection from the point `pivot`, fused with normalisation.
+
+        `pivot` is a normal form whose first nonzero entry sits at index p.
+        The returned map takes a normal form v (None for the zero vector) to
+        the normal form of v - v[p] * pivot with coordinate p (now 0) dropped,
+        its image in the quotient by <pivot>; None when that image is zero.
+
+        With both in normal form there are three cases.  If v starts after
+        p, then v[p] = 0 and the image is v without coordinate p.  If v
+        starts before p, its leading 1 survives, so the image needs no
+        rescaling.  If v starts at p, then v[p] = 1 and the image is the
+        difference of v and the pivot after p, divided by its first nonzero
+        entry; that case, the common one, takes a single pass of table
+        lookups: mod p in prime fields, XOR in binary fields, the flat
+        addition table or the digit loop in odd-extension fields.
+        """
+        p = pivot.index(1)
+        tail = pivot[p + 1:]
+        exp, log, q, P = self._exp, self._log, self.q, self.p
+        q1 = q - 1
+        sub_mul = self.row_sub_mul
+        if self.a == 1:
+            kind = 0
+        elif P == 2:
+            kind = 1
+        else:
+            kind = 2 if self._add is not None else 3
+            add, add_digits = self._add, self._add_digits
+            tail_neg = [self._neg[c] for c in tail]
+
+        def image(v):
+            if v is None:
+                return None
+            a = v[p]
+            if not a:
+                return v[:p] + v[p + 1:]
+            vt = v[p + 1:]
+            if a != 1 or v.index(1) < p:
+                # v starts before p: its leading 1 survives
+                return v[:p] + tuple(sub_mul(vt, a, tail))
+            # v starts at p, so v[:p] is zero; s becomes the log of the
+            # inverse of the first nonzero difference (the inverse itself in
+            # prime fields)
+            w = []
+            s = -1
+            if kind == 0:
+                for x, c in zip(vt, tail):
+                    if x == c:
+                        w.append(0)
+                    elif s < 0:
+                        s = exp[q1 - log[(x - c) % P]]
+                        w.append(1)
+                    else:
+                        w.append((x - c) * s % P)
+            elif kind == 1:
+                for x, c in zip(vt, tail):
+                    if x == c:
+                        w.append(0)
+                    elif s < 0:
+                        s = q1 - log[x ^ c]
+                        w.append(1)
+                    else:
+                        w.append(exp[log[x ^ c] + s])
+            else:
+                for x, c in zip(vt, tail_neg):
+                    d = add[x * q + c] if kind == 2 else add_digits(x, c)
+                    if not d:
+                        w.append(0)
+                    elif s < 0:
+                        s = q1 - log[d]
+                        w.append(1)
+                    else:
+                        w.append(exp[log[d] + s])
+            if s < 0:
+                return None
+            return v[:p] + tuple(w)
+
+        return image
+
     def _add_digits(self, x: int, y: int) -> int:
         """Digit-by-digit sum in an odd-characteristic extension field."""
         p = self.p
@@ -380,13 +506,68 @@ class FieldSpec:
             raise FieldError("no generator found")
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        val = 1
-        for i in range(q - 1):
-            exp[i] = val
-            exp[i + q - 1] = val
-            log[val] = i
-            val = self._mul_raw(val, gen) if self.a > 1 else (val * gen) % self.p
+        if self.a == 1:
+            val = 1
+            for i in range(q - 1):
+                exp[i] = exp[i + q - 1] = val
+                log[val] = i
+                val = val * gen % self.p
+            return exp, log, gen
+        # Multiplying by x is a shift and one reduction, far cheaper than a
+        # general product.  x generates a subgroup of order d, and every unit
+        # is gen^j * x^k for one j < c = (q-1)/d and one k < d; with
+        # x = gen^step, its logarithm is j + k*step.  So each coset of <x> is
+        # walked by the cheap step from gen^j, and only the c coset
+        # representatives need general products.
+        times_x = self._times_x_step()
+        xs = [1]
+        val = times_x(1)
+        while val != 1:
+            xs.append(val)
+            val = times_x(val)
+        d = len(xs)
+        c = (q - 1) // d
+        # gen^c generates <x>, say gen^c = x^t, so x = gen^(c * t^-1 mod d)
+        step = c * pow(xs.index(self._pow_raw(gen, c)), -1, d)
+        rep = 1
+        for j in range(c):
+            val = rep
+            i = j
+            for _ in range(d):
+                exp[i] = exp[i + q - 1] = val
+                log[val] = i
+                val = times_x(val)
+                i = (i + step) % (q - 1)
+            rep = self._mul_raw(rep, gen)
         return exp, log, gen
+
+    def _times_x_step(self):
+        """The map y -> x*y of an extension field, without tables."""
+        p, a = self.p, self.a
+        if p == 2:
+            overflow = 1 << a
+            mod = sum(c << i for i, c in enumerate(self.modulus))
+
+            def times_x(y):
+                y <<= 1
+                return y ^ mod if y & overflow else y
+
+            return times_x
+        high = p ** (a - 1)
+        # (p^i, -c) for each nonzero coefficient c of x^i, i < a, in the modulus
+        terms = [(p**i, -c) for i, c in enumerate(self.modulus[:a]) if c]
+
+        def times_x(y):
+            top, y = divmod(y, high)
+            y *= p
+            if top:
+                # x^a = -(the modulus below x^a); add top times that, digit by digit
+                for pw, c in terms:
+                    digit = y // pw % p
+                    y += ((digit + top * c) % p - digit) * pw
+            return y
+
+        return times_x
 
 
 @functools.lru_cache(maxsize=None)

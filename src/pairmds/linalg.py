@@ -1,8 +1,10 @@
 """Matrices and linear codes over GF(q).
 
 Row-major matrices of element codes, Gaussian elimination with first-nonzero
-pivoting (so reduced forms and null-space bases are deterministic), closed-form
-3x3 and 4x4 determinants for the checker's small windows, codeword
+pivoting (so reduced forms and null-space bases are deterministic), small
+determinants (a 4x4 determinant by 2x2 minors for coplanarity, and the
+determinants of every cyclic 3-column window of a 3-row matrix at once, on
+the field's row kernels, for the checker's condition 3), codeword
 enumeration for brute-force oracles, and the Reed-Solomon parity check used
 for short lengths.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .gf import FieldSpec
 
@@ -59,25 +61,10 @@ class CodeMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> List[Tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def transpose(self) -> "CodeMatrix":
         return CodeMatrix(self.field, tuple(zip(*self.entries))) if self.entries else self
-
-
-def normalize_point(f: FieldSpec, coords: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """Scale a vector so its first nonzero entry is 1; None for the zero vector.
-
-    Two nonzero vectors span the same line (are the same projective point)
-    exactly when their normal forms are equal.
-    """
-    for x in coords:
-        if x:
-            if x == 1:
-                return tuple(coords)
-            inv = f.inv(x)
-            return tuple(f.mul(inv, y) for y in coords)
-    return None
 
 
 def dot(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
@@ -89,25 +76,47 @@ def dot(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     return s
 
 
-def det3(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a 3x3 matrix, by the closed-form cofactor expansion."""
-    (a, b, c), (d, e, g), (h, i, j) = m
-    mul, sub = f.mul, f.sub
-    t1 = mul(a, sub(mul(e, j), mul(g, i)))
-    t2 = mul(b, sub(mul(d, j), mul(g, h)))
-    t3 = mul(c, sub(mul(d, i), mul(e, h)))
-    return f.add(sub(t1, t2), t3)
-
-
 def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a 4x4 matrix, by cofactor expansion along the first row."""
-    out = 0
-    for c, piv in enumerate(m[0]):
-        if piv:
-            minor = [[row[cc] for cc in range(4) if cc != c] for row in m[1:]]
-            term = f.mul(piv, det3(f, minor))
-            out = f.add(out, term if c % 2 == 0 else f.neg(term))
-    return out
+    """Determinant of a 4x4 matrix, by Laplace expansion along rows 0 and 1.
+
+    The signed sum, over the six column pairs, of the 2x2 minor of rows 0
+    and 1 on that pair times the minor of rows 2 and 3 on the other two
+    columns.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    mul, sub, add = f.mul, f.sub, f.add
+    top01 = sub(mul(a0, b1), mul(a1, b0))
+    top02 = sub(mul(a0, b2), mul(a2, b0))
+    top03 = sub(mul(a0, b3), mul(a3, b0))
+    top12 = sub(mul(a1, b2), mul(a2, b1))
+    top13 = sub(mul(a1, b3), mul(a3, b1))
+    top23 = sub(mul(a2, b3), mul(a3, b2))
+    bot01 = sub(mul(c0, d1), mul(c1, d0))
+    bot02 = sub(mul(c0, d2), mul(c2, d0))
+    bot03 = sub(mul(c0, d3), mul(c3, d0))
+    bot12 = sub(mul(c1, d2), mul(c2, d1))
+    bot13 = sub(mul(c1, d3), mul(c3, d1))
+    bot23 = sub(mul(c2, d3), mul(c3, d2))
+    plus = add(add(mul(top01, bot23), mul(top03, bot12)), add(mul(top12, bot03), mul(top23, bot01)))
+    return sub(plus, add(mul(top02, bot13), mul(top13, bot02)))
+
+
+def window_dets3(f: FieldSpec, rows: Sequence[Sequence[int]]) -> List[int]:
+    """Determinants of the cyclic windows of three consecutive columns.
+
+    Entry i is the determinant of columns i, i+1, i+2 (mod n) of the 3 x n
+    matrix `rows`.  Computed a row of windows at a time: the 2x2 minors of
+    rows 1 and 2 on columns (j, j+1) and (j, j+2), then the cofactor
+    expansion along row 0, so the cost is a few table passes over n entries.
+    """
+    r0, r1, r2 = (list(r) + list(r[:2]) for r in rows)
+    mul, sub = f.mul_rows, f.sub_rows
+    # the row kernels stop at the shorter row, which sets each length:
+    # m1 has n + 1 entries, m2 and the result n
+    m1 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
+    m2 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
+    # det_i = r0[i] m1[i+1] - r0[i+1] m2[i] + r0[i+2] m1[i]
+    return sub(mul(r0, m1[1:]), sub(mul(r0[1:], m2), mul(r0[2:], m1)))
 
 
 def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:

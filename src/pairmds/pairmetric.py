@@ -3,10 +3,19 @@
 The checker re-derives everything from the matrix alone: the construction
 modules call it on their own output instead of asserting correctness of their
 case analyses.
+
+Conditions 1 and 2 of the column conditions, and the Reed-Solomon minors,
+share one dependent-set search (``_first_dependent_subset``), which keeps
+every vector in normal form and projects with ``FieldSpec.projector``;
+condition 3 at d_H = 3 takes the determinants of all cyclic windows at once
+(``linalg.window_dets3``).  Both read the field's tables directly instead of
+making one field-method call per element.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -16,10 +25,9 @@ from .linalg import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     LinearCode,
-    det3,
     enumerate_codewords,
-    normalize_point,
     rank_of_vectors,
+    window_dets3,
 )
 
 ROUTE_THEOREM = "column-conditions"
@@ -152,10 +160,15 @@ def _first_dependent_subset(f, cols, size):
     the search fixes the smallest index i in ascending order, projects the
     later columns from c_i (one coordinate fewer), and recurses for the first
     dependent (size - 1)-set among the images; the first i that yields one
-    gives the answer.  At size 2, two columns are dependent exactly when one
-    is zero or both have the same normalised form, so pairs are matched by
-    hashing; that level reads the projections lazily and stops as soon as the
-    first column has a partner.
+    gives the answer.
+
+    Rescaling a vector changes neither question, so every vector is kept in
+    normal form (first nonzero entry 1; None for the zero vector): the
+    columns are normalised once, and ``FieldSpec.projector`` computes each
+    image already normalised, one vector at a time.  At size 2, two vectors
+    are dependent exactly when one is zero or both normal forms are equal,
+    so pairs are matched by hashing; that level reads the projections lazily
+    and stops as soon as the first vector has a partner.
 
     A full scan projects about C(n, size - 1) columns.  At most
     _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is raised.
@@ -164,43 +177,53 @@ def _first_dependent_subset(f, cols, size):
 
     def project(pivot, later):
         nonlocal left
-        p = next(t for t, x in enumerate(pivot) if x)
-        keep = [t for t in range(len(pivot)) if t != p]
-        inv = f.inv(pivot[p])
-        # v - v[p] * pivot / pivot[p], with coordinate p (now 0) dropped
-        neg = [f.neg(f.mul(inv, pivot[t])) for t in keep]
-        for v in later:
-            left -= 1
-            if left < 0:
-                raise EnumerationCapExceeded(
-                    f"dependent-set search over C({len(cols)},{size}) exceeds "
-                    f"{_SUBSET_SCAN_CAP} projected columns"
-                )
-            a = v[p]
-            if a:
-                yield tuple([f.add(v[t], f.mul(a, c)) for t, c in zip(keep, neg)])
-            else:
-                yield tuple([v[t] for t in keep])
+        image = f.projector(pivot)
+        if len(later) <= left:
+            # charged up front: a lazy reader that stops early has found its
+            # set, which ends the search, so the budget is never read again
+            left -= len(later)
+            return map(image, later)
+        return capped(image, later[:left])
+
+    def capped(image, head):
+        yield from map(image, head)
+        raise EnumerationCapExceeded(
+            f"dependent-set search over C({len(cols)},{size}) exceeds "
+            f"{_SUBSET_SCAN_CAP} projected columns"
+        )
 
     def first_pair(vectors):
         it = iter(vectors)
-        head = next(it, None)
-        if head is None:
+        for head in it:
+            break
+        else:
             return None
-        key0 = normalize_point(f, head)
-        first: Dict[Tuple[int, ...], int] = {}  # normal form -> first index
-        partner: Dict[int, int] = {}  # first index -> next index of its form
-        for k, v in enumerate(it, 1):
-            key = normalize_point(f, v)
-            if key0 is None or key is None or key == key0:
-                return 0, k
-            j = first.setdefault(key, k)
+        if head is None:
+            for _ in it:
+                return 0, 1
+            return None
+        # Pairs with the head come first.  setdefault maps a form to the
+        # index it first appeared at, and the head and the zero vector to 0,
+        # so the first 0 in that stream is the head's partner; the scan runs
+        # in C and, like the projections it reads, stops there.
+        it, again = itertools.tee(it)
+        first: Dict[Optional[Tuple[int, ...]], int] = {head: 0, None: 0}
+        index = itertools.count(1)
+        try:
+            return 0, operator.indexOf(map(first.setdefault, it, index), 0) + 1
+        except ValueError:
+            pass
+        if len(first) - 2 == next(index) - 1:  # all distinct
+            return None
+        # some later form repeats: the first one to do so, by its first index
+        seen: Dict[Tuple[int, ...], int] = {}
+        partner: Dict[int, int] = {}
+        for k, key in enumerate(again, 1):
+            j = seen.setdefault(key, k)
             if j < k and j not in partner:
                 partner[j] = k
-        if partner:
-            j = min(partner)
-            return j, partner[j]
-        return None
+        j = min(partner)
+        return j, partner[j]
 
     def search(vectors, size):
         if size == 2:
@@ -208,7 +231,7 @@ def _first_dependent_subset(f, cols, size):
         vectors = list(vectors)
         for i in range(len(vectors) - size + 1):
             pivot = vectors[i]
-            if not any(pivot):
+            if pivot is None:
                 return tuple(range(i, i + size))
             if size == 1:
                 continue
@@ -219,7 +242,7 @@ def _first_dependent_subset(f, cols, size):
 
     if size < 1:  # the empty set is independent
         return None
-    return search(cols, size)
+    return search([f.normal_form(c) for c in cols], size)
 
 
 def _first_dependent_small_subset(f, cols, size):
@@ -233,9 +256,10 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
 
     1. any d_h - 1 columns are linearly independent;
     2. some d_h columns are linearly dependent;
-    3. every d_h cyclically consecutive columns are independent (one
-       closed-form 3x3 determinant per window when d_h = 3, elimination
-       for any other row count).
+    3. every d_h cyclically consecutive columns are independent (when
+       d_h = 3 the determinants of all n windows are computed at once, a
+       row of windows at a time; any other row count uses one elimination
+       per window).
 
     Returns a success certificate claiming pair distance d_h + 2, or a
     failure certificate naming the violated condition and a witness.
@@ -269,10 +293,10 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
         return failure(COND_DEPENDENT_SET_EXISTS, None)
 
     if d_h == 3:
-        wrapped = cols + cols[:2]
-        for i in range(n):
-            if not det3(f, wrapped[i:i + 3]):
-                return failure(COND_CONSECUTIVE_INDEPENDENT, [i, (i + 1) % n, (i + 2) % n])
+        dets = window_dets3(f, h.entries)
+        if 0 in dets:
+            i = dets.index(0)
+            return failure(COND_CONSECUTIVE_INDEPENDENT, [i, (i + 1) % n, (i + 2) % n])
     else:
         for i in range(n):
             window = [(i + t) % n for t in range(d_h)]

@@ -13,7 +13,7 @@ import pytest
 
 from pairmds import d5, d6, ecmds
 from pairmds.gf import field_of_order
-from pairmds.linalg import CodeMatrix, LinearCode, normalize_point, null_space
+from pairmds.linalg import CodeMatrix, LinearCode, null_space
 from pairmds.pairmetric import (
     check_theorem_conditions,
     min_hamming_distance_bruteforce,
@@ -254,7 +254,7 @@ def _check_ovoid_props():
         normals = set()
         for coords in itertools.product(f.elements(), repeat=4):
             if any(coords):
-                normals.add(normalize_point(f, coords))
+                normals.add(f.normal_form(coords))
         assert len(normals) == (q**4 - 1) // (q - 1)
         for w in normals:
             cnt = 0

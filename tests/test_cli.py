@@ -208,6 +208,16 @@ def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+def test_deeply_nested_code_file_exit_2(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 200_000)
+    assert run(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read code file: ")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
 def test_elliptic_file_above_curve_bound_exit_2(tmp_path, capsys):
     # a (12, 9) evaluation code on y^2 + xy = x^3 + 1 over GF(2^11): its
     # group table would have about 2^22 entries

@@ -14,7 +14,7 @@ from pairmds.d6 import (
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, normalize_point, rank_of_vectors
+from pairmds.linalg import CodeMatrix, rank_of_vectors
 from pairmds.pairmetric import check_theorem_conditions
 
 from goldens import OVOID_Q3, OVOID_Q4, OVOID_Q4_N7
@@ -25,7 +25,7 @@ def all_projective_points(f, dim):
     seen = set()
     for coords in itertools.product(f.elements(), repeat=dim + 1):
         if any(coords):
-            seen.add(normalize_point(f, coords))
+            seen.add(f.normal_form(coords))
     return sorted(seen)
 
 

@@ -120,12 +120,42 @@ def test_generator_search_is_a_few_powers_per_candidate(monkeypatch):
     monkeypatch.setattr(FieldSpec, "_mul_raw", counted)
     f = FieldSpec(3, 10)
     q = f.q
-    # the exp-table walk makes q - 1 table-free products; the rest is the
-    # search, which tests x^((q-1)/r) for r in {2, 11, 61} with at most
-    # 2 * 16 products per power, for each candidate 2..34 (34 generates)
+    # the search tests x^((q-1)/r) for r in {2, 11, 61} with at most
+    # 2 * 16 products per power, for each candidate 2..34 (34 generates);
+    # the exp-table walk makes one table-free product per coset of <x>
+    # (x has order (q-1)/122 here) and at most 2 * 16 for gen^122
     assert f.primitive_element() == 34
-    search = calls[0] - (q - 1)
-    assert 0 < search <= (34 - 1) * 3 * 2 * q.bit_length()
+    walk = 122 + 2 * q.bit_length()
+    assert 0 < calls[0] <= (34 - 1) * 3 * 2 * q.bit_length() + walk
+
+
+def check_exp_log_walk(f, steps):
+    """exp[i+1] = exp[i] * gen by the table-free product, log inverts exp."""
+    q, g = f.q, f.primitive_element()
+    exp, log = f._exp, f._log
+    assert len(exp) == 2 * (q - 1) and len(log) == q
+    assert exp[0] == 1 and exp[q - 1:] == exp[:q - 1]
+    mul = f._mul_raw if f.a > 1 else (lambda x, y: x * y % q)
+    for i in steps:
+        assert exp[i + 1] == mul(exp[i], g), (q, i)
+        assert log[exp[i]] == i
+
+
+def test_exp_log_tables_follow_the_generator_up_to_2_12():
+    for q in range(3, 4097):
+        if is_prime_power(q):
+            f = field_of_order(q)
+            check_exp_log_walk(f, range(q - 1))
+            assert sorted(f._exp[:q - 1]) == list(range(1, q))
+
+
+@pytest.mark.parametrize("q", [3**10, 2**16])
+def test_exp_log_tables_of_the_largest_fields_sampled(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    steps = [0, q - 2] + rng.sample(range(q - 1), 3000)
+    check_exp_log_walk(f, steps)
+    assert sorted(set(f._exp)) == list(range(1, q))
 
 
 def test_elements_order():

@@ -10,13 +10,13 @@ from pairmds.linalg import (
     EnumerationCapExceeded,
     LinearCode,
     columns_independent,
-    det3,
     det4,
     enumerate_codewords,
     null_space,
     rank,
     rank_of_vectors,
     rs_parity_check,
+    window_dets3,
 )
 
 from goldens import H2_FULL, H2_N5
@@ -200,8 +200,45 @@ def test_small_determinants_match_rank_and_leibniz(q, size, plant, data):
                 c = data.draw(elem)
                 combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, rows[r])]
         rows[i] = combo
-    det = (det3 if size == 3 else det4)(f, rows)
+    # a 3-column matrix is its own first cyclic window
+    det = window_dets3(f, rows)[0] if size == 3 else det4(f, rows)
     assert det == leibniz_det(f, rows)
     assert (det != 0) == (rank_of_vectors(f, rows) == size)
     if plant != "random":
         assert det == 0
+
+
+# prime, 2^a, odd extension with the flat addition table, odd extension
+# with the digit loop
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([5, 13, 4, 16, 9, 27, 729]),
+    n=st.integers(3, 14),
+    plant=st.sampled_from(["none", "wrap-1", "wrap-2", "zero-column", "repeat"]),
+    data=st.data(),
+)
+def test_window_determinants_match_rank(q, n, plant, data):
+    f = field_of_order(q)
+    elem = st.integers(0, q - 1)
+    cols = [data.draw(st.lists(elem, min_size=3, max_size=3)) for _ in range(n)]
+    if plant in ("wrap-1", "wrap-2"):
+        # a dependent window that wraps around: (n-2, n-1, 0) or (n-1, 0, 1)
+        start = n - 2 if plant == "wrap-1" else n - 1
+        a, b, c = ((start + t) % n for t in range(3))
+        lam, mu = data.draw(elem), data.draw(elem)
+        cols[c] = [f.add(f.mul(lam, x), f.mul(mu, y)) for x, y in zip(cols[a], cols[b])]
+    elif plant == "zero-column":
+        cols[data.draw(st.integers(0, n - 1))] = [0, 0, 0]
+    elif plant == "repeat":
+        j = data.draw(st.integers(0, n - 1))
+        lam = data.draw(elem)
+        cols[(j + 1) % n] = [f.mul(lam, x) for x in cols[j]]
+    rows = [[c[r] for c in cols] for r in range(3)]
+    dets = window_dets3(f, rows)
+    assert len(dets) == n
+    for i, det in enumerate(dets):
+        window = [cols[(i + t) % n] for t in range(3)]
+        assert (det == 0) == (rank_of_vectors(f, window) < 3), (q, i)
+        assert det == leibniz_det(f, [[col[r] for col in window] for r in range(3)])
+    if plant != "none":
+        assert 0 in dets

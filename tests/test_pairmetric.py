@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pairmds import pairmetric
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, LinearCode, rank_of_vectors
+from pairmds.linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, rank_of_vectors
 from pairmds.pairmetric import (
     COND_ANY_SMALL_INDEPENDENT,
     COND_CONSECUTIVE_INDEPENDENT,
@@ -318,6 +319,177 @@ def test_first_dependent_subset_examples(cols, size, want):
     f = field(5, 1)
     assert first_dependent_subset_by_scan(f, cols, size) == want
     assert _first_dependent_subset(f, cols, size) == want
+
+
+def reference_normal_form(f, coords):
+    """A vector scaled by field-method calls so its first nonzero entry is 1."""
+    for x in coords:
+        if x:
+            inv = f.inv(x)
+            return tuple(f.mul(inv, y) for y in coords)
+    return None
+
+
+def reference_first_dependent_subset(f, cols, size, cap):
+    """The dependent-set search with one field-method call per element.
+
+    Same projection-from-a-point recursion and the same lazy size-2 level
+    as `_first_dependent_subset`, with raw (unnormalised) projections and
+    a projected-column count: returns (witness, projected) and raises
+    EnumerationCapExceeded once more than `cap` columns are projected.
+    """
+    left = cap
+    projected = 0
+
+    def project(pivot, later):
+        nonlocal left, projected
+        p = next(t for t, x in enumerate(pivot) if x)
+        keep = [t for t in range(len(pivot)) if t != p]
+        inv = f.inv(pivot[p])
+        neg = [f.neg(f.mul(inv, pivot[t])) for t in keep]
+        for v in later:
+            left -= 1
+            if left < 0:
+                raise EnumerationCapExceeded("cap")
+            projected += 1
+            a = v[p]
+            if a:
+                yield tuple([f.add(v[t], f.mul(a, c)) for t, c in zip(keep, neg)])
+            else:
+                yield tuple([v[t] for t in keep])
+
+    def first_pair(vectors):
+        it = iter(vectors)
+        head = next(it, None)
+        if head is None:
+            return None
+        key0 = reference_normal_form(f, head)
+        first, partner = {}, {}
+        for k, v in enumerate(it, 1):
+            key = reference_normal_form(f, v)
+            if key0 is None or key is None or key == key0:
+                return 0, k
+            j = first.setdefault(key, k)
+            if j < k and j not in partner:
+                partner[j] = k
+        if partner:
+            j = min(partner)
+            return j, partner[j]
+        return None
+
+    def search(vectors, size):
+        if size == 2:
+            return first_pair(vectors)
+        vectors = list(vectors)
+        for i in range(len(vectors) - size + 1):
+            pivot = vectors[i]
+            if not any(pivot):
+                return tuple(range(i, i + size))
+            if size == 1:
+                continue
+            found = search(project(pivot, vectors[i + 1:]), size - 1)
+            if found is not None:
+                return (i,) + tuple(i + 1 + t for t in found)
+        return None
+
+    witness = search(cols, size) if size >= 1 else None
+    return witness, projected
+
+
+# one field per arithmetic path: prime, 2^a, odd extension with the flat
+# addition table (q <= 2^8) and odd extension with the digit loop
+ARITHMETIC_PATHS = {
+    "prime": (5, 13),
+    "binary": (4, 16),
+    "oddext-table": (9, 27),
+    "oddext-digits": (729,),
+}
+
+
+@st.composite
+def column_lists(draw):
+    q = draw(st.sampled_from([q for qs in ARITHMETIC_PATHS.values() for q in qs]))
+    f = field_of_order(q)
+    rows = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 24))
+    entry = st.integers(0, q - 1)
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "random", "random", "zero", "repeat", "sum"]))
+        if kind == "zero":
+            cols.append((0,) * rows)
+        elif kind == "repeat" and cols:
+            base = draw(st.sampled_from(cols))
+            lam = draw(st.integers(1, q - 1))
+            cols.append(tuple(f.mul(lam, x) for x in base))
+        elif kind == "sum" and len(cols) >= 2:
+            # a planted dependent triple
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            lam = draw(entry)
+            cols.append(tuple(f.add(x, f.mul(lam, y)) for x, y in zip(u, v)))
+        else:
+            cols.append(tuple(draw(entry) for _ in range(rows)))
+    return f, cols
+
+
+def with_scan_cap(cap, fn, *args):
+    saved = pairmetric._SUBSET_SCAN_CAP
+    pairmetric._SUBSET_SCAN_CAP = cap
+    try:
+        return fn(*args)
+    finally:
+        pairmetric._SUBSET_SCAN_CAP = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=column_lists(), data=st.data())
+def test_first_dependent_subset_matches_the_reference_and_its_cap(drawn, data):
+    f, cols = drawn
+    size = data.draw(st.integers(1, len(cols[0]) + 1))
+    want, projected = reference_first_dependent_subset(f, cols, size, cap=10**9)
+    assert _first_dependent_subset(f, cols, size) == want, (f, cols, size)
+    # the search raises exactly when the reference does: on every cap below
+    # its projected-column count, and on none from that count up
+    caps = {projected, projected + 1, data.draw(st.integers(0, projected + 2))}
+    if projected:
+        caps |= {projected - 1, 0}
+    for cap in sorted(caps):
+        try:
+            ref = reference_first_dependent_subset(f, cols, size, cap)[0]
+        except EnumerationCapExceeded:
+            ref = "cap"
+        assert ref == ("cap" if cap < projected else want)
+        try:
+            got = with_scan_cap(cap, _first_dependent_subset, f, cols, size)
+        except EnumerationCapExceeded:
+            got = "cap"
+        assert got == ref, (f, cols, size, cap, projected)
+
+
+def test_checker_makes_no_per_element_field_calls(monkeypatch):
+    # conditions 1 and 2 and the d_H = 3 windows run on the field tables;
+    # only the d_H = 4 windows still eliminate, at most 4 pivots per window,
+    # each one inv and at most 4 mul calls
+    from pairmds.d5 import construct_d5
+    from pairmds.d6 import construct_d6
+    from pairmds.gf import FieldSpec
+
+    d5_h = construct_d5(field_of_order(25), 651)[0].parity_check
+    d6_h = construct_d6(field_of_order(9), 82)[0].parity_check
+    calls = {"add": 0, "mul": 0, "inv": 0}
+    for name in calls:
+        method = getattr(FieldSpec, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FieldSpec, name, counted)
+    assert check_theorem_conditions(d5_h, 3).ok
+    assert sum(calls.values()) <= 10, calls
+    calls.update(add=0, mul=0, inv=0)
+    assert check_theorem_conditions(d6_h, 4).ok
+    assert sum(calls.values()) <= 4 * 5 * 82, calls
 
 
 def test_singleton_verdict():

@@ -147,8 +147,6 @@ def _load_code_file(path: str) -> Dict:
     matrix = doc["parity_check"]
     if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
         raise _CliError("parity_check is not a list of rows")
-    if not all(_is_int(x) for row in matrix for x in row):
-        raise _CliError("parity_check holds a non-integer entry")
     for key in ("certificate", "provenance"):
         if not isinstance(doc.get(key, {}), dict):
             raise _CliError(f"code file field {key!r} is not an object")

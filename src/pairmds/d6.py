@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4, dot, null_space
+from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4, null_space
 from .pairmetric import PairCertificate, _first_dependent_subset, check_theorem_conditions
 
 Point = Tuple[int, int, int, int]
@@ -132,7 +132,7 @@ def secant_planes(f: FieldSpec, pts: Sequence[Point], A: Point, B: Point) -> Lis
     normals.append(tuple(w2))
     planes = []
     for w in normals:
-        on_plane = [p for p in pts if dot(f, w, p) == 0]
+        on_plane = [p for p in pts if f.dot(w, p) == 0]
         planes.append(sorted(on_plane))
     return planes
 

@@ -9,6 +9,13 @@ rules, and falls back to bounded local rearrangement.  check_ec_conditions
 certifies the result from the arrangement and the matrices alone; construct_ec
 and `pairmds verify` both call it.
 
+The certificate runs on the field's row kernels.  The generator matrix is
+built from power rows: the row of x^i over the arranged points is the row of
+x^(i-1) times the row of x-coordinates, and x^i y multiplies it by the row of
+y-coordinates, so no element is raised to a power.  h g^T = 0 is checked
+with one ``FieldSpec.dot`` per pair of rows, and both ranks come from
+forward elimination.
+
 Window sums, the SWITCH repairs and the subset-sum count run on one group
 table per curve (``_group``, cached per process): the point list with O
 first, the point-to-index map, the N x N addition table and the negation
@@ -28,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, LinearCode, dot, null_space, rank
+from .linalg import CodeMatrix, LinearCode, null_space, rank
 from .pairmetric import ROUTE_EC, PairCertificate
 
 ECPoint = Optional[Tuple[int, int]]  # None is the identity O at infinity
@@ -290,11 +297,6 @@ class MonomialFn:
     def pole_order(self) -> int:
         return 2 * self.i + 3 * self.j
 
-    def evaluate(self, c: EllipticCurve, pt: Tuple[int, int]) -> int:
-        f = c.field
-        x, y = pt
-        return f.mul(f.pow(x, self.i), f.pow(y, self.j))
-
 
 def rr_basis(c: EllipticCurve, k: int) -> List[MonomialFn]:
     """Basis of the functions with pole order <= k at O: the monomial staircase."""
@@ -384,10 +386,18 @@ def subset_sum_count(a: EvalArrangement) -> int:
 
 
 def generator_matrix(a: EvalArrangement) -> CodeMatrix:
-    """k x n evaluation matrix of the staircase basis at the arranged points."""
+    """k x n evaluation matrix of the staircase basis at the arranged points,
+    built from power rows, one ``mul_rows`` pass each."""
     c = a.curve
-    rows = [[fn.evaluate(c, p) for p in a.points] for fn in rr_basis(c, a.k)]
-    m = CodeMatrix.from_rows(c.field, rows)
+    f = c.field
+    basis = rr_basis(c, a.k)
+    xs = [p[0] for p in a.points]
+    ys = [p[1] for p in a.points]
+    powers = [[1] * a.n]
+    for _ in range(max(fn.i for fn in basis)):
+        powers.append(f.mul_rows(powers[-1], xs))
+    rows = [f.mul_rows(powers[fn.i], ys) if fn.j else powers[fn.i] for fn in basis]
+    m = CodeMatrix.from_rows(f, rows)
     if rank(m) != a.k:
         raise ConstructionError("evaluation matrix is rank deficient")
     return m
@@ -402,7 +412,7 @@ def _paired_points(c: EllipticCurve) -> Tuple[List[Tuple[int, int]], List[Tuple[
     The paired list P_1, P_2, ... places each point's negative adjacently,
     taking points in ascending coordinate order; P_{2i-1} + P_{2i} = O.
     """
-    pts = [p for p in ec_points(c) if p is not None]
+    pts = _group(c).points[1:]
     used = set()
     flat: List[Tuple[int, int]] = []
     torsion: List[Tuple[int, int]] = []
@@ -588,8 +598,9 @@ def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> Pai
     f = a.curve.field
     n, k = a.n, a.k
     window_ok = window_check(a)
+    dot = f.dot
     product_zero = h.cols == n and all(
-        dot(f, hrow, grow) == 0 for hrow in h.entries for grow in g.entries
+        dot(hrow, grow) == 0 for hrow in h.entries for grow in g.entries
     )
     rank_ok = h.rows == rank(h) == n - k
     nsolutions = subset_sum_count(a)

@@ -21,13 +21,15 @@ per coset.
 Vector kernels run a whole vector through the tables in one pass:
 ``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination,
 ``mul_rows`` and ``sub_rows`` the elementwise steps of the batched window
-determinants, and ``normal_form`` and ``projector`` the project-and-normalise
-step of the checker's dependent-set search.
+determinants and the elliptic generator matrix, ``dot`` the inner product,
+and ``normal_form`` and ``projector`` the project-and-normalise step of the
+checker's dependent-set search.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
@@ -229,7 +231,9 @@ class FieldSpec:
 
     def check(self, x: int) -> int:
         if type(x) is not int or not 0 <= x < self.q:
-            raise FieldError(f"element code {x!r} is not an integer in 0..{self.q - 1}")
+            # a container's repr could be as long and as deep as the input
+            shown = repr(x) if type(x) is int else f"of type {type(x).__name__}"
+            raise FieldError(f"element code {shown} is not an integer in 0..{self.q - 1}")
         return x
 
     def add(self, x: int, y: int) -> int:
@@ -289,6 +293,26 @@ class FieldSpec:
             q = self.q
             return [add[x * q + neg[y]] for x, y in zip(u, v)]
         return [self._add_digits(x, neg[y]) for x, y in zip(u, v)]
+
+    def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """The sum of u_t * v_t (over the shorter length)."""
+        if self.a == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        exp, log = self._exp, self._log
+        prods = [exp[log[x] + log[y]] for x, y in zip(u, v) if x and y]
+        if self.p == 2:
+            return functools.reduce(operator.xor, prods, 0)
+        add = self._add
+        s = 0
+        if add is not None:
+            q = self.q
+            for x in prods:
+                s = add[s * q + x]
+        else:
+            add_digits = self._add_digits
+            for x in prods:
+                s = add_digits(s, x)
+        return s
 
     def normal_form(self, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """v scaled so its first nonzero entry is 1; None for the zero vector.

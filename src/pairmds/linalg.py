@@ -1,12 +1,13 @@
 """Matrices and linear codes over GF(q).
 
-Row-major matrices of element codes, Gaussian elimination with first-nonzero
-pivoting (so reduced forms and null-space bases are deterministic), small
-determinants (a 4x4 determinant by 2x2 minors for coplanarity, and the
-determinants of every cyclic 3-column window of a 3-row matrix at once, on
-the field's row kernels, for the checker's condition 3), codeword
-enumeration for brute-force oracles, and the Reed-Solomon parity check used
-for short lengths.
+Row-major matrices of element codes; rank by forward elimination (each pivot
+clears only the rows below it, on the columns after it, through the field's
+row kernel); the null space by Gauss-Jordan elimination with first-nonzero
+pivoting (so null-space bases are deterministic); small determinants (a 4x4
+determinant by 2x2 minors for coplanarity, and the determinants of every
+cyclic 3-column window of a 3-row matrix at once, on the field's row kernels,
+for the checker's condition 3); codeword enumeration for brute-force oracles;
+and the Reed-Solomon parity check used for short lengths.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class CodeMatrix:
         return CodeMatrix(self.field, tuple(zip(*self.entries))) if self.entries else self
 
 
-def dot(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
-    """Sum of u_t * v_t over the field."""
-    s = 0
-    for x, y in zip(u, v):
-        if x and y:
-            s = f.add(s, f.mul(x, y))
-    return s
-
-
 def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
     """Determinant of a 4x4 matrix, by Laplace expansion along rows 0 and 1.
 
@@ -120,7 +112,7 @@ def window_dets3(f: FieldSpec, rows: Sequence[Sequence[int]]) -> List[int]:
 
 
 def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """In-place forward elimination; returns (rows, pivot column list)."""
+    """In-place Gauss-Jordan reduction; returns (rows, pivot column list)."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -136,7 +128,7 @@ def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], Li
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = f.inv(rows[r][c])
         if inv != 1:
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
+            rows[r] = f.mul_rows(itertools.repeat(inv), rows[r])
         rr = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
@@ -148,22 +140,47 @@ def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], Li
     return rows, pivots
 
 
+def _forward_rank(f: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
+    """Rank by forward elimination.
+
+    The rows left below the pivots are kept as their suffixes after the last
+    pivot column.  Each pivot costs one inverse; each row it clears costs
+    one product for the multiplier and one row_sub_mul over the columns
+    after the pivot, and the rows it does not touch are only sliced.
+    """
+    inv, mul, sub_mul = f.inv, f.mul, f.row_sub_mul
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    r = 0
+    c = 0
+    while rows and c < width:
+        for i, row in enumerate(rows):
+            if row[c]:
+                break
+        else:
+            c += 1
+            continue
+        pivot = rows.pop(i)
+        s = inv(pivot[c])
+        tail = pivot[c + 1:]
+        rows = [
+            sub_mul(row[c + 1:], mul(row[c], s), tail) if row[c] else row[c + 1:]
+            for row in rows
+        ]
+        width -= c + 1
+        c = 0
+        r += 1
+    return r
+
+
 def rank(m: CodeMatrix) -> int:
-    """Row rank by elimination over the field."""
-    if not m.entries:
-        return 0
-    rows = [list(r) for r in m.entries]
-    _, pivots = _eliminate(m.field, rows)
-    return len(pivots)
+    """Row rank by forward elimination over the field."""
+    return _forward_rank(m.field, m.entries)
 
 
 def rank_of_vectors(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of equal-length vectors, with early exit."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return 0
-    _, pivots = _eliminate(f, vecs)
-    return len(pivots)
+    """Rank of a list of equal-length vectors, by forward elimination."""
+    return _forward_rank(f, vectors)
 
 
 def columns_independent(m: CodeMatrix, idx: Sequence[int]) -> bool:

@@ -172,6 +172,10 @@ def _set(*path, value):
     [
         ("d5", _set("parity_check", 0, 0, value="1")),
         ("d5", _set("parity_check", 0, 0, value=1.0)),
+        ("d5", _set("parity_check", 1, 2, value=1.5)),
+        ("d5", _set("parity_check", 1, 2, value=True)),
+        ("d5", _set("parity_check", 1, 2, value=[1])),
+        ("d5", _set("parity_check", 1, 2, value=None)),
         ("d5", _set("certificate", value=None)),
         ("d5", _set("parity_check", value=5)),
         ("d5", _set("q", value="5")),
@@ -188,7 +192,8 @@ def _set(*path, value):
             certificate={"route": "mds-hamming"})),
         ("d5", _set("q", value=2**61 - 1)),
     ],
-    ids=["string-entry", "float-entry", "null-certificate", "scalar-matrix",
+    ids=["string-entry", "float-entry", "fraction-entry", "bool-entry", "list-entry",
+         "null-entry", "null-certificate", "scalar-matrix",
          "string-q", "string-dpair", "short-ec-point", "ec-point-out-of-field",
          "float-ec-k", "foreign-field", "float-curve-coefficient", "n-below-d-H-plus-2",
          "dimension-0", "huge-prime-q"],

@@ -10,6 +10,7 @@ from pairmds.ecmds import (
     EvalArrangement,
     MonomialFn,
     arrange,
+    check_ec_conditions,
     construct_ec,
     ec_add,
     ec_neg,
@@ -25,7 +26,7 @@ from pairmds.ecmds import (
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import FieldError, field, field_of_order
-from pairmds.linalg import LinearCode, null_space, rank
+from pairmds.linalg import CodeMatrix, LinearCode, null_space, rank
 from pairmds.pairmetric import (
     min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
@@ -149,10 +150,63 @@ def test_rr_basis_dimension_via_evaluation_rank(k):
     f = field(13, 1)
     c = find_maximal_curve(f)
     pts = tuple(p for p in ec_points(c) if p is not None)[: k + 3]
-    rows = [[fn.evaluate(c, p) for p in pts] for fn in rr_basis(c, k)]
-    from pairmds.linalg import CodeMatrix
+    rows = [[f.mul(f.pow(x, fn.i), f.pow(y, fn.j)) for x, y in pts] for fn in rr_basis(c, k)]
 
     assert rank(CodeMatrix.from_rows(f, rows)) == k
+
+
+def _test_curve(q):
+    f = field_of_order(q)
+    if q == 3**6:
+        # the maximal-curve scan is too long for a test: y^2 = x^3 + x + 1
+        return EllipticCurve(f, 0, 0, 0, 1, 1)
+    return find_maximal_curve(f)
+
+
+# prime, 2^a, odd extension with the flat addition table, odd extension
+# with the digit loop
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([7, 8, 9, 3**6]), data=st.data())
+def test_generator_matrix_entries_are_monomial_values(q, data):
+    c = _test_curve(q)
+    f = c.field
+    pts = ec_points(c)[1:]
+    idx = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=14, unique=True))
+    k = data.draw(st.integers(1, len(idx) - 1))
+    a = EvalArrangement(c, tuple(pts[i] for i in idx), k)
+    g = generator_matrix(a)
+    basis = rr_basis(c, k)
+    assert g.rows == k and g.cols == a.n
+    for fn, row in zip(basis, g.entries):
+        assert row == tuple(f.mul(f.pow(x, fn.i), f.pow(y, fn.j)) for x, y in a.points)
+
+
+def test_elliptic_certificate_makes_no_per_element_field_calls(monkeypatch):
+    # h g^T runs on FieldSpec.dot and the generator matrix on mul_rows; what
+    # is left is forward elimination, one inv per pivot and one mul per
+    # cleared row
+    from pairmds.gf import FieldSpec
+
+    f = field_of_order(27)
+    n, k = 35, 35 - 5
+    a = arrange(find_maximal_curve(f), n, k)
+    g = generator_matrix(a)
+    h = null_space(g)
+    calls = {"add": 0, "mul": 0, "inv": 0, "pow": 0}
+    for name in calls:
+        method = getattr(FieldSpec, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FieldSpec, name, counted)
+    cert = check_ec_conditions(a, g, h)
+    assert cert.ok and cert.d_pair == 7
+    assert sum(calls.values()) <= 2 * n, calls
+    calls.update(add=0, mul=0, inv=0, pow=0)
+    assert generator_matrix(a) == g
+    assert calls["pow"] == 0 and calls["mul"] < 2000, calls
 
 
 def test_generator_matrix_rows():

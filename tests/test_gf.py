@@ -192,6 +192,23 @@ def test_frobenius(q):
         assert f.pow(x, q) == x
 
 
+# prime, 2^a, odd extension with the flat addition table, odd extension
+# with the digit loop
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([7, 8, 9, 3**6]), n=st.integers(0, 40), data=st.data())
+def test_dot_matches_scalar_reference(q, n, data):
+    f = field_of_order(q)
+    # zeros are drawn often, so products vanish from either side
+    entry = st.integers(0, q - 1) | st.just(0)
+    u = data.draw(st.lists(entry, min_size=n, max_size=n))
+    v = data.draw(st.lists(entry, min_size=n, max_size=n))
+    want = 0
+    for x, y in zip(u, v):
+        want = f.add(want, f.mul(x, y))
+    assert f.dot(u, v) == want
+    assert f.dot(tuple(v), tuple(u)) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     q=st.sampled_from([3, 4, 5, 8, 9, 27, 49]),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pairmds.gf import field, field_of_order
 from pairmds.linalg import (
     CodeMatrix,
+    _eliminate,
     EnumerationCapExceeded,
     LinearCode,
     columns_independent,
@@ -242,3 +243,64 @@ def test_window_determinants_match_rank(q, n, plant, data):
         assert det == leibniz_det(f, [[col[r] for col in window] for r in range(3)])
     if plant != "none":
         assert 0 in dets
+
+
+# prime, 2^a, odd extension with the flat addition table, odd extension
+# with the digit loop
+ARITHMETIC_FIELDS = [7, 8, 9, 3**6]
+
+
+@st.composite
+def matrices(draw):
+    """(field, rows): random rows mixed with zero, repeated and dependent ones."""
+    f = field_of_order(draw(st.sampled_from(ARITHMETIC_FIELDS)))
+    elem = st.integers(0, f.q - 1)
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            combo = [0] * ncols
+            for row in rows:
+                c = draw(elem)
+                combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
+            rows.append(combo)
+        else:
+            rows.append(draw(st.lists(elem, min_size=ncols, max_size=ncols)))
+    return f, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_forward_rank_equals_gauss_jordan_pivot_count(fm):
+    f, rows = fm
+    want = len(_eliminate(f, [list(r) for r in rows])[1])
+    assert rank_of_vectors(f, rows) == want
+    assert rank_of_vectors(f, [tuple(r) for r in rows]) == want
+    if rows:
+        assert rank(CodeMatrix.from_rows(f, rows)) == want
+
+
+@pytest.mark.parametrize("as_row", [list, tuple])
+def test_rank_of_vectors_finds_dependencies_below_the_first_pivot(as_row):
+    f = field_of_order(7)
+
+    def r(rows):
+        return rank_of_vectors(f, [as_row(v) for v in rows])
+
+    # the first pivot clears row 1 to (1, 1), which equals row 2
+    assert r([[1, 0, 0], [1, 1, 1], [0, 1, 1]]) == 2
+    # the first column's pivot is the second row
+    assert r([[0, 1, 1], [1, 1, 1], [1, 0, 0]]) == 2
+    # the dependency shows only in the last column
+    assert r([[1, 2, 3], [1, 2, 4], [0, 0, 5]]) == 2
+    # zero and scaled rows
+    assert r([[0, 0, 0], [2, 4, 6], [1, 2, 3]]) == 1
+    assert r([[0, 0, 0]]) == 0 and r([]) == 0
+    assert r([[3, 1, 4], [1, 5, 2], [6, 5, 3], [5, 0, 1]]) == 3
+    m = CodeMatrix.from_rows(f, [[1, 0, 0], [1, 1, 1], [0, 1, 1]])
+    assert rank(m) == 2 and rank(m.transpose()) == 2

@@ -366,16 +366,19 @@ def subset_sum_count(a: EvalArrangement) -> int:
     """N(k, O, D): the number of k-subsets of D summing to O.
 
     Dynamic programming over (subset size, group element), the group being
-    indexed by the curve's full point list.
+    indexed by the curve's full point list.  Point i (from 0) updates only
+    the sizes it can change: the i points before it fill sizes up to i, and
+    a size below k - (n - i) + 1 can no longer reach k.
     """
     g = _group(a.curve)
     ng = len(g.points)
     k = a.k
+    n = len(a.points)
     counts = [[0] * ng for _ in range(k + 1)]
     counts[0][0] = 1  # index 0 is O
-    for pi in g.indices(a.points):
+    for i, pi in enumerate(g.indices(a.points)):
         row = g.add[pi]
-        for size in range(k, 0, -1):
+        for size in range(min(k, i + 1), max(0, k - (n - i)), -1):
             prev = counts[size - 1]
             cur = counts[size]
             for h in range(ng):

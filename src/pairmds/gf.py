@@ -11,26 +11,30 @@ field, and every code file built over it, is a function of (p, a) alone.
 
 Arithmetic is table-driven and every table is built eagerly when a field is
 constructed: exp/log tables for multiplication and inversion in every field,
-and, in odd-characteristic extension fields, a q-entry negation table plus,
-for q <= 2^8, a flat q x q addition table (at most 65,536 small ints).  Larger
-odd-extension fields add digit by digit.  The exp table is filled by the
-table-free multiply-by-x step (a shift and one reduction), one coset of the
-subgroup generated by x at a time, so a general product is needed only once
-per coset.
+a flat q x q addition table in every field with q <= 2^8 (at most 65,536 small
+ints), and, in odd-characteristic extension fields, a q-entry negation table.
+Scalar addition computes mod p in prime fields and XOR in binary fields;
+larger odd-extension fields add digit by digit.  The exp table is filled by
+the table-free multiply-by-x step (a shift and one reduction), one coset of
+the subgroup generated by x at a time, so a general product is needed only
+once per coset.
 
 Vector kernels run a whole vector through the tables in one pass:
 ``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination,
-``mul_rows`` and ``sub_rows`` the elementwise steps of the batched window
-determinants and the elliptic generator matrix, ``dot`` the inner product,
-and ``normal_form`` and ``projector`` the project-and-normalise step of the
-checker's dependent-set search.
+``mul_rows``, ``add_rows`` and ``sub_rows`` the elementwise steps of the
+batched window determinants, the elliptic generator matrix and codeword
+enumeration, ``dot`` the inner product, ``addition_rows`` the addition-table
+rows that codeword enumeration reads whole cosets from, and ``normal_form``
+and ``projector`` the project-and-normalise step of the checker's
+dependent-set search.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
@@ -176,9 +180,9 @@ class FieldSpec:
 
     Immutable after construction; all lookup tables are built eagerly so a
     FieldSpec can be shared freely across threads.  Every field has exp/log
-    tables; odd-extension fields also have a negation table, and for
-    q <= ADD_TABLE_MAX_ORDER a flat addition table indexed by x * q + y.
-    Prime fields compute mod p and binary fields XOR, so they need neither.
+    tables, and for q <= ADD_TABLE_MAX_ORDER a flat addition table indexed by
+    x * q + y; odd-extension fields also have a negation table.  Prime fields
+    negate mod p and binary fields need no negation.
     Use :func:`field` to get the cached instance for given (p, a).
     """
 
@@ -196,11 +200,13 @@ class FieldSpec:
         self.modulus: Tuple[int, ...] = (0, 1) if a == 1 else _IRREDUCIBLE[(p, a)]
         self._exp, self._log, self._generator = self._build_tables()
         self._neg: List[int] | None = None
-        self._add: List[int] | None = None
         if p != 2 and a > 1:
             self._neg = [self._neg_digits(x) for x in range(q)]
-            if q <= ADD_TABLE_MAX_ORDER:
-                self._add = [self._add_digits(x, y) for x in range(q) for y in range(q)]
+        self._add: List[int] | None = None
+        if q <= ADD_TABLE_MAX_ORDER:
+            # built by the row kernel, which reads no table in prime and
+            # binary fields and adds digit by digit while _add is unset
+            self._add = [s for x in range(q) for s in self.add_rows(itertools.repeat(x), range(q))]
 
     # -- representation ------------------------------------------------
 
@@ -280,6 +286,33 @@ class FieldSpec:
             return [x * y % p for x, y in zip(u, v)]
         exp, log = self._exp, self._log
         return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(u, v)]
+
+    def add_rows(self, u: Iterable[int], v: Iterable[int]) -> List[int]:
+        """The elementwise sum u + v of two rows (as long as the shorter)."""
+        if self.a == 1:
+            p = self.p
+            return [(x + y) % p for x, y in zip(u, v)]
+        if self.p == 2:
+            return list(map(operator.xor, u, v))
+        add = self._add
+        if add is not None:
+            q = self.q
+            return [add[x * q + y] for x, y in zip(u, v)]
+        return list(map(self._add_digits, u, v))
+
+    def addition_rows(self, u: Sequence[int]) -> List[int]:
+        """Rows u_0, u_1, ... of the addition table, concatenated.
+
+        Entry j * q + y is u_j + y, so the entries at j * q + w_j, over every
+        j, are the row u + w.  Needs the table, that is
+        q <= ADD_TABLE_MAX_ORDER.
+        """
+        add, q = self._add, self.q
+        out: List[int] = []
+        for x in u:
+            x *= q
+            out += add[x:x + q]
+        return out
 
     def sub_rows(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
         """The elementwise difference u - v of two rows (as long as the shorter)."""

@@ -6,19 +6,26 @@ row kernel); the null space by Gauss-Jordan elimination with first-nonzero
 pivoting (so null-space bases are deterministic); small determinants (a 4x4
 determinant by 2x2 minors for coplanarity, and the determinants of every
 cyclic 3-column window of a 3-row matrix at once, on the field's row kernels,
-for the checker's condition 3); codeword enumeration for brute-force oracles;
-and the Reed-Solomon parity check used for short lengths.
+for the checker's condition 3); codeword enumeration for brute-force oracles
+(a block of low-digit words built once, and each coset of it read from the
+field's addition table in C); and the Reed-Solomon parity check used for
+short lengths.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from .gf import FieldSpec
+from .gf import ADD_TABLE_MAX_ORDER, FieldSpec
 
 DEFAULT_ENUM_CAP = 1 << 22
+
+# codeword enumeration: the fewest low digits whose words number at least
+# this form its block
+_BLOCK_WORDS = 64
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -250,10 +257,21 @@ class LinearCode:
 
 
 def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Tuple[int, ...]]:
-    """Yield all q^k codewords exactly once, starting with the zero word.
+    """Yield all q^k codewords exactly once, as tuples, starting with the zero word.
 
-    Enumeration walks an odometer over the coefficients of the null-space
-    basis, so successive codewords differ by a single basis-row addition.
+    Word number i is the sum of c_d * b_d over the null-space basis rows
+    b_d, where c_d is base-q digit d of i (digit 0 the least significant)
+    read as an element code.
+
+    The words of the low m digits (the fewest with q^m >= _BLOCK_WORDS) form
+    a block, built once.  Every word is a coset base, the sum over the other
+    digits, plus a block word; an odometer over those digits moves the base
+    by one delta row per digit step, through ``FieldSpec.add_rows``.  Block
+    word w is kept as the itemgetter of positions j * q + w_j, so applied to
+    the addition-table rows of the base, concatenated
+    (``FieldSpec.addition_rows``), it returns the tuple base + w in C, with
+    no field call per element.  Fields without an addition table take
+    m = 0: each word is one odometer step.
     """
     f = code.field
     q = f.q
@@ -263,31 +281,54 @@ def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterat
         raise EnumerationCapExceeded(f"q^k = {total} exceeds cap {cap}")
     basis = code.codeword_basis().entries
     n = code.n
-    add = f.add
-    # deltas[d][v]: row to add when digit d steps from code v to v+1 (mod q);
-    # stepping by integer code is not a field increment, so each step carries
-    # its own multiple of the basis row
-    deltas = [
-        [[f.mul(f.sub((v + 1) % q, v), x) for x in row] for v in range(q)]
-        for row in basis
-    ]
-    cw = [0] * n
-    digits = [0] * k
-    yield tuple(cw)
-    for _ in range(total - 1):
+    # multiples[d][v]: basis row d times the element with code v
+    multiples = [[f.mul_rows(itertools.repeat(v), row) for v in range(q)] for row in basis]
+    m = 0
+    if q <= ADD_TABLE_MAX_ORDER:
+        while m < k and q**m < _BLOCK_WORDS:
+            m += 1
+    if m:
+        block = [[0] * n]
+        for rows in multiples[:m - 1]:
+            block = [f.add_rows(row, w) for row in rows for w in block]
+        # the last digit's words go straight into their getters, so the
+        # whole block never exists as lists; n >= 2 (k >= 1 and H has a
+        # row), so every getter returns a tuple
+        offsets = range(0, n * q, q)
+        getters = [
+            operator.itemgetter(*map(operator.add, offsets, f.add_rows(row, w)))
+            for row in multiples[m - 1]
+            for w in block
+        ]
+        call = operator.itemgetter.__call__
+
+        def coset(base):
+            return map(call, getters, itertools.repeat(f.addition_rows(base)))
+
+    else:
+
+        def coset(base):
+            return (tuple(base),)
+
+    # deltas[d][v]: row to add to the base when digit m + d steps from code v
+    # to v + 1 (mod q); stepping by integer code is not a field increment, so
+    # each step carries its own row
+    deltas = [[f.sub_rows(rows[(v + 1) % q], rows[v]) for v in range(q)] for rows in multiples[m:]]
+    base = [0] * n
+    digits = [0] * (k - m)
+    yield from coset(base)
+    for _ in range(q ** (k - m) - 1):
         d = 0
         while True:
             v = digits[d]
-            row = deltas[d][v]
-            for j in range(n):
-                cw[j] = add(cw[j], row[j])
+            base = f.add_rows(base, deltas[d][v])
             if v == q - 1:
                 digits[d] = 0
                 d += 1
             else:
                 digits[d] = v + 1
                 break
-        yield tuple(cw)
+        yield from coset(base)
 
 
 def rs_parity_check(f: FieldSpec, n: int, r: int) -> CodeMatrix:

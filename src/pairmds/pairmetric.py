@@ -55,6 +55,10 @@ def pair_weight(u: Sequence[int]) -> int:
     n = len(u)
     if n < 2:
         raise ValueError("pair weight needs length >= 2")
+    if u.count(0) < 2:
+        # a (0, 0) pair needs two zeros; most words of a brute-force
+        # enumeration have fewer, and the count runs in C
+        return n
     w = 0
     prev = u[n - 1]
     for x in u:
@@ -70,36 +74,31 @@ def pair_distance(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     """d_p(u, v) = pair weight of u - v."""
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    return pair_weight([f.sub(x, y) for x, y in zip(u, v)])
+    return pair_weight(f.sub_rows(u, v))
 
 
 def hamming_weight(u: Sequence[int]) -> int:
-    return sum(1 for x in u if x)
+    return len(u) - u.count(0)
+
+
+def _nonzero_codewords(code: LinearCode, cap: int):
+    """Every codeword but the zero word, which enumeration yields first.
+
+    k >= 1, so at least one word is left.
+    """
+    words = enumerate_codewords(code, cap=cap)
+    next(words)
+    return words
 
 
 def min_pair_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Smallest pair weight over all nonzero codewords, by full enumeration."""
-    best = None
-    for cw in enumerate_codewords(code, cap=cap):
-        if not any(cw):
-            continue
-        w = pair_weight(cw)
-        if best is None or w < best:
-            best = w
-    if best is None:  # pragma: no cover - k >= 1 guarantees nonzero words
-        raise ValueError("code has no nonzero codeword")
-    return best
+    return min(map(pair_weight, _nonzero_codewords(code, cap)))
 
 
 def min_hamming_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    best = None
-    for cw in enumerate_codewords(code, cap=cap):
-        w = hamming_weight(cw)
-        if w and (best is None or w < best):
-            best = w
-    if best is None:  # pragma: no cover
-        raise ValueError("code has no nonzero codeword")
-    return best
+    """Smallest Hamming weight over all nonzero codewords, by full enumeration."""
+    return min(map(hamming_weight, _nonzero_codewords(code, cap)))
 
 
 @dataclass(frozen=True)

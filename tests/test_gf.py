@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pairmds.gf import (
     _IRREDUCIBLE,
+    ADD_TABLE_MAX_ORDER,
     MAX_ORDER,
     FieldError,
     FieldSpec,
@@ -328,3 +329,16 @@ def test_table_arithmetic_and_row_kernel_match_digit_loops(q):
             for v in rows:
                 want = [digit_add(p, x, digit_neg(p, f.mul(c, y))) for x, y in zip(u, v)]
                 assert f.row_sub_mul(u, c, v) == want
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_add_rows_and_addition_rows_match_scalar_add(q):
+    f = field_of_order(q)
+    rng = random.Random(q + 1)
+    rows = [[0] * 9, [q - 1] * 9] + [[rng.randrange(q) for _ in range(9)] for _ in range(20)]
+    for u in rows:
+        for v in rows:
+            assert f.add_rows(u, v) == [f.add(x, y) for x, y in zip(u, v)]
+    if q <= ADD_TABLE_MAX_ORDER:
+        # the whole addition table, row by row
+        assert f.addition_rows(range(q)) == [f.add(x, y) for x in range(q) for y in range(q)]

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pairmds import linalg
 from pairmds.gf import field, field_of_order
 from pairmds.linalg import (
     CodeMatrix,
@@ -126,6 +127,83 @@ def test_enumerate_cap():
     code = LinearCode(h)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_codewords(code, cap=2**10))
+
+
+def reference_codewords(code):
+    """The plain odometer: one basis-row step per word, one field call per
+    coordinate, digit 0 stepping fastest."""
+    f = code.field
+    q = f.q
+    basis = code.codeword_basis().entries
+    deltas = [
+        [[f.mul(f.sub((v + 1) % q, v), x) for x in row] for v in range(q)] for row in basis
+    ]
+    cw = [0] * code.n
+    digits = [0] * code.k
+    yield tuple(cw)
+    for _ in range(q**code.k - 1):
+        d = 0
+        while True:
+            v = digits[d]
+            cw = [f.add(x, y) for x, y in zip(cw, deltas[d][v])]
+            if v == q - 1:
+                digits[d] = 0
+                d += 1
+            else:
+                digits[d] = v + 1
+                break
+        yield tuple(cw)
+
+
+def random_code(q, n, k, seed):
+    f = field_of_order(q)
+    rng = random.Random(seed)
+    while True:
+        h = CodeMatrix.from_rows(f, [[rng.randrange(q) for _ in range(n)] for _ in range(n - k)])
+        if rank(h) == n - k:
+            return LinearCode(h)
+
+
+# (q, n, k): prime, binary, odd extensions with an addition table and (729)
+# without one; the block is the whole code (m = k) or leaves cosets, whose
+# odometer carries across more than one digit
+ENUM_CASES = [
+    (5, 6, 2), (5, 7, 4), (13, 5, 3), (2, 12, 8), (4, 5, 2), (8, 6, 3),
+    (9, 5, 3), (27, 4, 2), (25, 5, 3), (729, 3, 1), (729, 2, 1),
+]
+
+
+@pytest.mark.parametrize("q,n,k", ENUM_CASES)
+@pytest.mark.parametrize("blocks", [True, False])
+def test_enumerate_codewords_follows_the_reference_odometer(q, n, k, blocks, monkeypatch):
+    if not blocks:
+        # m = 0, as in fields without an addition table: one odometer step
+        # per word
+        monkeypatch.setattr(linalg, "_BLOCK_WORDS", 1)
+    code = random_code(q, n, k, seed=q * 100 + n)
+    words = list(enumerate_codewords(code))
+    assert words == list(reference_codewords(code))
+    assert all(type(w) is tuple for w in words)
+
+
+def test_enumeration_makes_no_per_element_field_calls(monkeypatch):
+    from pairmds.gf import FieldSpec
+
+    calls = {"add": 0, "mul": 0, "sub": 0}
+    for name in calls:
+        method = getattr(FieldSpec, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FieldSpec, name, counted)
+    for q, n, k in [(7, 8, 5), (8, 7, 4), (27, 5, 3), (729, 3, 1)]:
+        code = random_code(q, n, k, seed=q)
+        calls.update(add=0, mul=0, sub=0)
+        assert sum(1 for _ in enumerate_codewords(code)) == q**k
+        # the null-space basis may make a few; the words make none
+        assert sum(calls.values()) <= n * k, (q, calls)
 
 
 def test_linear_code_invariants():

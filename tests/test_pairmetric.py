@@ -17,6 +17,7 @@ from pairmds.pairmetric import (
     check_mds_conditions,
     check_theorem_conditions,
     hamming_weight,
+    min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
     pair_distance,
     pair_read,
@@ -124,6 +125,32 @@ def test_min_pair_distance_bruteforce_examples():
     f2 = field(2, 1)
     assert min_pair_distance_bruteforce(LinearCode(CodeMatrix.from_rows(f2, H2_N5))) == 5
     assert min_pair_distance_bruteforce(LinearCode(CodeMatrix.from_rows(f2, H2_FULL))) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.lists(st.sampled_from([0, 0, 0, 1, 7]), min_size=2, max_size=12))
+def test_pair_weight_matches_the_definition(u):
+    n = len(u)
+    want = sum(1 for i in range(n) if (u[i], u[(i + 1) % n]) != (0, 0))
+    assert pair_weight(u) == pair_weight(tuple(u)) == want
+    assert hamming_weight(u) == sum(1 for x in u if x)
+
+
+def test_bruteforce_minima_match_a_plain_loop():
+    from pairmds.d5 import build_h
+    from pairmds.linalg import enumerate_codewords, rs_parity_check
+
+    codes = [LinearCode(build_h(field_of_order(q), n)[0]) for q, n in [(4, 9), (5, 8), (8, 7), (9, 7)]]
+    codes += [LinearCode(rs_parity_check(field_of_order(q), n, r)) for q, n, r in [(7, 8, 4), (27, 5, 2)]]
+    for code in codes:
+        pair_best = ham_best = None
+        for cw in enumerate_codewords(code):
+            if any(cw):
+                w, h = pair_weight(cw), hamming_weight(cw)
+                pair_best = w if pair_best is None else min(pair_best, w)
+                ham_best = h if ham_best is None else min(ham_best, h)
+        assert min_pair_distance_bruteforce(code) == pair_best
+        assert min_hamming_distance_bruteforce(code) == ham_best
 
 
 def test_min_pair_distance_repetition_code():

@@ -17,7 +17,6 @@ from .linalg import (
     CodeMatrix,
     EnumerationCapExceeded,
     LinearCode,
-    columns_independent,
     enumerate_codewords,
     null_space,
     rank,
@@ -29,9 +28,7 @@ from .pairmetric import (
     check_theorem_conditions,
     min_pair_distance_bruteforce,
     pair_distance,
-    pair_read,
     pair_weight,
-    singleton_verdict,
 )
 from .d5 import build_h, build_h_full, construct_d5
 from .d6 import Ovoid, construct_d6, elliptic_quadric, order_points
@@ -59,7 +56,6 @@ __all__ = [
     "CodeMatrix",
     "LinearCode",
     "EnumerationCapExceeded",
-    "columns_independent",
     "enumerate_codewords",
     "null_space",
     "rank",
@@ -69,9 +65,7 @@ __all__ = [
     "check_theorem_conditions",
     "min_pair_distance_bruteforce",
     "pair_distance",
-    "pair_read",
     "pair_weight",
-    "singleton_verdict",
     "build_h",
     "build_h_full",
     "construct_d5",

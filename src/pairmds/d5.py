@@ -75,15 +75,6 @@ def canonical_xorder(f: FieldSpec) -> XOrder:
     return XOrder(f, tuple(f.elements()))
 
 
-def block_matrix(x: XOrder, i: int) -> CodeMatrix:
-    """The block B_i: columns (1, x_{i+j}, x_{i+j}^2 + x_i), j = 0..q-1."""
-    f = x.field
-    q = f.q
-    if not 0 <= i < q:
-        raise ParameterError(f"block index {i} out of range for q={q}")
-    return CodeMatrix.from_columns(f, _block_columns(x, i))
-
-
 def _block_columns(x: XOrder, i: int) -> List[Column]:
     f = x.field
     q = f.q

@@ -13,8 +13,10 @@ The certificate runs on the field's row kernels.  The generator matrix is
 built from power rows: the row of x^i over the arranged points is the row of
 x^(i-1) times the row of x-coordinates, and x^i y multiplies it by the row of
 y-coordinates, so no element is raised to a power.  h g^T = 0 is checked
-with one ``FieldSpec.dot`` per pair of rows, and both ranks come from
-forward elimination.
+with one ``FieldSpec.dot`` per pair of rows.  Each matrix is eliminated
+once: rank g = k is read from g's column basis (which ``null_space(g)`` has
+already found when construct_ec built h), and rank h = n - k from the
+(n - k) x (n - k) block of h on g's free columns alone.
 
 Window sums, the SWITCH repairs and the subset-sum count run on one group
 table per curve (``_group``, cached per process): the point list with O
@@ -35,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, LinearCode, null_space, rank
+from .linalg import CodeMatrix, LinearCode, null_space, rank_of_vectors
 from .pairmetric import ROUTE_EC, PairCertificate
 
 ECPoint = Optional[Tuple[int, int]]  # None is the identity O at infinity
@@ -136,13 +138,6 @@ def ec_add(c: EllipticCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     )
     y3 = f.sub(f.neg(f.mul(f.add(lam, c.a1), x3)), f.add(nu, c.a3))
     return (x3, y3)
-
-
-def ec_sum(c: EllipticCurve, pts: Sequence[ECPoint]) -> ECPoint:
-    acc: ECPoint = None
-    for p in pts:
-        acc = ec_add(c, acc, p)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -400,10 +395,7 @@ def generator_matrix(a: EvalArrangement) -> CodeMatrix:
     for _ in range(max(fn.i for fn in basis)):
         powers.append(f.mul_rows(powers[-1], xs))
     rows = [f.mul_rows(powers[fn.i], ys) if fn.j else powers[fn.i] for fn in basis]
-    m = CodeMatrix.from_rows(f, rows)
-    if rank(m) != a.k:
-        raise ConstructionError("evaluation matrix is rank deficient")
-    return m
+    return CodeMatrix.from_rows(f, rows)
 
 
 # -- arrangement -------------------------------------------------------
@@ -597,15 +589,32 @@ def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> Pai
     then has minimum Hamming distance n - k when some k-subset of D sums to O
     (the subset-sum count) and n - k + 1 when none does, and in both cases
     pair distance n - k + 2 by the run-length bound and the Singleton ceiling.
+
+    g must have rank k, read from its column basis (ConstructionError if
+    not).  The rank of h is proven on F, the n - k columns outside that
+    basis: a nonsingular block h_F shows that h has full row rank, and when
+    h g^T = 0 the converse holds too, since a vector v with g v^T = 0 and
+    v_F = 0 vanishes on g's basis columns as well, so v -> v_F is injective
+    on the rows' span.  So rank h is taken only when h g^T = 0, by
+    eliminating h_F; when it is n - k, F is recorded as h's column basis.
     """
     f = a.curve.field
     n, k = a.n, a.k
+    basis = g.column_basis
+    if len(basis) != k:
+        raise ConstructionError("evaluation matrix is rank deficient")
     window_ok = window_check(a)
     dot = f.dot
     product_zero = h.cols == n and all(
         dot(hrow, grow) == 0 for hrow in h.entries for grow in g.entries
     )
-    rank_ok = h.rows == rank(h) == n - k
+    rank_ok = False
+    if product_zero and h.rows == n - k:
+        in_basis = set(basis)
+        free = [c for c in range(n) if c not in in_basis]
+        rank_ok = rank_of_vectors(f, [[row[c] for c in free] for row in h.entries]) == n - k
+        if rank_ok:
+            h.record_column_basis(free)
     nsolutions = subset_sum_count(a)
     failed = None
     if not window_ok:

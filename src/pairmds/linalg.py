@@ -1,19 +1,25 @@
 """Matrices and linear codes over GF(q).
 
-Row-major matrices of element codes; rank by forward elimination (each pivot
-clears only the rows below it, on the columns after it, through the field's
-row kernel); the null space by Gauss-Jordan elimination with first-nonzero
-pivoting (so null-space bases are deterministic); small determinants (a 4x4
-determinant by 2x2 minors for coplanarity, and the determinants of every
-cyclic 3-column window of a 3-row matrix at once, on the field's row kernels,
-for the checker's condition 3); codeword enumeration for brute-force oracles
-(a block of low-digit words built once, and each coset of it read from the
+Row-major matrices of element codes.  One elimination kernel, forward
+elimination (each pivot clears only the rows below it, on the columns after
+it, through the field's row kernel), gives the rank, the pivot columns and,
+by back-substitution onto the free columns alone, the null space (a
+deterministic basis: the reduced row echelon form is unique).  A
+``CodeMatrix`` keeps the column basis its first elimination found
+(``CodeMatrix.column_basis``, cached; ``null_space`` fills it in), and a
+certificate that has proven some columns a basis records them there, so no
+matrix is eliminated twice.  Also: small determinants (a 4x4 determinant by
+2x2 minors for coplanarity, and the determinants of every cyclic 3-column
+window of a 3-row matrix at once, on the field's row kernels, for the
+checker's condition 3); codeword enumeration for brute-force oracles (a
+block of low-digit words built once, and each coset of it read from the
 field's addition table in C); and the Reed-Solomon parity check used for
 short lengths.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -71,8 +77,20 @@ class CodeMatrix:
     def columns(self) -> List[Tuple[int, ...]]:
         return list(zip(*self.entries))
 
-    def transpose(self) -> "CodeMatrix":
-        return CodeMatrix(self.field, tuple(zip(*self.entries))) if self.entries else self
+    @functools.cached_property
+    def column_basis(self) -> Tuple[int, ...]:
+        """Ascending indices of columns that form a basis of the column space,
+        so the rank is its length.
+
+        Computed on first use as the pivot columns of a forward elimination,
+        unless ``null_space`` or ``record_column_basis`` has already set it.
+        """
+        return tuple(_forward(self.field, self.entries)[0])
+
+    def record_column_basis(self, cols: Sequence[int]) -> None:
+        """Keep `cols`, columns a caller has proven to be a basis of the
+        column space, as ``column_basis``."""
+        object.__setattr__(self, "column_basis", tuple(cols))
 
 
 def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
@@ -118,47 +136,24 @@ def window_dets3(f: FieldSpec, rows: Sequence[Sequence[int]]) -> List[int]:
     return sub(mul(r0, m1[1:]), sub(mul(r0[1:], m2), mul(r0[2:], m1)))
 
 
-def _eliminate(f: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """In-place Gauss-Jordan reduction; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = f.mul_rows(itertools.repeat(inv), rows[r])
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                rows[i] = f.row_sub_mul(rows[i], rows[i][c], rr)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _forward_rank(f: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
-    """Rank by forward elimination.
+def _forward(
+    f: FieldSpec, rows: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[Tuple[int, Sequence[int]]]]:
+    """Forward elimination: (pivot columns, pivot rows).
 
     The rows left below the pivots are kept as their suffixes after the last
     pivot column.  Each pivot costs one inverse; each row it clears costs
     one product for the multiplier and one row_sub_mul over the columns
-    after the pivot, and the rows it does not touch are only sliced.
+    after the pivot, and the rows it does not touch are only sliced.  Pivot
+    row i is returned as (s, tail): the inverse of its pivot entry and its
+    entries after the pivot column, as they stood when it became a pivot.
     """
     inv, mul, sub_mul = f.inv, f.mul, f.row_sub_mul
     rows = list(rows)
     width = len(rows[0]) if rows else 0
-    r = 0
+    pivots: List[int] = []
+    reduced: List[Tuple[int, Sequence[int]]] = []
+    base = 0  # the column that column 0 of the rows left stands for
     c = 0
     while rows and c < width:
         for i, row in enumerate(rows):
@@ -174,49 +169,63 @@ def _forward_rank(f: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
             sub_mul(row[c + 1:], mul(row[c], s), tail) if row[c] else row[c + 1:]
             for row in rows
         ]
+        pivots.append(base + c)
+        reduced.append((s, tail))
+        base += c + 1
         width -= c + 1
         c = 0
-        r += 1
-    return r
+    return pivots, reduced
 
 
 def rank(m: CodeMatrix) -> int:
-    """Row rank by forward elimination over the field."""
-    return _forward_rank(m.field, m.entries)
+    """Row rank: the size of the matrix's column basis."""
+    return len(m.column_basis)
 
 
 def rank_of_vectors(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> int:
     """Rank of a list of equal-length vectors, by forward elimination."""
-    return _forward_rank(f, vectors)
-
-
-def columns_independent(m: CodeMatrix, idx: Sequence[int]) -> bool:
-    """True iff the selected columns have rank len(idx)."""
-    seen = set()
-    for j in idx:
-        if not 0 <= j < m.cols:
-            raise IndexError(f"column index {j} out of range")
-        if j in seen:
-            raise ValueError(f"duplicate column index {j}")
-        seen.add(j)
-    cols = [list(m.column(j)) for j in idx]
-    return rank_of_vectors(m.field, cols) == len(idx)
+    return len(_forward(f, vectors)[0])
 
 
 def null_space(m: CodeMatrix) -> CodeMatrix:
-    """Basis of the right kernel {v : m v^T = 0}, one vector per row."""
+    """Basis of the right kernel {v : m v^T = 0}, one vector per row.
+
+    The basis vector of free column c has 1 at c, 0 at the other free
+    columns, and minus column c of the reduced row echelon form at the pivot
+    columns.  That form is needed on the free columns only: after forward
+    elimination, back-substitution runs from the last pivot row up, and the
+    multiplier of a later pivot row j in row i is row i's own normalised
+    entry at pivot column j, which no earlier step changes.  The pivot
+    columns are kept on m as its column basis.
+    """
     f = m.field
     n = m.cols
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _eliminate(f, rows)
+    pivots, reduced = _forward(f, m.entries)
+    m.record_column_basis(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
+    # rref[i]: pivot row i of the reduced echelon form on the free columns
+    rref: List[List[int]] = [[]] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        s, tail = reduced[i]
+        if s != 1:
+            tail = f.mul_rows(itertools.repeat(s), tail)
+        # tail[c - p - 1] is the entry at column c > p
+        row = [tail[c - p - 1] if c > p else 0 for c in free]
+        for j in range(i + 1, len(pivots)):
+            x = tail[pivots[j] - p - 1]
+            if x:
+                row = f.row_sub_mul(row, x, rref[j])
+        rref[i] = row
+    zero = [0] * len(free)
+    minus = [f.sub_rows(zero, row) for row in rref]
     basis = []
-    for fc in free:
+    for c, column in zip(free, zip(*minus) if minus else itertools.repeat(())):
         v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[i][fc])
+        v[c] = 1
+        for p, x in zip(pivots, column):
+            v[p] = x
         basis.append(tuple(v))
     return CodeMatrix(f, tuple(basis))
 

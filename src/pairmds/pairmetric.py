@@ -9,7 +9,10 @@ share one dependent-set search (``_first_dependent_subset``), which keeps
 every vector in normal form and projects with ``FieldSpec.projector``;
 condition 3 at d_H = 3 takes the determinants of all cyclic windows at once
 (``linalg.window_dets3``).  Both read the field's tables directly instead of
-making one field-method call per element.
+making one field-method call per element.  A passing check has proven the
+matrix's first rows-many columns independent (the MDS check when the matrix
+has at least as many columns as rows), and records them as its column
+basis, so a ``LinearCode`` on it does not eliminate it again.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ COND_DEPENDENT_SET_EXISTS = "condition-2"
 COND_CONSECUTIVE_INDEPENDENT = "condition-3"
 
 _SUBSET_SCAN_CAP = 2_000_000
-
-
-def pair_read(u: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """Cyclic sequence of adjacent coordinate pairs ((u0,u1),...,(u_{n-1},u0))."""
-    n = len(u)
-    if n < 2:
-        raise ValueError("pair read needs length >= 2")
-    return tuple((u[i], u[(i + 1) % n]) for i in range(n))
 
 
 def pair_weight(u: Sequence[int]) -> int:
@@ -140,13 +135,6 @@ class PairCertificate:
             "failing_set": list(self.failing_set) if self.failing_set else None,
             "checks": self.checks,
         }
-
-
-def singleton_verdict(q: int, n: int, size_exponent: int, d_pair: int) -> bool:
-    """True iff q^k meets the Singleton ceiling q^{n-d+2} with equality."""
-    if not 2 <= d_pair <= n:
-        raise ValueError(f"need 2 <= d_pair <= n, got d_pair={d_pair}, n={n}")
-    return size_exponent == n - d_pair + 2
 
 
 def _first_dependent_subset(f, cols, size):
@@ -302,6 +290,8 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
             if rank_of_vectors(f, [cols[j] for j in window]) < d_h:
                 return failure(COND_CONSECUTIVE_INDEPENDENT, window)
 
+    # condition 3 showed the first d_h columns independent, and h has d_h rows
+    h.record_column_basis(range(d_h))
     return PairCertificate(
         q=f.q,
         n=n,
@@ -336,6 +326,9 @@ def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
             failed_condition="mds-minors",
             failing_set=witness,
         )
+    if r <= n:
+        # every r columns are independent, the first r among them
+        h.record_column_basis(range(r))
     return PairCertificate(
         q=f.q,
         n=n,

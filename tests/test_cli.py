@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pairmds import cli, d6, ecmds, pairmetric
+from pairmds import cli, d6, ecmds, linalg, pairmetric
 from pairmds.cli import _code_file, _reverify, build_parser, main
 from pairmds.gf import field_of_order
 from pairmds.linalg import DEFAULT_ENUM_CAP, LinearCode, null_space, rs_parity_check
@@ -167,6 +167,30 @@ def _set(*path, value):
     return mutate
 
 
+# parity_check reshaped, the declared n and dimension left as they were
+def _drop_column(doc):
+    doc["parity_check"] = [row[:-1] for row in doc["parity_check"]]
+
+
+def _append_duplicate_row(doc):
+    doc["parity_check"].append(list(doc["parity_check"][0]))
+
+
+def _transpose(doc):
+    doc["parity_check"] = [list(col) for col in zip(*doc["parity_check"])]
+
+
+_RESHAPES = {"column-dropped": _drop_column, "row-duplicated": _append_duplicate_row,
+             "transposed": _transpose}
+
+
+def _redeclare(doc):
+    # n and dimension made to agree with the reshaped matrix
+    m = doc["parity_check"]
+    doc["n"] = len(m[0])
+    doc["dimension"] = len(m[0]) - len(m)
+
+
 @pytest.mark.parametrize(
     "base,mutate",
     [
@@ -191,12 +215,16 @@ def _set(*path, value):
             n=3, dimension=0, parity_check=[r[:3] for r in doc["parity_check"]],
             certificate={"route": "mds-hamming"})),
         ("d5", _set("q", value=2**61 - 1)),
+        ("ec", _drop_column),
+        ("ec", _append_duplicate_row),
+        ("ec", _transpose),
     ],
     ids=["string-entry", "float-entry", "fraction-entry", "bool-entry", "list-entry",
          "null-entry", "null-certificate", "scalar-matrix",
          "string-q", "string-dpair", "short-ec-point", "ec-point-out-of-field",
          "float-ec-k", "foreign-field", "float-curve-coefficient", "n-below-d-H-plus-2",
-         "dimension-0", "huge-prime-q"],
+         "dimension-0", "huge-prime-q", "ec-column-dropped", "ec-row-duplicated",
+         "ec-transposed"],
 )
 def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
     q, n, dpair = {"d5": ("5", "13", "5"), "ec": ("11", "14", "9")}[base]
@@ -401,9 +429,17 @@ def _paths(node, prefix=()):
 )
 @given(data=st.data())
 def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
-    # one field of a valid file replaced by a hostile value or deleted: any
-    # such file ends in exit 0, 1 or 2 with one line of output, no traceback
-    doc = json.loads(_base_text(data.draw(st.sampled_from(sorted(_BASES)))))
+    # one field of a valid file replaced by a hostile value or deleted, an
+    # elliptic file's matrix perhaps reshaped first: any such file ends in
+    # exit 0, 1 or 2 with one line of output, no traceback
+    base = data.draw(st.sampled_from(sorted(_BASES)))
+    doc = json.loads(_base_text(base))
+    if base == "elliptic":
+        reshape = data.draw(st.sampled_from([None] + sorted(_RESHAPES)))
+        if reshape is not None:
+            _RESHAPES[reshape](doc)
+            if data.draw(st.booleans()):
+                _redeclare(doc)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     value = data.draw(_HOSTILE)
     if not path:
@@ -423,3 +459,73 @@ def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
         code = run(["verify", str(bad)])
     assert code in (0, 1, 2)
     assert (out.getvalue() + err.getvalue()).count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "reshape,code,message",
+    [
+        ("column-dropped", 1, "verification FAILED: parity-generator-product"),
+        ("row-duplicated", 1, "verification FAILED: parity-rank"),
+        ("transposed", 2, "error: a code needs dimension >= 1"),
+    ],
+)
+def test_reshaped_elliptic_matrix_with_matching_declaration(
+    tmp_path, capsys, reshape, code, message
+):
+    # n and dimension agree with the reshaped matrix, so it reaches the
+    # certificate, whose block of h on g's free columns is gathered only
+    # once h has n columns
+    doc = json.loads(_base_text("elliptic"))
+    _RESHAPES[reshape](doc)
+    _redeclare(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err) == message + "\n"
+
+
+def _count_eliminations(monkeypatch):
+    """The (rows, columns) of every matrix that linalg's elimination kernel
+    is given, in call order."""
+    shapes = []
+    forward = linalg._forward
+
+    def counted(f, rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return forward(f, rows)
+
+    monkeypatch.setattr(linalg, "_forward", counted)
+    return shapes
+
+
+def test_elliptic_construct_and_verify_eliminate_each_matrix_once(tmp_path, monkeypatch):
+    # q=27, n=35, d_pair=7: G is 30 x 35, H is 5 x 35, and H_F, the block of H
+    # on G's free columns, is 5 x 5
+    shapes = _count_eliminations(monkeypatch)
+    out = tmp_path / "ec.json"
+    assert run(["construct", "--q", "27", "--n", "35", "--dpair", "7", "--out", str(out)]) == 0
+    # null_space(G), then H_F in the certificate; LinearCode reads the rank
+    # the certificate recorded
+    assert shapes == [(30, 35), (5, 5)]
+    shapes.clear()
+    assert run(["verify", str(out)]) == 0
+    assert shapes == [(30, 35), (5, 5)]
+
+
+@pytest.mark.parametrize("q,n,dpair", [(5, 9, 5), (5, 10, 6), (11, 9, 7), (11, 13, 11)])
+def test_linear_code_reads_the_rank_a_passing_certificate_recorded(
+    tmp_path, monkeypatch, q, n, dpair
+):
+    # d5, ovoid, Reed-Solomon and elliptic files: neither construct nor
+    # verify --oracle eliminates H to build its LinearCode; the oracle's
+    # null space of H is the one elimination of H
+    h_shape = (dpair - 2, n)
+    shapes = _count_eliminations(monkeypatch)
+    out = tmp_path / "code.json"
+    assert run(["construct", "--q", str(q), "--n", str(n), "--dpair", str(dpair),
+                "--out", str(out)]) == 0
+    assert h_shape not in shapes
+    shapes.clear()
+    assert run(["verify", str(out), "--oracle"]) == 0
+    assert shapes.count(h_shape) == 1

@@ -5,7 +5,6 @@ import pytest
 from pairmds.d5 import (
     InsertionScheme,
     XOrder,
-    block_matrix,
     build_h,
     build_h_full,
     canonical_xorder,
@@ -15,10 +14,11 @@ from pairmds.d5 import (
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, columns_independent, rank
+from pairmds.linalg import CodeMatrix, rank
 from pairmds.pairmetric import check_theorem_conditions
 
 from goldens import H2_FULL, H2_N5, H2_N6, H4_FULL, H5_FULL, H5_N13, H5_N14
+from reference import block_matrix, columns_independent
 
 
 def as_rows(m: CodeMatrix):

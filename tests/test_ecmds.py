@@ -1,8 +1,10 @@
+import functools
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from pairmds import ecmds
 from pairmds.ecmds import (
@@ -16,7 +18,6 @@ from pairmds.ecmds import (
     ec_neg,
     ec_point_count,
     ec_points,
-    ec_sum,
     find_maximal_curve,
     generator_matrix,
     n_max,
@@ -26,11 +27,13 @@ from pairmds.ecmds import (
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import FieldError, field, field_of_order
-from pairmds.linalg import CodeMatrix, LinearCode, null_space, rank
+from pairmds.linalg import CodeMatrix, LinearCode, null_space, rank, rank_of_vectors
 from pairmds.pairmetric import (
     min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
 )
+
+from reference import columns_independent, ec_sum
 
 
 def curve_5_3x():
@@ -455,3 +458,91 @@ def test_pair_tiled_order_violates_every_even_window_start(q):
     flat, _ = ecmds._paired_points(c)
     assert ecmds._window_violations(c, flat, 2) == list(range(0, len(flat), 2))
     assert ecmds._window_violations(c, flat, 4) == list(range(0, len(flat), 2))
+
+
+def _ec_verdict_by_full_rank(a, g, h):
+    """(ok, failed_condition) of check_ec_conditions as it stood before the
+    rank of h moved to g's free columns: the same window check and products,
+    and one elimination of the whole of h."""
+    f = a.curve.field
+    n, k = a.n, a.k
+    product_zero = h.cols == n and all(
+        f.dot(hrow, grow) == 0 for hrow in h.entries for grow in g.entries
+    )
+    if not window_check(a):
+        return False, "window-check"
+    if not product_zero:
+        return False, "parity-generator-product"
+    if not h.rows == rank_of_vectors(f, h.entries) == n - k:
+        return False, "parity-rank"
+    return True, None
+
+
+@functools.lru_cache(maxsize=None)
+def _emitted_ec(q, n, d):
+    f = field_of_order(q)
+    a = arrange(find_maximal_curve(f), n, n - d)
+    return a, [list(row) for row in null_space(generator_matrix(a)).entries]
+
+
+_H_MUTATIONS = ("none", "duplicate-row", "zero-row", "change-entry", "drop-row",
+                "extra-row", "drop-column", "extra-column")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.sampled_from([13, 16, 25, 27]),
+    data=st.data(),
+    mix=st.booleans(),
+    mutation=st.sampled_from(_H_MUTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, seed):
+    f = field_of_order(q)
+    n = data.draw(st.integers(q + 2, n_max(f) - 3))
+    d = data.draw(st.integers(5, n - 1))
+    a, h = _emitted_ec(q, n, d)
+    r = len(h)
+    rng = random.Random(seed)
+    rows = [list(row) for row in h]
+    if mix:
+        # an invertible row mix, so that the block on g's free columns is
+        # no longer the identity
+        while True:
+            m = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+            if rank_of_vectors(f, m) == r:
+                break
+        rows = []
+        for coeffs in m:
+            acc = [0] * n
+            for c, row in zip(coeffs, h):
+                acc = f.add_rows(acc, f.mul_rows(itertools.repeat(c), row))
+            rows.append(acc)
+    i, j = rng.sample(range(r), 2)
+    if mutation == "duplicate-row":
+        rows[j] = list(rows[i])
+    elif mutation == "zero-row":
+        rows[i] = [0] * n
+    elif mutation == "change-entry":
+        c = rng.randrange(n)
+        rows[i][c] = (rows[i][c] + rng.randrange(1, q)) % q
+    elif mutation == "drop-row":
+        del rows[i]
+    elif mutation == "extra-row":
+        rows.append([rng.randrange(q) for _ in range(n)])
+    elif mutation == "drop-column":
+        c = rng.randrange(n)
+        rows = [row[:c] + row[c + 1:] for row in rows]
+    elif mutation == "extra-column":
+        rows = [row + [rng.randrange(q)] for row in rows]
+    want = _ec_verdict_by_full_rank(a, generator_matrix(a), CodeMatrix.from_rows(f, rows))
+    mutated = CodeMatrix.from_rows(f, rows)
+    cert = check_ec_conditions(a, generator_matrix(a), mutated)
+    assert (cert.ok, cert.failed_condition) == want
+    event(f"{mutation}: {cert.failed_condition or 'ok'}")
+    if mutation == "none":
+        assert cert.ok
+    if cert.ok:
+        # the columns the certificate recorded really are a basis
+        assert len(mutated.column_basis) == mutated.rows
+        assert columns_independent(mutated, mutated.column_basis)

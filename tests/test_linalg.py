@@ -8,10 +8,8 @@ from pairmds import linalg
 from pairmds.gf import field, field_of_order
 from pairmds.linalg import (
     CodeMatrix,
-    _eliminate,
     EnumerationCapExceeded,
     LinearCode,
-    columns_independent,
     det4,
     enumerate_codewords,
     null_space,
@@ -22,6 +20,7 @@ from pairmds.linalg import (
 )
 
 from goldens import H2_FULL, H2_N5
+from reference import columns_independent, gauss_jordan, null_space_by_gauss_jordan, transpose
 
 
 def mat(q, rows):
@@ -43,7 +42,7 @@ def test_rank_transpose_sampled():
             m = CodeMatrix.from_rows(
                 f, [[rng.randrange(q) for _ in range(c)] for _ in range(r)]
             )
-            assert rank(m) == rank(m.transpose())
+            assert rank(m) == rank(transpose(m))
 
 
 def test_columns_independent_examples():
@@ -356,11 +355,27 @@ def matrices(draw):
 @given(matrices())
 def test_forward_rank_equals_gauss_jordan_pivot_count(fm):
     f, rows = fm
-    want = len(_eliminate(f, [list(r) for r in rows])[1])
+    want = len(gauss_jordan(f, [list(r) for r in rows])[1])
     assert rank_of_vectors(f, rows) == want
     assert rank_of_vectors(f, [tuple(r) for r in rows]) == want
     if rows:
         assert rank(CodeMatrix.from_rows(f, rows)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_null_space_matches_gauss_jordan_reference(fm):
+    # forward elimination plus back-substitution onto the free columns gives
+    # the same basis as full Gauss-Jordan, and keeps its pivots on the matrix
+    f, rows = fm
+    if not rows:
+        return
+    m = CodeMatrix.from_rows(f, rows)
+    pivots = gauss_jordan(f, [list(r) for r in rows])[1]
+    assert m.column_basis == tuple(pivots)
+    m = CodeMatrix.from_rows(f, rows)
+    assert null_space(m) == null_space_by_gauss_jordan(m)
+    assert m.column_basis == tuple(pivots)
 
 
 @pytest.mark.parametrize("as_row", [list, tuple])
@@ -381,4 +396,4 @@ def test_rank_of_vectors_finds_dependencies_below_the_first_pivot(as_row):
     assert r([[0, 0, 0]]) == 0 and r([]) == 0
     assert r([[3, 1, 4], [1, 5, 2], [6, 5, 3], [5, 0, 1]]) == 3
     m = CodeMatrix.from_rows(f, [[1, 0, 0], [1, 1, 1], [0, 1, 1]])
-    assert rank(m) == 2 and rank(m.transpose()) == 2
+    assert rank(m) == 2 and rank(transpose(m)) == 2

@@ -20,12 +20,11 @@ from pairmds.pairmetric import (
     min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
     pair_distance,
-    pair_read,
     pair_weight,
-    singleton_verdict,
 )
 
 from goldens import H2_FULL, H2_N5
+from reference import columns_independent, pair_read
 
 
 def test_pair_read():
@@ -176,8 +175,6 @@ def test_check_theorem_conditions_success():
     assert cert.dim_exponent == 2
     assert cert.dependent_set is not None
     # the witness really is dependent
-    from pairmds.linalg import columns_independent
-
     assert not columns_independent(CodeMatrix.from_rows(f2, H2_N5), cert.dependent_set)
 
 
@@ -293,6 +290,43 @@ def test_check_mds_conditions():
     rows[3][0] = rows[3][1]
     cert2 = check_mds_conditions(CodeMatrix.from_rows(f, rows))
     assert not cert2.ok and cert2.failing_set is not None
+
+
+@pytest.mark.parametrize("route", ["d5", "ovoid", "rs", "rs-tall"])
+def test_passing_check_records_the_pivot_columns(route):
+    # a passing check records its first rows-many columns, and those are
+    # the pivot columns that an elimination of the matrix finds
+    from pairmds.d5 import build_h
+    from pairmds.d6 import construct_d6
+    from pairmds.linalg import rs_parity_check
+    from reference import gauss_jordan
+
+    f = field_of_order(7)
+    if route == "d5":
+        h, cert = build_h(f, 20)
+    elif route == "ovoid":
+        code, cert, _ = construct_d6(f, 20)
+        h = code.parity_check
+    else:
+        h = rs_parity_check(f, 8, 7 if route == "rs-tall" else 4)
+        cert = check_mds_conditions(h)
+    assert cert.ok
+    pivots = gauss_jordan(f, [list(r) for r in h.entries])[1]
+    assert "column_basis" in vars(h)
+    assert h.column_basis == tuple(range(h.rows)) == tuple(pivots)
+
+
+def test_failing_check_records_nothing():
+    from pairmds.linalg import rs_parity_check
+
+    f = field(7, 1)
+    rows = [list(r) for r in rs_parity_check(f, 8, 4).entries]
+    for row in rows:
+        row[0] = row[1]
+    h = CodeMatrix.from_rows(f, rows)
+    assert not check_mds_conditions(h).ok
+    assert not check_theorem_conditions(h, 4).ok
+    assert "column_basis" not in vars(h)
 
 
 def first_dependent_subset_by_scan(f, cols, size):
@@ -517,14 +551,6 @@ def test_checker_makes_no_per_element_field_calls(monkeypatch):
     calls.update(add=0, mul=0, inv=0)
     assert check_theorem_conditions(d6_h, 4).ok
     assert sum(calls.values()) <= 4 * 5 * 82, calls
-
-
-def test_singleton_verdict():
-    assert singleton_verdict(5, 13, 10, 5)
-    assert not singleton_verdict(5, 13, 9, 5)
-    assert singleton_verdict(7, 9, 2, 9)
-    with pytest.raises(ValueError):
-        singleton_verdict(5, 13, 10, 1)
 
 
 def test_certificate_rejects_singleton_violation():

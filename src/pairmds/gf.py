@@ -11,7 +11,9 @@ field, and every code file built over it, is a function of (p, a) alone.
 
 Arithmetic is table-driven and every table is built eagerly when a field is
 constructed: exp/log tables for multiplication and inversion in every field,
-a flat q x q addition table in every field with q <= 2^8 (at most 65,536 small
+with a second pair for division by lookup (a log table with a sentinel for 0
+and an exp table that reads 0 at the sentinel's offsets, O(q) each), a flat
+q x q addition table in every field with q <= 2^8 (at most 65,536 small
 ints), and, in odd-characteristic extension fields, a q-entry negation table.
 Scalar addition computes mod p in prime fields and XOR in binary fields;
 larger odd-extension fields add digit by digit.  The exp table is filled by
@@ -25,8 +27,10 @@ Vector kernels run a whole vector through the tables in one pass:
 batched window determinants, the elliptic generator matrix and codeword
 enumeration, ``dot`` the inner product, ``addition_rows`` the addition-table
 rows that codeword enumeration reads whole cosets from, and ``normal_form``
-and ``projector`` the project-and-normalise step of the checker's
-dependent-set search.
+and ``project`` the project-and-normalise step of the checker's
+dependent-set search; ``project`` maps every later vector from one pivot in
+one call, the common 3- and 4-coordinate case in one comprehension of
+division lookups.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
@@ -199,6 +203,14 @@ class FieldSpec:
         self.q = q
         self.modulus: Tuple[int, ...] = (0, 1) if a == 1 else _IRREDUCIBLE[(p, a)]
         self._exp, self._log, self._generator = self._build_tables()
+        # ratio tables for ``project``: _zlog is the log table with 2q - 3 at
+        # 0, and _zexp[k] is the power k of the generator for |k| <= q - 2
+        # (negative k from its last q - 1 entries) and 0 for q - 1 <= k <=
+        # 2q - 3, so _zexp[_zlog[y] - _zlog[x]] is y / x for every y and
+        # every nonzero x
+        q1 = q - 1
+        self._zlog = [2 * q1 - 1] + self._log[1:]
+        self._zexp = self._exp[:q1] + [0] * q1 + self._exp[:q1]
         self._neg: List[int] | None = None
         if p != 2 and a > 1:
             self._neg = [self._neg_digits(x) for x in range(q)]
@@ -362,87 +374,133 @@ class FieldSpec:
                 return tuple([exp[log[y] + s] if y else 0 for y in v])
         return None
 
-    def projector(
-        self, pivot: Tuple[int, ...]
-    ) -> Callable[[Optional[Tuple[int, ...]]], Optional[Tuple[int, ...]]]:
-        """Projection from the point `pivot`, fused with normalisation.
+    def project(
+        self, pivot: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
+    ) -> List[Optional[Tuple[int, ...]]]:
+        """Projection from the point `pivot`, fused with normalisation, of
+        every vector in `vectors`.
 
         `pivot` is a normal form whose first nonzero entry sits at index p.
-        The returned map takes a normal form v (None for the zero vector) to
-        the normal form of v - v[p] * pivot with coordinate p (now 0) dropped,
-        its image in the quotient by <pivot>; None when that image is zero.
+        Each normal form v (None for the zero vector) maps to the normal form
+        of v - v[p] * pivot with coordinate p (now 0) dropped, its image in
+        the quotient by <pivot>; None when that image is zero.
 
-        With both in normal form there are three cases.  If v starts after
-        p, then v[p] = 0 and the image is v without coordinate p.  If v
-        starts before p, its leading 1 survives, so the image needs no
-        rescaling.  If v starts at p, then v[p] = 1 and the image is the
-        difference of v and the pivot after p, divided by its first nonzero
-        entry; that case, the common one, takes a single pass of table
-        lookups: mod p in prime fields, XOR in binary fields, the flat
-        addition table or the digit loop in odd-extension fields.
+        The common case, a pivot and a vector of length 3 or 4 that both
+        start at index 0, is one comprehension: with pivot (1, a, b, c) and
+        v = (1, x, y, z) the image is (1, (y - b)/(x - a), (z - c)/(x - a)),
+        or (0, 1, (z - c)/(y - b)) when x = a.  Per pivot, the logs of
+        y - b over every y are read from the addition table into one row per
+        coordinate (a log of 0 is a sentinel), and each ratio is one lookup
+        in an exp table that reads 0 at the sentinel's offsets.  A pivot
+        (0, 1, b), the line at infinity's points of PG(2, q), takes
+        v = (1, x, y) to (1, y - x b), also one comprehension, and a unit
+        vector pivot only drops its coordinate.  Other pivots take one loop
+        per vector (``_project_long``); the rare vectors of the fast cases,
+        and every field without an addition table, go through
+        ``_project_one``.
         """
         p = pivot.index(1)
         tail = pivot[p + 1:]
-        exp, log, q, P = self._exp, self._log, self.q, self.p
-        q1 = q - 1
-        sub_mul = self.row_sub_mul
-        if self.a == 1:
-            kind = 0
-        elif P == 2:
-            kind = 1
-        else:
-            kind = 2 if self._add is not None else 3
-            add, add_digits = self._add, self._add_digits
-            tail_neg = [self._neg[c] for c in tail]
+        if not any(tail):
+            # a unit vector: drop coordinate p, and rescale only the vectors
+            # that started there
+            nf = self.normal_form
+            return [nf(v[:p] + v[p + 1:]) if v else None for v in vectors]
+        one = self._project_one
+        add, q = self._add, self.q
+        if add is None:
+            return [one(p, tail, v) for v in vectors]
+        if (p, len(tail)) not in ((0, 2), (0, 3), (1, 1)):
+            return self._project_long(p, tail, vectors)
+        if p:
+            # pivot (0, 1, b): v = (1, x, y) maps to (1, y - x b), and
+            # v = (0, 1, y) to (0, 1) unless y = b
+            b = tail[0]
+            minus = self.mul_rows(range(q), itertools.repeat(self.neg(b)))
+            return [
+                (1, add[y * q + minus[x]]) if o
+                else (0, 1) if x and y != b
+                else one(1, tail, v)
+                for v in vectors
+                for o, x, y in (v or (0, 0, 0),)
+            ]
+        log = self._zlog
+        # logs[t][y]: the log of y - tail[t]
+        logs = []
+        for c in tail:
+            row = self.neg(c) * q
+            logs.append(list(map(log.__getitem__, add[row:row + q])))
+        ratio = self._zexp
+        a, b = tail[:2]
+        if len(tail) == 2:
+            la, lb = logs
+            return [
+                (1, ratio[lb[y] - la[x]]) if o and x != a
+                else (0, 1) if o and y != b
+                else one(0, tail, v)
+                for v in vectors
+                for o, x, y in (v or (0, 0, 0),)
+            ]
+        la, lb, lc = logs
+        return [
+            (1, ratio[lb[y] - (s := la[x])], ratio[lc[z] - s]) if o and x != a
+            else (0, 1, ratio[lc[z] - lb[y]]) if o and y != b
+            else one(0, tail, v)
+            for v in vectors
+            for o, x, y, z in (v or (0, 0, 0, 0),)
+        ]
 
-        def image(v):
-            if v is None:
-                return None
-            a = v[p]
-            if not a:
-                return v[:p] + v[p + 1:]
-            vt = v[p + 1:]
-            if a != 1 or v.index(1) < p:
-                # v starts before p: its leading 1 survives
-                return v[:p] + tuple(sub_mul(vt, a, tail))
-            # v starts at p, so v[:p] is zero; s becomes the log of the
-            # inverse of the first nonzero difference (the inverse itself in
-            # prime fields)
+    def _project_one(
+        self, p: int, tail: Tuple[int, ...], v: Optional[Tuple[int, ...]]
+    ) -> Optional[Tuple[int, ...]]:
+        """The image of one normal form v from the pivot with its leading 1
+        at index p and entries `tail` after it (see ``project``).
+
+        If v[p] = 0 (v starts after p, or before p with a 0 there), the
+        image is v without coordinate p.  If v starts before p, its leading 1
+        survives, so the image needs no rescaling.  If v starts at p, then
+        v[p] = 1, v[:p] is zero, and the image is the normal form of the
+        difference of v and the pivot after p.
+        """
+        if v is None:
+            return None
+        a = v[p]
+        if not a:
+            return v[:p] + v[p + 1:]
+        if a != 1 or v.index(1) < p:
+            return v[:p] + tuple(self.row_sub_mul(v[p + 1:], a, tail))
+        w = self.normal_form(self.sub_rows(v[p + 1:], tail))
+        return None if w is None else v[:p] + w
+
+    def _project_long(
+        self, p: int, tail: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
+    ) -> List[Optional[Tuple[int, ...]]]:
+        """``project`` for the other pivots of a field with an addition
+        table: each vector that starts at p in one loop over its entries,
+        the difference from the addition table's rows of minus `tail` and
+        each quotient by the first nonzero one from the ratio tables; the
+        rest through ``_project_one``."""
+        one = self._project_one
+        add, q, log, ratio = self._add, self.q, self._zlog, self._zexp
+        minus = [self.neg(c) for c in tail]
+        out = []
+        for v in vectors:
+            if v is None or v[p] != 1 or p and v.index(1) < p:
+                out.append(one(p, tail, v))
+                continue
             w = []
-            s = -1
-            if kind == 0:
-                for x, c in zip(vt, tail):
-                    if x == c:
-                        w.append(0)
-                    elif s < 0:
-                        s = exp[q1 - log[(x - c) % P]]
-                        w.append(1)
-                    else:
-                        w.append((x - c) * s % P)
-            elif kind == 1:
-                for x, c in zip(vt, tail):
-                    if x == c:
-                        w.append(0)
-                    elif s < 0:
-                        s = q1 - log[x ^ c]
-                        w.append(1)
-                    else:
-                        w.append(exp[log[x ^ c] + s])
-            else:
-                for x, c in zip(vt, tail_neg):
-                    d = add[x * q + c] if kind == 2 else add_digits(x, c)
-                    if not d:
-                        w.append(0)
-                    elif s < 0:
-                        s = q1 - log[d]
-                        w.append(1)
-                    else:
-                        w.append(exp[log[d] + s])
-            if s < 0:
-                return None
-            return v[:p] + tuple(w)
-
-        return image
+            s = None
+            for x, c in zip(v[p + 1:], minus):
+                y = add[x * q + c]
+                if s is not None:
+                    w.append(ratio[log[y] - s])
+                elif y:
+                    s = log[y]
+                    w.append(1)
+                else:
+                    w.append(0)
+            out.append(None if s is None else v[:p] + tuple(w))
+        return out
 
     def _add_digits(self, x: int, y: int) -> int:
         """Digit-by-digit sum in an odd-characteristic extension field."""

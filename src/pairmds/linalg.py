@@ -9,12 +9,12 @@ deterministic basis: the reduced row echelon form is unique).  A
 (``CodeMatrix.column_basis``, cached; ``null_space`` fills it in), and a
 certificate that has proven some columns a basis records them there, so no
 matrix is eliminated twice.  Also: small determinants (a 4x4 determinant by
-2x2 minors for coplanarity, and the determinants of every cyclic 3-column
-window of a 3-row matrix at once, on the field's row kernels, for the
-checker's condition 3); codeword enumeration for brute-force oracles (a
-block of low-digit words built once, and each coset of it read from the
-field's addition table in C); and the Reed-Solomon parity check used for
-short lengths.
+2x2 minors for coplanarity, and the determinants of every cyclic d-column
+window of a d-row matrix at once, by cofactor expansion on the field's row
+kernels, for the checker's condition 3); codeword enumeration for
+brute-force oracles (a block of low-digit words built once, and each coset
+of it read from the field's addition table in C); and the Reed-Solomon
+parity check used for short lengths.
 """
 
 from __future__ import annotations
@@ -118,22 +118,77 @@ def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
     return sub(plus, add(mul(top02, bot13), mul(top13, bot02)))
 
 
-def window_dets3(f: FieldSpec, rows: Sequence[Sequence[int]]) -> List[int]:
-    """Determinants of the cyclic windows of three consecutive columns.
+@functools.lru_cache(maxsize=None)
+def _window_schedule(d: int) -> Tuple[Tuple[Tuple[Tuple[int, int, int], ...], ...], ...]:
+    """The cofactor expansions that ``window_dets`` runs for d rows.
 
-    Entry i is the determinant of columns i, i+1, i+2 (mod n) of the 3 x n
-    matrix `rows`.  Computed a row of windows at a time: the 2x2 minors of
-    rows 1 and 2 on columns (j, j+1) and (j, j+2), then the cofactor
-    expansion along row 0, so the cost is a few table passes over n entries.
+    A pattern is a set of column offsets inside a window; the minor of the
+    bottom j rows on pattern S + t (every offset moved by t) at window i is
+    the minor on S at window i + t, so only the patterns that contain 0 are
+    computed, each as one list over the windows, and a moved pattern is a
+    slice of that list.  Level j (j = 2..d) lists the patterns of size j
+    that contain 0, in a fixed order; pattern S = (0, o_2, ..., o_j) is
+    expanded along its top row: term t multiplies that row moved by o_t with
+    the level j - 1 minor on S without o_t, given as (o_t, index of its
+    pattern at level j - 1, slice start).  Terms alternate in sign.
     """
-    r0, r1, r2 = (list(r) + list(r[:2]) for r in rows)
-    mul, sub = f.mul_rows, f.sub_rows
-    # the row kernels stop at the shorter row, which sets each length:
-    # m1 has n + 1 entries, m2 and the result n
-    m1 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
-    m2 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
-    # det_i = r0[i] m1[i+1] - r0[i+1] m2[i] + r0[i+2] m1[i]
-    return sub(mul(r0, m1[1:]), sub(mul(r0[1:], m2), mul(r0[2:], m1)))
+    levels = []
+    prev = [(0,)]
+    for j in range(2, d + 1):
+        index = {s: k for k, s in enumerate(prev)}
+        patterns = [(0,) + rest for rest in itertools.combinations(range(1, d), j - 1)]
+        level = []
+        for s in patterns:
+            terms = []
+            for t, o in enumerate(s):
+                rest = s[:t] + s[t + 1:]
+                terms.append((o, index[tuple(x - rest[0] for x in rest)], rest[0]))
+            level.append(tuple(terms))
+        levels.append(tuple(level))
+        prev = patterns
+    return tuple(levels)
+
+
+def window_dets(f: FieldSpec, rows: Sequence[Sequence[int]]) -> List[int]:
+    """Determinants of the cyclic windows of d consecutive columns of a
+    d-row matrix.
+
+    Entry i is the determinant of columns i, ..., i + d - 1 (mod n).  The
+    minors of the bottom j rows are built bottom-up, j = 1..d, by cofactor
+    expansion along row d - j, each minor pattern as one list over all
+    windows (see ``_window_schedule``); every term is one ``mul_rows`` pass
+    and every sum one ``add_rows`` or ``sub_rows`` pass, 2^(d-1) patterns
+    in all.  The row kernels stop at the shorter row, which sets each
+    list's length: the rows are extended cyclically by d - 1 entries, and
+    the minors on a pattern reaching offset m have n + d - 1 - m entries.
+    """
+    d = len(rows)
+    n = len(rows[0])
+    if n < d - 1:
+        raise ValueError(f"{n} columns are too few for windows of {d}")
+    mul, add, sub = f.mul_rows, f.add_rows, f.sub_rows
+    ext = [list(r) + list(r[:d - 1]) for r in rows]
+    if d == 3:
+        # the same passes as the schedule's, written out: walking the
+        # schedule costs a few microseconds, which a d_H = 3 check notices
+        r0, r1, r2 = ext
+        m01 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
+        m02 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
+        return add(sub(mul(r0, m01[1:]), mul(r0[1:], m02)), mul(r0[2:], m01))
+    minors = [ext[d - 1]]
+    for j, level in enumerate(_window_schedule(d), 2):
+        top = ext[d - j]
+        moved = [top] + [top[o:] for o in range(1, d)]
+        level_minors = []
+        for terms in level:
+            acc = None
+            for t, (o, k, start) in enumerate(terms):
+                child = minors[k]
+                term = mul(moved[o], child[start:] if start else child)
+                acc = term if acc is None else (sub if t & 1 else add)(acc, term)
+            level_minors.append(acc)
+        minors = level_minors
+    return minors[0]
 
 
 def _forward(

@@ -6,19 +6,18 @@ case analyses.
 
 Conditions 1 and 2 of the column conditions, and the Reed-Solomon minors,
 share one dependent-set search (``_first_dependent_subset``), which keeps
-every vector in normal form and projects with ``FieldSpec.projector``;
-condition 3 at d_H = 3 takes the determinants of all cyclic windows at once
-(``linalg.window_dets3``).  Both read the field's tables directly instead of
-making one field-method call per element.  A passing check has proven the
-matrix's first rows-many columns independent (the MDS check when the matrix
-has at least as many columns as rows), and records them as its column
-basis, so a ``LinearCode`` on it does not eliminate it again.
+every vector in normal form and projects all later columns from a pivot in
+one ``FieldSpec.project`` call; condition 3 takes the determinants of all
+cyclic windows at once (``linalg.window_dets``) for d_H <= 6.  Both read the
+field's tables directly instead of making one field-method call per
+element.  A passing check has proven the matrix's first rows-many columns
+independent (the MDS check rejects a matrix with more rows than columns),
+and records them as its column basis, so a ``LinearCode`` on it does not
+eliminate it again.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -30,7 +29,7 @@ from .linalg import (
     LinearCode,
     enumerate_codewords,
     rank_of_vectors,
-    window_dets3,
+    window_dets,
 )
 
 ROUTE_THEOREM = "column-conditions"
@@ -43,6 +42,11 @@ COND_DEPENDENT_SET_EXISTS = "condition-2"
 COND_CONSECUTIVE_INDEPENDENT = "condition-3"
 
 _SUBSET_SCAN_CAP = 2_000_000
+
+# condition 3 takes all window determinants at once up to this many rows; a
+# hostile file may declare any row count, and the kernel's 2^(d-1) minor
+# patterns grow with it, so larger ones eliminate window by window
+_WINDOW_KERNEL_MAX_ROWS = 6
 
 
 def pair_weight(u: Sequence[int]) -> int:
@@ -151,78 +155,95 @@ def _first_dependent_subset(f, cols, size):
 
     Rescaling a vector changes neither question, so every vector is kept in
     normal form (first nonzero entry 1; None for the zero vector): the
-    columns are normalised once, and ``FieldSpec.projector`` computes each
-    image already normalised, one vector at a time.  At size 2, two vectors
-    are dependent exactly when one is zero or both normal forms are equal,
-    so pairs are matched by hashing; that level reads the projections lazily
-    and stops as soon as the first vector has a partner.
+    columns are normalised once, and ``FieldSpec.project`` computes the
+    images of all later columns from a pivot, already normalised, in one
+    call.  At size 2, two vectors are dependent exactly when one is zero or
+    both normal forms are equal, so pairs are matched by hashing; pairs with
+    the first vector come first, and the first pivot of a size-3 search
+    projects doubling prefixes until that vector's partner shows.
 
     A full scan projects about C(n, size - 1) columns.  At most
-    _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is raised.
+    _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is
+    raised.  The budget is charged a pivot's later columns at a time, and
+    the columns are projected only when they fit, except before the size-2
+    level: a reader of pairs that meets the first vector's partner stops
+    there, so the columns that still fit are projected and searched for it.
     """
     left = _SUBSET_SCAN_CAP
 
-    def project(pivot, later):
-        nonlocal left
-        image = f.projector(pivot)
-        if len(later) <= left:
-            # charged up front: a lazy reader that stops early has found its
-            # set, which ends the search, so the budget is never read again
-            left -= len(later)
-            return map(image, later)
-        return capped(image, later[:left])
-
-    def capped(image, head):
-        yield from map(image, head)
-        raise EnumerationCapExceeded(
+    def exceeded():
+        return EnumerationCapExceeded(
             f"dependent-set search over C({len(cols)},{size}) exceeds "
             f"{_SUBSET_SCAN_CAP} projected columns"
         )
 
-    def first_pair(vectors):
-        it = iter(vectors)
-        for head in it:
-            break
-        else:
-            return None
-        if head is None:
-            for _ in it:
+    def head_partner(vectors):
+        # pairs with the first vector come first: its partner is the first
+        # later vector equal to it, or the first zero one
+        if len(vectors) > 1:
+            head = vectors[0]
+            if head is None:
                 return 0, 1
+            for j in range(1, len(vectors)):
+                v = vectors[j]
+                if v is None or v == head:
+                    return 0, j
+        return None
+
+    def first_pair(vectors):
+        distinct = set(vectors)
+        if len(vectors) < 2 or len(distinct) == len(vectors) and None not in distinct:
             return None
-        # Pairs with the head come first.  setdefault maps a form to the
-        # index it first appeared at, and the head and the zero vector to 0,
-        # so the first 0 in that stream is the head's partner; the scan runs
-        # in C and, like the projections it reads, stops there.
-        it, again = itertools.tee(it)
-        first: Dict[Optional[Tuple[int, ...]], int] = {head: 0, None: 0}
-        index = itertools.count(1)
-        try:
-            return 0, operator.indexOf(map(first.setdefault, it, index), 0) + 1
-        except ValueError:
-            pass
-        if len(first) - 2 == next(index) - 1:  # all distinct
-            return None
+        found = head_partner(vectors)
+        if found is not None:
+            return found
         # some later form repeats: the first one to do so, by its first index
         seen: Dict[Tuple[int, ...], int] = {}
         partner: Dict[int, int] = {}
-        for k, key in enumerate(again, 1):
+        for k, key in enumerate(vectors):
             j = seen.setdefault(key, k)
             if j < k and j not in partner:
                 partner[j] = k
         j = min(partner)
         return j, partner[j]
 
+    def first_pivot_pair(pivot, later):
+        # A dependent set, where there is one, mostly contains the first
+        # pivot and the first vector after it, whose partner lies early:
+        # project doubling prefixes until it shows.
+        images = f.project(pivot, later[:8])
+        while len(images) < len(later):
+            found = head_partner(images)
+            if found is not None:
+                return found
+            images += f.project(pivot, later[len(images):2 * len(images)])
+        return first_pair(images)
+
     def search(vectors, size):
+        nonlocal left
         if size == 2:
             return first_pair(vectors)
-        vectors = list(vectors)
         for i in range(len(vectors) - size + 1):
             pivot = vectors[i]
             if pivot is None:
                 return tuple(range(i, i + size))
             if size == 1:
                 continue
-            found = search(project(pivot, vectors[i + 1:]), size - 1)
+            later = vectors[i + 1:]
+            if len(later) > left:
+                # a reader of pairs stops at the first vector's partner, so
+                # it can still finish inside the budget; nothing else can
+                found = head_partner(f.project(pivot, later[:left])) if size == 3 else None
+                if found is None:
+                    raise exceeded()
+            else:
+                left -= len(later)
+                if size > 3:
+                    found = search(f.project(pivot, later), size - 1)
+                elif i:
+                    found = first_pair(f.project(pivot, later))
+                else:
+                    found = first_pivot_pair(pivot, later)
             if found is not None:
                 return (i,) + tuple(i + 1 + t for t in found)
         return None
@@ -243,10 +264,10 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
 
     1. any d_h - 1 columns are linearly independent;
     2. some d_h columns are linearly dependent;
-    3. every d_h cyclically consecutive columns are independent (when
-       d_h = 3 the determinants of all n windows are computed at once, a
-       row of windows at a time; any other row count uses one elimination
-       per window).
+    3. every d_h cyclically consecutive columns are independent (for
+       d_h <= 6 the determinants of all n windows are computed at once by
+       ``linalg.window_dets``, and the first zero one is the witness; more
+       rows use one elimination per window).
 
     Returns a success certificate claiming pair distance d_h + 2, or a
     failure certificate naming the violated condition and a witness.
@@ -279,11 +300,11 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     if witness is None:
         return failure(COND_DEPENDENT_SET_EXISTS, None)
 
-    if d_h == 3:
-        dets = window_dets3(f, h.entries)
+    if d_h <= _WINDOW_KERNEL_MAX_ROWS:
+        dets = window_dets(f, h.entries)
         if 0 in dets:
             i = dets.index(0)
-            return failure(COND_CONSECUTIVE_INDEPENDENT, [i, (i + 1) % n, (i + 2) % n])
+            return failure(COND_CONSECUTIVE_INDEPENDENT, [(i + t) % n for t in range(d_h)])
     else:
         for i in range(n):
             window = [(i + t) % n for t in range(d_h)]
@@ -314,6 +335,8 @@ def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
     f = h.field
     r = h.rows
     n = h.cols
+    if r > n:
+        raise ValueError(f"matrix has {r} rows but only {n} columns")
     witness = _first_dependent_subset(f, h.columns(), r)
     if witness is not None:
         return PairCertificate(
@@ -326,9 +349,8 @@ def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
             failed_condition="mds-minors",
             failing_set=witness,
         )
-    if r <= n:
-        # every r columns are independent, the first r among them
-        h.record_column_basis(range(r))
+    # every r columns are independent, the first r among them
+    h.record_column_basis(range(r))
     return PairCertificate(
         q=f.q,
         n=n,

@@ -99,3 +99,86 @@ def null_space_by_gauss_jordan(m):
             v[pc] = f.neg(rows[i][fc])
         basis.append(tuple(v))
     return CodeMatrix(f, tuple(basis))
+
+
+def window_dets3(f, rows):
+    """Determinants of the cyclic windows of three consecutive columns of
+    the 3 x n matrix `rows`, entry i for columns i, i+1, i+2 (mod n).
+
+    The closed form: the 2x2 minors of rows 1 and 2 on columns (j, j+1) and
+    (j, j+2), then the cofactor expansion along row 0, one row kernel pass
+    per product or sum.
+    """
+    r0, r1, r2 = (list(r) + list(r[:2]) for r in rows)
+    mul, sub = f.mul_rows, f.sub_rows
+    m1 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
+    m2 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
+    return sub(mul(r0, m1[1:]), sub(mul(r0[1:], m2), mul(r0[2:], m1)))
+
+
+def projector(f, pivot):
+    """Projection from the point `pivot`, fused with normalisation, one
+    vector at a time: the map from a normal form v (None for zero) to the
+    normal form of v - v[p] * pivot without coordinate p, p the index of
+    the pivot's leading 1 (None when that is zero).
+
+    Reads the field's tables with one loop per element, split by how the
+    field adds: mod p, XOR, the flat addition table or the digit loop.
+    """
+    p = pivot.index(1)
+    tail = pivot[p + 1:]
+    exp, log, q, P = f._exp, f._log, f.q, f.p
+    q1 = q - 1
+    if f.a == 1:
+        kind = 0
+    elif P == 2:
+        kind = 1
+    else:
+        kind = 2 if f._add is not None else 3
+        add, add_digits = f._add, f._add_digits
+        tail_neg = [f._neg[c] for c in tail]
+
+    def image(v):
+        if v is None:
+            return None
+        a = v[p]
+        if not a:
+            return v[:p] + v[p + 1:]
+        vt = v[p + 1:]
+        if a != 1 or v.index(1) < p:
+            return v[:p] + tuple(f.row_sub_mul(vt, a, tail))
+        w = []
+        s = -1
+        if kind == 0:
+            for x, c in zip(vt, tail):
+                if x == c:
+                    w.append(0)
+                elif s < 0:
+                    s = exp[q1 - log[(x - c) % P]]
+                    w.append(1)
+                else:
+                    w.append((x - c) * s % P)
+        elif kind == 1:
+            for x, c in zip(vt, tail):
+                if x == c:
+                    w.append(0)
+                elif s < 0:
+                    s = q1 - log[x ^ c]
+                    w.append(1)
+                else:
+                    w.append(exp[log[x ^ c] + s])
+        else:
+            for x, c in zip(vt, tail_neg):
+                d = add[x * q + c] if kind == 2 else add_digits(x, c)
+                if not d:
+                    w.append(0)
+                elif s < 0:
+                    s = q1 - log[d]
+                    w.append(1)
+                else:
+                    w.append(exp[log[d] + s])
+        if s < 0:
+            return None
+        return v[:p] + tuple(w)
+
+    return image

@@ -342,3 +342,59 @@ def test_add_rows_and_addition_rows_match_scalar_add(q):
     if q <= ADD_TABLE_MAX_ORDER:
         # the whole addition table, row by row
         assert f.addition_rows(range(q)) == [f.add(x, y) for x in range(q) for y in range(q)]
+
+
+def test_ratio_tables_divide():
+    # _zexp[_zlog[y] - _zlog[x]] is y / x for every y and every nonzero x
+    for q in (2, 3, 4, 5, 8, 9, 27):
+        f = field_of_order(q)
+        for x in range(1, q):
+            for y in range(q):
+                assert f._zexp[f._zlog[y] - f._zlog[x]] == f.div(y, x), (q, x, y)
+
+
+@st.composite
+def projection_cases(draw):
+    """A pivot in normal form and a list of normal forms to project from it:
+    zero vectors, vectors that start before, at or after the pivot's
+    leading index, and vectors that start there and agree with the pivot
+    on the next one or two coordinates (a first difference of 0)."""
+    q = draw(st.sampled_from([5, 13, 4, 16, 9, 27, 729]))
+    f = field_of_order(q)
+    m = draw(st.integers(3, 6))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    p = draw(st.integers(0, m - 1))
+    pivot = (0,) * p + (1,) + tuple(draw(entry) for _ in range(m - p - 1))
+
+    def starting_at(s):
+        return (0,) * s + (1,) + tuple(draw(entry) for _ in range(m - s - 1))
+
+    vectors = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["zero", "before", "at", "after", "same-1", "same-2", "pivot"]))
+        if kind == "zero":
+            vectors.append(None)
+        elif kind == "before" and p:
+            vectors.append(starting_at(draw(st.integers(0, p - 1))))
+        elif kind == "after" and p < m - 1:
+            vectors.append(starting_at(draw(st.integers(p + 1, m - 1))))
+        elif kind in ("same-1", "same-2"):
+            same = p + (2 if kind == "same-1" else 3)
+            v = starting_at(p)
+            vectors.append(pivot[:same] + v[same:])
+        elif kind == "pivot":
+            vectors.append(pivot)
+        else:
+            vectors.append(starting_at(p))
+    return f, pivot, vectors
+
+
+# prime, binary, odd extension with the flat addition table, odd extension
+# with the digit loop; vector lengths 3-6
+@settings(max_examples=500, deadline=None)
+@given(case=projection_cases())
+def test_batched_projection_matches_the_per_vector_reference(case):
+    from reference import projector
+
+    f, pivot, vectors = case
+    assert f.project(pivot, vectors) == list(map(projector(f, pivot), vectors)), (f, pivot, vectors)

@@ -16,11 +16,17 @@ from pairmds.linalg import (
     rank,
     rank_of_vectors,
     rs_parity_check,
-    window_dets3,
+    window_dets,
 )
 
 from goldens import H2_FULL, H2_N5
-from reference import columns_independent, gauss_jordan, null_space_by_gauss_jordan, transpose
+from reference import (
+    columns_independent,
+    gauss_jordan,
+    null_space_by_gauss_jordan,
+    transpose,
+    window_dets3,
+)
 
 
 def mat(q, rows):
@@ -278,48 +284,86 @@ def test_small_determinants_match_rank_and_leibniz(q, size, plant, data):
                 c = data.draw(elem)
                 combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, rows[r])]
         rows[i] = combo
-    # a 3-column matrix is its own first cyclic window
-    det = window_dets3(f, rows)[0] if size == 3 else det4(f, rows)
+    # a square matrix is its own first cyclic window
+    det = window_dets(f, rows)[0]
     assert det == leibniz_det(f, rows)
+    if size == 4:
+        assert det4(f, rows) == det
     assert (det != 0) == (rank_of_vectors(f, rows) == size)
     if plant != "random":
         assert det == 0
 
 
+def first_singular_window(f, cols, d):
+    """Reference: the first cyclic window of d columns with rank < d, by
+    one elimination per window, as the start index (or None)."""
+    n = len(cols)
+    for i in range(n):
+        if rank_of_vectors(f, [cols[(i + t) % n] for t in range(d)]) < d:
+            return i
+    return None
+
+
 # prime, 2^a, odd extension with the flat addition table, odd extension
 # with the digit loop
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    q=st.sampled_from([5, 13, 4, 16, 9, 27, 729]),
-    n=st.integers(3, 14),
-    plant=st.sampled_from(["none", "wrap-1", "wrap-2", "zero-column", "repeat"]),
+    q=st.sampled_from([5, 7, 8, 9, 16, 27, 3**6]),
+    d=st.sampled_from([3, 4, 5, 6]),
+    plant=st.sampled_from(["none", "wrap", "inside", "zero-column", "zero-row", "repeat"]),
     data=st.data(),
 )
-def test_window_determinants_match_rank(q, n, plant, data):
+def test_window_determinants_match_rank(q, d, plant, data):
     f = field_of_order(q)
     elem = st.integers(0, q - 1)
-    cols = [data.draw(st.lists(elem, min_size=3, max_size=3)) for _ in range(n)]
-    if plant in ("wrap-1", "wrap-2"):
-        # a dependent window that wraps around: (n-2, n-1, 0) or (n-1, 0, 1)
-        start = n - 2 if plant == "wrap-1" else n - 1
-        a, b, c = ((start + t) % n for t in range(3))
-        lam, mu = data.draw(elem), data.draw(elem)
-        cols[c] = [f.add(f.mul(lam, x), f.mul(mu, y)) for x, y in zip(cols[a], cols[b])]
+    n = data.draw(st.integers(d - 1, 14))
+    cols = [data.draw(st.lists(elem, min_size=d, max_size=d)) for _ in range(n)]
+    if plant in ("wrap", "inside"):
+        # one column of a window becomes a combination of the window's other
+        # columns; a window that starts in the last d - 1 columns wraps around
+        if plant == "wrap":
+            start = data.draw(st.integers(max(0, n - d + 1), n - 1))
+        else:
+            start = data.draw(st.integers(0, n - 1))
+        window = [(start + t) % n for t in range(d)]
+        target = data.draw(st.sampled_from(window))
+        combo = [0] * d
+        for j in sorted(set(window) - {target}):
+            c = data.draw(elem)
+            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, cols[j])]
+        cols[target] = combo
     elif plant == "zero-column":
-        cols[data.draw(st.integers(0, n - 1))] = [0, 0, 0]
+        cols[data.draw(st.integers(0, n - 1))] = [0] * d
     elif plant == "repeat":
         j = data.draw(st.integers(0, n - 1))
         lam = data.draw(elem)
         cols[(j + 1) % n] = [f.mul(lam, x) for x in cols[j]]
-    rows = [[c[r] for c in cols] for r in range(3)]
-    dets = window_dets3(f, rows)
+    rows = [[c[r] for c in cols] for r in range(d)]
+    if plant == "zero-row":
+        rows[data.draw(st.integers(0, d - 1))] = [0] * n
+        cols = [list(c) for c in zip(*rows)]
+    dets = window_dets(f, rows)
     assert len(dets) == n
     for i, det in enumerate(dets):
-        window = [cols[(i + t) % n] for t in range(3)]
-        assert (det == 0) == (rank_of_vectors(f, window) < 3), (q, i)
-        assert det == leibniz_det(f, [[col[r] for col in window] for r in range(3)])
+        window = [cols[(i + t) % n] for t in range(d)]
+        assert (det == 0) == (rank_of_vectors(f, window) < d), (q, d, i)
+        if d <= 4:
+            assert det == leibniz_det(f, [[col[r] for col in window] for r in range(d)])
+    # the checker's witness is the first zero determinant
+    want = first_singular_window(f, cols, d)
+    assert (dets.index(0) if 0 in dets else None) == want
+    if d == 3:
+        assert dets == window_dets3(f, rows)
     if plant != "none":
-        assert 0 in dets
+        assert want is not None
+
+
+def test_window_dets_needs_d_minus_one_columns():
+    f = field_of_order(5)
+    assert window_dets(f, [[1, 2], [3, 4], [0, 1]]) == [0, 0]  # columns repeat
+    assert window_dets(f, [[1], [2]]) == [0]
+    with pytest.raises(ValueError):
+        window_dets(f, [[1], [2], [3]])
 
 
 # prime, 2^a, odd extension with the flat addition table, odd extension

@@ -292,6 +292,14 @@ def test_check_mds_conditions():
     assert not cert2.ok and cert2.failing_set is not None
 
 
+def test_check_mds_conditions_rejects_more_rows_than_columns():
+    # no r-set of columns exists, so the search would find no dependent one
+    f = field(5, 1)
+    h = CodeMatrix.from_rows(f, [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError):
+        check_mds_conditions(h)
+
+
 @pytest.mark.parametrize("route", ["d5", "ovoid", "rs", "rs-tall"])
 def test_passing_check_records_the_pivot_columns(route):
     # a passing check records its first rows-many columns, and those are
@@ -374,6 +382,17 @@ def test_first_dependent_subset_matches_combinations_scan(data):
         ([(1, 0), (0, 1), (0, 0)], 2, (0, 2)),
         ([(0, 0), (1, 0), (0, 1)], 2, (0, 1)),
         ([(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1)], 3, (0, 1, 2)),
+        # from the first pivot, a repeated image that is not the first one's
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)], 3, (0, 2, 3)),
+        # the first image's partner lies past the first prefix of eight
+        (
+            [(1, 0, 0, 0), (0, 1, 0, 0)]
+            + [(0, 0, 1, t) for t in range(5)]
+            + [(0, 1, 1, t) for t in range(4)]
+            + [(0, 2, 0, 0)],
+            3,
+            (0, 1, 11),
+        ),
     ],
 )
 def test_first_dependent_subset_examples(cols, size, want):
@@ -527,10 +546,28 @@ def test_first_dependent_subset_matches_the_reference_and_its_cap(drawn, data):
         assert got == ref, (f, cols, size, cap, projected)
 
 
+def test_a_pair_inside_the_budget_is_returned():
+    # the first pivot's later columns overrun the budget, but the first
+    # vector's partner lies inside it: a reader of pairs stops there
+    f = field(5, 1)
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0)] + [(1, x, (1 + x * x) % 5) for x in range(5)]
+    size = 3
+    want = (0, 1, 2)
+    for cap in range(0, 8):
+        try:
+            ref = reference_first_dependent_subset(f, cols, size, cap)[0]
+        except EnumerationCapExceeded:
+            ref = "cap"
+        try:
+            got = with_scan_cap(cap, _first_dependent_subset, f, cols, size)
+        except EnumerationCapExceeded:
+            got = "cap"
+        assert got == ref == ("cap" if cap < 2 else want), cap
+
+
 def test_checker_makes_no_per_element_field_calls(monkeypatch):
-    # conditions 1 and 2 and the d_H = 3 windows run on the field tables;
-    # only the d_H = 4 windows still eliminate, at most 4 pivots per window,
-    # each one inv and at most 4 mul calls
+    # conditions 1 and 2 run on the field tables, and condition 3 takes
+    # the window determinants on the row kernels, at d_H = 3 and 4 alike
     from pairmds.d5 import construct_d5
     from pairmds.d6 import construct_d6
     from pairmds.gf import FieldSpec
@@ -550,7 +587,7 @@ def test_checker_makes_no_per_element_field_calls(monkeypatch):
     assert sum(calls.values()) <= 10, calls
     calls.update(add=0, mul=0, inv=0)
     assert check_theorem_conditions(d6_h, 4).ok
-    assert sum(calls.values()) <= 4 * 5 * 82, calls
+    assert sum(calls.values()) <= 10, calls
 
 
 def test_certificate_rejects_singleton_violation():

@@ -97,8 +97,8 @@ def _code_file(f: FieldSpec, code: LinearCode, cert: PairCertificate, provenance
     }
 
 
-def _dump(doc: Dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _dump(text: str, out: Optional[str]) -> None:
+    """Write `text` to the file `out`, or to stdout when `out` is None or "-"."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -113,7 +113,7 @@ def cmd_construct(args) -> int:
     except ParameterError as exc:
         raise _CliError(str(exc)) from exc
     doc = _code_file(f, code, cert, provenance)
-    _dump(doc, args.out)
+    _dump(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     print(
         f"constructed ({code.n}, {cert.d_pair})_{f.q} symbol-pair code: "
         f"dimension {code.k}, route {cert.route}",
@@ -264,12 +264,7 @@ def cmd_table(args) -> int:
     lines = ["q,n,d_pair,k,route,verified,millis"]
     for row in rows:
         lines.append(",".join(str(x).lower() if isinstance(x, bool) else str(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _dump("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -136,23 +136,28 @@ def insertion_scheme_even(x: XOrder) -> InsertionScheme:
 
 
 @functools.lru_cache(maxsize=None)
-def _full_columns(f: FieldSpec) -> Tuple[Column, ...]:
-    q = f.q
-    if q == 2:
-        return _H2_COLUMNS
-    if q == 4:
-        return _H4_COLUMNS
+def _layout(f: FieldSpec) -> Tuple[XOrder, Tuple[int, ...], Tuple[Column, ...]]:
+    """The element order, the value inserted before each block, and the
+    columns of H(q), built once per field (q not 2 or 4)."""
     x = canonical_xorder(f)
     if f.p == 2:
         ins = insertion_scheme_even(x).assignment
     else:
-        ins = [f.smul(2, x.order[i]) for i in range(q)]
+        ins = tuple(f.smul(2, v) for v in x.order)
     cols: List[Column] = []
-    for i in range(q - 1, -1, -1):
+    for i in range(f.q - 1, -1, -1):
         cols.append((0, 1, ins[i]))
         cols.extend(_block_columns(x, i))
     cols.append((0, 0, 1))
-    return tuple(cols)
+    return x, ins, tuple(cols)
+
+
+def _full_columns(f: FieldSpec) -> Tuple[Column, ...]:
+    if f.q == 2:
+        return _H2_COLUMNS
+    if f.q == 4:
+        return _H4_COLUMNS
+    return _layout(f)[2]
 
 
 def build_h_full(f: FieldSpec) -> CodeMatrix:
@@ -220,7 +225,8 @@ def construct_d5(f: FieldSpec, n: int):
     if f.q in (2, 4):
         provenance["layout"] = "fixed-matrix"
     else:
-        provenance["x_order"] = list(canonical_xorder(f).order)
+        x, ins, _ = _layout(f)
+        provenance["x_order"] = list(x.order)
         if f.p == 2:
-            provenance["insertions"] = list(insertion_scheme_even(canonical_xorder(f)).assignment)
+            provenance["insertions"] = list(ins)
     return code, cert, provenance

@@ -10,11 +10,12 @@ embedded table (the polynomial whose integer encoding is smallest), so the
 field, and every code file built over it, is a function of (p, a) alone.
 
 Arithmetic is table-driven and every table is built eagerly when a field is
-constructed: exp/log tables for multiplication and inversion in every field,
-with a second pair for division by lookup (a log table with a sentinel for 0
-and an exp table that reads 0 at the sentinel's offsets, O(q) each), a flat
-q x q addition table in every field with q <= 2^8 (at most 65,536 small
-ints), and, in odd-characteristic extension fields, a q-entry negation table.
+constructed: one exp/log pair in every field, safe at 0 (O(q) each; see
+``FieldSpec``), a flat q x q addition table in every field with q <= 2^8 (at
+most 65,536 small ints), and, in odd-characteristic extension fields, a
+q-entry negation table read from the exp table.  Prime fields multiply mod p;
+every other product, and every quotient, inverse, power and negation, is one
+exp lookup at a sum, difference or multiple of logs, with no test for zero.
 Scalar addition computes mod p in prime fields and XOR in binary fields;
 larger odd-extension fields add digit by digit.  The exp table is filled by
 the table-free multiply-by-x step (a shift and one reduction), one coset of
@@ -30,7 +31,7 @@ rows that codeword enumeration reads whole cosets from, and ``normal_form``
 and ``project`` the project-and-normalise step of the checker's
 dependent-set search; ``project`` maps every later vector from one pivot in
 one call, the common 3- and 4-coordinate case in one comprehension of
-division lookups.
+quotient lookups.
 """
 
 from __future__ import annotations
@@ -183,10 +184,18 @@ class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
     Immutable after construction; all lookup tables are built eagerly so a
-    FieldSpec can be shared freely across threads.  Every field has exp/log
-    tables, and for q <= ADD_TABLE_MAX_ORDER a flat addition table indexed by
-    x * q + y; odd-extension fields also have a negation table.  Prime fields
-    negate mod p and binary fields need no negation.
+    FieldSpec can be shared freely across threads.  Every field has one
+    exp/log pair that is safe at 0.  With q1 = q - 1 and the sentinel
+    z = 3*q1 - 1, ``_log[x]`` is the logarithm of x != 0 to the generator g
+    and ``_log[0] = z``; ``_exp`` holds g^0 .. g^(2*q1 - 1) (offsets
+    0 .. 2q - 3), then 4*q1 zeros (offsets 2*q1 .. 6*q1 - 1, which cover
+    z - (q - 2) .. 2z), then g^1 .. g^(q - 2), which the negative offsets
+    2 - q .. -1 read.  So ``_exp[_log[x] + _log[y]]`` is x*y for every x
+    and y, and ``_exp[_log[y] - _log[x]]`` is y/x for every y and every
+    x != 0.  For q <= ADD_TABLE_MAX_ORDER there is a flat addition table
+    indexed by x * q + y; odd-extension fields also have a negation table
+    (-1 = g^(q1/2)).  Prime fields negate mod p and binary fields need no
+    negation.
     Use :func:`field` to get the cached instance for given (p, a).
     """
 
@@ -202,18 +211,14 @@ class FieldSpec:
         self.a = a
         self.q = q
         self.modulus: Tuple[int, ...] = (0, 1) if a == 1 else _IRREDUCIBLE[(p, a)]
-        self._exp, self._log, self._generator = self._build_tables()
-        # ratio tables for ``project``: _zlog is the log table with 2q - 3 at
-        # 0, and _zexp[k] is the power k of the generator for |k| <= q - 2
-        # (negative k from its last q - 1 entries) and 0 for q - 1 <= k <=
-        # 2q - 3, so _zexp[_zlog[y] - _zlog[x]] is y / x for every y and
-        # every nonzero x
+        exp, log, self._generator = self._build_tables()
         q1 = q - 1
-        self._zlog = [2 * q1 - 1] + self._log[1:]
-        self._zexp = self._exp[:q1] + [0] * q1 + self._exp[:q1]
+        log[0] = 3 * q1 - 1
+        self._exp = exp = exp + [0] * (4 * q1) + exp[1:q1]
+        self._log = log
         self._neg: List[int] | None = None
         if p != 2 and a > 1:
-            self._neg = [self._neg_digits(x) for x in range(q)]
+            self._neg = [exp[i + q1 // 2] for i in log]
         self._add: List[int] | None = None
         if q <= ADD_TABLE_MAX_ORDER:
             # built by the row kernel, which reads no table in prime and
@@ -275,21 +280,19 @@ class FieldSpec:
 
     def row_sub_mul(self, u: Sequence[int], c: int, v: Sequence[int]) -> List[int]:
         """The row u - c*v, elementwise."""
-        if c == 0:
-            return list(u)
         if self.a == 1:
             p = self.p
             return [(x - c * y) % p for x, y in zip(u, v)]
         exp, log = self._exp, self._log
         if self.p == 2:
             lc = log[c]
-            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(u, v)]
+            return [x ^ exp[lc + log[y]] for x, y in zip(u, v)]
         lc = log[self._neg[c]]
         add = self._add
         if add is not None:
             q = self.q
-            return [add[x * q + exp[lc + log[y]]] if y else x for x, y in zip(u, v)]
-        return [self._add_digits(x, exp[lc + log[y]]) if y else x for x, y in zip(u, v)]
+            return [add[x * q + exp[lc + log[y]]] for x, y in zip(u, v)]
+        return [self._add_digits(x, exp[lc + log[y]]) for x, y in zip(u, v)]
 
     def mul_rows(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
         """The elementwise product of two rows (as long as the shorter)."""
@@ -297,7 +300,7 @@ class FieldSpec:
             p = self.p
             return [x * y % p for x, y in zip(u, v)]
         exp, log = self._exp, self._log
-        return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(u, v)]
+        return [exp[log[x] + log[y]] for x, y in zip(u, v)]
 
     def add_rows(self, u: Iterable[int], v: Iterable[int]) -> List[int]:
         """The elementwise sum u + v of two rows (as long as the shorter)."""
@@ -370,8 +373,8 @@ class FieldSpec:
                 if x == 1:
                     return tuple(v)
                 exp, log = self._exp, self._log
-                s = self.q - 1 - log[x]
-                return tuple([exp[log[y] + s] if y else 0 for y in v])
+                s = log[x]
+                return tuple([exp[log[y] - s] for y in v])
         return None
 
     def project(
@@ -390,11 +393,10 @@ class FieldSpec:
         v = (1, x, y, z) the image is (1, (y - b)/(x - a), (z - c)/(x - a)),
         or (0, 1, (z - c)/(y - b)) when x = a.  Per pivot, the logs of
         y - b over every y are read from the addition table into one row per
-        coordinate (a log of 0 is a sentinel), and each ratio is one lookup
-        in an exp table that reads 0 at the sentinel's offsets.  A pivot
-        (0, 1, b), the line at infinity's points of PG(2, q), takes
-        v = (1, x, y) to (1, y - x b), also one comprehension, and a unit
-        vector pivot only drops its coordinate.  Other pivots take one loop
+        coordinate, and each ratio is one exp lookup at a difference of
+        logs.  A pivot (0, 1, b), the line at infinity's points of PG(2, q),
+        takes v = (1, x, y) to (1, y - x b), also one comprehension, and a
+        unit vector pivot only drops its coordinate.  Other pivots take one loop
         per vector (``_project_long``); the rare vectors of the fast cases,
         and every field without an addition table, go through
         ``_project_one``.
@@ -424,18 +426,18 @@ class FieldSpec:
                 for v in vectors
                 for o, x, y in (v or (0, 0, 0),)
             ]
-        log = self._zlog
+        log = self._log
         # logs[t][y]: the log of y - tail[t]
         logs = []
         for c in tail:
             row = self.neg(c) * q
             logs.append(list(map(log.__getitem__, add[row:row + q])))
-        ratio = self._zexp
+        exp = self._exp
         a, b = tail[:2]
         if len(tail) == 2:
             la, lb = logs
             return [
-                (1, ratio[lb[y] - la[x]]) if o and x != a
+                (1, exp[lb[y] - la[x]]) if o and x != a
                 else (0, 1) if o and y != b
                 else one(0, tail, v)
                 for v in vectors
@@ -443,8 +445,8 @@ class FieldSpec:
             ]
         la, lb, lc = logs
         return [
-            (1, ratio[lb[y] - (s := la[x])], ratio[lc[z] - s]) if o and x != a
-            else (0, 1, ratio[lc[z] - lb[y]]) if o and y != b
+            (1, exp[lb[y] - (s := la[x])], exp[lc[z] - s]) if o and x != a
+            else (0, 1, exp[lc[z] - lb[y]]) if o and y != b
             else one(0, tail, v)
             for v in vectors
             for o, x, y, z in (v or (0, 0, 0, 0),)
@@ -478,10 +480,10 @@ class FieldSpec:
         """``project`` for the other pivots of a field with an addition
         table: each vector that starts at p in one loop over its entries,
         the difference from the addition table's rows of minus `tail` and
-        each quotient by the first nonzero one from the ratio tables; the
-        rest through ``_project_one``."""
+        each quotient by the first nonzero one an exp lookup; the rest
+        through ``_project_one``."""
         one = self._project_one
-        add, q, log, ratio = self._add, self.q, self._zlog, self._zexp
+        add, q, log, exp = self._add, self.q, self._log, self._exp
         minus = [self.neg(c) for c in tail]
         out = []
         for v in vectors:
@@ -493,7 +495,7 @@ class FieldSpec:
             for x, c in zip(v[p + 1:], minus):
                 y = add[x * q + c]
                 if s is not None:
-                    w.append(ratio[log[y] - s])
+                    w.append(exp[log[y] - s])
                 elif y:
                     s = log[y]
                     w.append(1)
@@ -511,17 +513,6 @@ class FieldSpec:
             out += ((x + y) % p) * mult
             x //= p
             y //= p
-            mult *= p
-        return out
-
-    def _neg_digits(self, x: int) -> int:
-        """Digit-by-digit negation in an odd-characteristic extension field."""
-        p = self.p
-        out = 0
-        mult = 1
-        while x:
-            out += (-x % p) * mult
-            x //= p
             mult *= p
         return out
 
@@ -558,35 +549,26 @@ class FieldSpec:
         return out
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
         if self.a == 1:
-            return (x * y) % self.p
+            return x * y % self.p
         return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if x == 1:
-            return 1
-        if self.a == 1:
-            return pow(x, self.p - 2, self.p)
-        return self._exp[(self.q - 1) - self._log[x]]
+        return self._exp[-self._log[x]]
 
     def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
+        if y == 0:
+            raise ZeroDivisionError("division by 0")
+        return self._exp[self._log[x] - self._log[y]]
 
     def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        out = 1
-        base = x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if x == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            return 0 if e else 1
+        return self._exp[self._log[x] * e % (self.q - 1)]
 
     def scalar(self, c: int) -> int:
         """Embed an integer constant via the prime subfield."""

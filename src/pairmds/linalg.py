@@ -309,10 +309,6 @@ class LinearCode:
         return self.parity_check.cols
 
     @property
-    def redundancy(self) -> int:
-        return self.parity_check.rows
-
-    @property
     def k(self) -> int:
         return self.n - self.parity_check.rows
 

@@ -1,7 +1,9 @@
 import functools
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -529,3 +531,19 @@ def test_linear_code_reads_the_rank_a_passing_certificate_recorded(
     shapes.clear()
     assert run(["verify", str(out), "--oracle"]) == 0
     assert shapes.count(h_shape) == 1
+
+
+def test_every_benchmark_code_file_is_byte_identical(tmp_path):
+    # every (q, n, d_pair) the benchmark's workloads can request, with the
+    # sha256 of its code file at a commit whose files were known good
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    digests = json.loads(path.read_text(encoding="ascii"))["digests"]
+    assert digests
+    out = tmp_path / "code.json"
+    wrong = []
+    for key, want in sorted(digests.items()):
+        q, n, d_pair = key.split(",")
+        assert run(["construct", "--q", q, "--n", n, "--dpair", d_pair, "--out", str(out)]) == 0, key
+        if hashlib.sha256(out.read_bytes()).hexdigest() != want:
+            wrong.append(key)
+    assert not wrong, f"{len(wrong)} of {len(digests)} code files changed, first {wrong[:5]}"

@@ -130,33 +130,79 @@ def test_generator_search_is_a_few_powers_per_candidate(monkeypatch):
     assert 0 < calls[0] <= (34 - 1) * 3 * 2 * q.bit_length() + walk
 
 
+def table_free_mul(f):
+    return f._mul_raw if f.a > 1 else (lambda x, y: x * y % f.q)
+
+
 def check_exp_log_walk(f, steps):
-    """exp[i+1] = exp[i] * gen by the table-free product, log inverts exp."""
+    """exp[i+1] = exp[i] * gen by the table-free product over the first
+    2(q-1) entries of exp, and log inverts the first q-1."""
     q, g = f.q, f.primitive_element()
     exp, log = f._exp, f._log
-    assert len(exp) == 2 * (q - 1) and len(log) == q
-    assert exp[0] == 1 and exp[q - 1:] == exp[:q - 1]
-    mul = f._mul_raw if f.a > 1 else (lambda x, y: x * y % q)
+    assert exp[0] == 1
+    mul = table_free_mul(f)
     for i in steps:
         assert exp[i + 1] == mul(exp[i], g), (q, i)
-        assert log[exp[i]] == i
+        assert log[exp[i]] == i % (q - 1)
 
 
 def test_exp_log_tables_follow_the_generator_up_to_2_12():
     for q in range(3, 4097):
         if is_prime_power(q):
             f = field_of_order(q)
-            check_exp_log_walk(f, range(q - 1))
+            check_exp_log_walk(f, range(2 * q - 3))
             assert sorted(f._exp[:q - 1]) == list(range(1, q))
+
+
+def check_products_and_quotients(f, pairs):
+    """exp at the sum of two logs is the table-free product, and exp at
+    their difference is the quotient, for every pair (x, y) with x != 0."""
+    exp, log = f._exp, f._log
+    mul = table_free_mul(f)
+    for x, y in pairs:
+        assert exp[log[x] + log[y]] == mul(x, y), (f, x, y)
+        if x:
+            assert mul(exp[log[y] - log[x]], x) == y, (f, x, y)
+
+
+def test_log_sums_and_differences_are_products_and_quotients_up_to_2_8():
+    for q in range(2, 257):
+        if is_prime_power(q):
+            f = field_of_order(q)
+            check_products_and_quotients(f, itertools.product(range(q), repeat=2))
 
 
 @pytest.mark.parametrize("q", [3**10, 2**16])
 def test_exp_log_tables_of_the_largest_fields_sampled(q):
     f = field_of_order(q)
     rng = random.Random(q)
-    steps = [0, q - 2] + rng.sample(range(q - 1), 3000)
+    steps = [0, q - 2, 2 * q - 4] + rng.sample(range(2 * q - 3), 3000)
     check_exp_log_walk(f, steps)
-    assert sorted(set(f._exp)) == list(range(1, q))
+    assert sorted(f._exp[:q - 1]) == list(range(1, q))
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(60)]
+    check_products_and_quotients(f, itertools.product(xs, repeat=2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13, 16, 25, 27, 32, 49, 64, 81])
+def test_pow_inv_and_div_match_the_table_free_power(q):
+    f = field_of_order(q)
+    mul = table_free_mul(f)
+    for x in range(1, q):
+        for e in range(-q, 2 * q + 1):
+            if e >= 0:
+                assert f.pow(x, e) == f._pow_raw(x, e), (x, e)
+            else:
+                assert mul(f.pow(x, e), f._pow_raw(x, -e)) == 1, (x, e)
+        assert f.inv(x) == f.pow(x, -1)
+        for y in range(q):
+            assert mul(f.div(y, x), x) == y
+    assert f.pow(0, 0) == 1
+    assert all(f.pow(0, e) == 0 for e in range(1, 2 * q + 1))
+    for e in (-1, -q):
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, e)
+    with pytest.raises(ZeroDivisionError):
+        f.div(1, 0)
 
 
 def test_elements_order():
@@ -342,15 +388,6 @@ def test_add_rows_and_addition_rows_match_scalar_add(q):
     if q <= ADD_TABLE_MAX_ORDER:
         # the whole addition table, row by row
         assert f.addition_rows(range(q)) == [f.add(x, y) for x in range(q) for y in range(q)]
-
-
-def test_ratio_tables_divide():
-    # _zexp[_zlog[y] - _zlog[x]] is y / x for every y and every nonzero x
-    for q in (2, 3, 4, 5, 8, 9, 27):
-        f = field_of_order(q)
-        for x in range(1, q):
-            for y in range(q):
-                assert f._zexp[f._zlog[y] - f._zlog[x]] == f.div(y, x), (q, x, y)
 
 
 @st.composite

@@ -12,10 +12,12 @@ field, and every code file built over it, is a function of (p, a) alone.
 Arithmetic is table-driven and every table is built eagerly when a field is
 constructed: one exp/log pair in every field, safe at 0 (O(q) each; see
 ``FieldSpec``), a flat q x q addition table in every field with q <= 2^8 (at
-most 65,536 small ints), and, in odd-characteristic extension fields, a
-q-entry negation table read from the exp table.  Prime fields multiply mod p;
-every other product, and every quotient, inverse, power and negation, is one
-exp lookup at a sum, difference or multiple of logs, with no test for zero.
+most 65,536 small ints) and beside it q rows of the logs of differences (at
+most 65,536 pointers to the log table's ints, 0.5 MB), and, in
+odd-characteristic extension fields, a q-entry negation table read from the
+exp table.  Prime fields multiply mod p; every other product, and every
+quotient, inverse, power and negation, is one exp lookup at a sum,
+difference or multiple of logs, with no test for zero.
 Scalar addition computes mod p in prime fields and XOR in binary fields;
 larger odd-extension fields add digit by digit.  The exp table is filled by
 the table-free multiply-by-x step (a shift and one reduction), one coset of
@@ -31,7 +33,8 @@ rows that codeword enumeration reads whole cosets from, and ``normal_form``
 and ``project`` the project-and-normalise step of the checker's
 dependent-set search; ``project`` maps every later vector from one pivot in
 one call, the common 3- and 4-coordinate case in one comprehension of
-quotient lookups.
+quotient lookups, and reads the logs of the differences from the field's
+rows, so a pivot costs no per-call table building.
 """
 
 from __future__ import annotations
@@ -193,9 +196,10 @@ class FieldSpec:
     2 - q .. -1 read.  So ``_exp[_log[x] + _log[y]]`` is x*y for every x
     and y, and ``_exp[_log[y] - _log[x]]`` is y/x for every y and every
     x != 0.  For q <= ADD_TABLE_MAX_ORDER there is a flat addition table
-    indexed by x * q + y; odd-extension fields also have a negation table
-    (-1 = g^(q1/2)).  Prime fields negate mod p and binary fields need no
-    negation.
+    indexed by x * q + y, and ``_log_diff[c][y]`` is ``_log[y - c]`` (so z
+    at y = c) for every c and y, with the log table's own int objects;
+    odd-extension fields also have a negation table (-1 = g^(q1/2)).  Prime
+    fields negate mod p and binary fields need no negation.
     Use :func:`field` to get the cached instance for given (p, a).
     """
 
@@ -220,10 +224,16 @@ class FieldSpec:
         if p != 2 and a > 1:
             self._neg = [exp[i + q1 // 2] for i in log]
         self._add: List[int] | None = None
+        self._log_diff: List[List[int]] | None = None
         if q <= ADD_TABLE_MAX_ORDER:
             # built by the row kernel, which reads no table in prime and
             # binary fields and adds digit by digit while _add is unset
-            self._add = [s for x in range(q) for s in self.add_rows(itertools.repeat(x), range(q))]
+            self._add = add = [
+                s for x in range(q) for s in self.add_rows(itertools.repeat(x), range(q))
+            ]
+            # the log of m + y, per m, holding _log's own int objects
+            log_sum = [list(map(log.__getitem__, add[m:m + q])) for m in range(0, q * q, q)]
+            self._log_diff = [log_sum[self.neg(c)] for c in range(q)]
 
     # -- representation ------------------------------------------------
 
@@ -391,15 +401,16 @@ class FieldSpec:
         The common case, a pivot and a vector of length 3 or 4 that both
         start at index 0, is one comprehension: with pivot (1, a, b, c) and
         v = (1, x, y, z) the image is (1, (y - b)/(x - a), (z - c)/(x - a)),
-        or (0, 1, (z - c)/(y - b)) when x = a.  Per pivot, the logs of
-        y - b over every y are read from the addition table into one row per
-        coordinate, and each ratio is one exp lookup at a difference of
-        logs.  A pivot (0, 1, b), the line at infinity's points of PG(2, q),
-        takes v = (1, x, y) to (1, y - x b), also one comprehension, and a
-        unit vector pivot only drops its coordinate.  Other pivots take one loop
-        per vector (``_project_long``); the rare vectors of the fast cases,
-        and every field without an addition table, go through
-        ``_project_one``.
+        or (0, 1, (z - c)/(y - b)) when x = a.  The logs of y - b are read
+        from the field's row ``_log_diff[b]``, so a pivot costs no set-up,
+        and each ratio is one exp lookup at a difference of logs.  A pivot
+        (0, 1, b), the line at infinity's points of PG(2, q), takes
+        v = (1, x, y) to (1, y - x b), also one comprehension, with x b one
+        exp lookup and the sum one addition-table lookup; a unit vector
+        pivot only drops its coordinate.  Other pivots take one
+        comprehension per vector (``_project_long``); the rare vectors of
+        the fast cases, and every field without an addition table, go
+        through ``_project_one``.
         """
         p = pivot.index(1)
         tail = pivot[p + 1:]
@@ -409,33 +420,29 @@ class FieldSpec:
             nf = self.normal_form
             return [nf(v[:p] + v[p + 1:]) if v else None for v in vectors]
         one = self._project_one
-        add, q = self._add, self.q
-        if add is None:
+        diff = self._log_diff
+        if diff is None:
             return [one(p, tail, v) for v in vectors]
         if (p, len(tail)) not in ((0, 2), (0, 3), (1, 1)):
             return self._project_long(p, tail, vectors)
+        exp = self._exp
         if p:
             # pivot (0, 1, b): v = (1, x, y) maps to (1, y - x b), and
-            # v = (0, 1, y) to (0, 1) unless y = b
+            # v = (0, 1, y) to (0, 1) unless y = b; the log of -b is the
+            # log of 0 - b
             b = tail[0]
-            minus = self.mul_rows(range(q), itertools.repeat(self.neg(b)))
+            add, q, log = self._add, self.q, self._log
+            lb = diff[b][0]
             return [
-                (1, add[y * q + minus[x]]) if o
+                (1, add[y * q + exp[log[x] + lb]]) if o
                 else (0, 1) if x and y != b
                 else one(1, tail, v)
                 for v in vectors
                 for o, x, y in (v or (0, 0, 0),)
             ]
-        log = self._log
-        # logs[t][y]: the log of y - tail[t]
-        logs = []
-        for c in tail:
-            row = self.neg(c) * q
-            logs.append(list(map(log.__getitem__, add[row:row + q])))
-        exp = self._exp
         a, b = tail[:2]
+        la, lb = diff[a], diff[b]
         if len(tail) == 2:
-            la, lb = logs
             return [
                 (1, exp[lb[y] - la[x]]) if o and x != a
                 else (0, 1) if o and y != b
@@ -443,7 +450,7 @@ class FieldSpec:
                 for v in vectors
                 for o, x, y in (v or (0, 0, 0),)
             ]
-        la, lb, lc = logs
+        lc = diff[tail[2]]
         return [
             (1, exp[lb[y] - (s := la[x])], exp[lc[z] - s]) if o and x != a
             else (0, 1, exp[lc[z] - lb[y]]) if o and y != b
@@ -478,30 +485,28 @@ class FieldSpec:
         self, p: int, tail: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
     ) -> List[Optional[Tuple[int, ...]]]:
         """``project`` for the other pivots of a field with an addition
-        table: each vector that starts at p in one loop over its entries,
-        the difference from the addition table's rows of minus `tail` and
-        each quotient by the first nonzero one an exp lookup; the rest
-        through ``_project_one``."""
+        table.  A vector v that starts at p maps to the differences
+        v[p + 1:] - tail divided by the first nonzero one: their logs are
+        read from the rows ``_log_diff[c]`` of the pivot's entries c, and
+        each quotient is one exp lookup, which reads 0 at the zero sentinel
+        (so the entries before the first nonzero one need no test).  The
+        other vectors go through ``_project_one``."""
         one = self._project_one
-        add, q, log, exp = self._add, self.q, self._log, self._exp
-        minus = [self.neg(c) for c in tail]
+        exp, zero, getitem = self._exp, self._log[0], operator.getitem
+        rows = [self._log_diff[c] for c in tail]
         out = []
         for v in vectors:
             if v is None or v[p] != 1 or p and v.index(1) < p:
                 out.append(one(p, tail, v))
                 continue
-            w = []
-            s = None
-            for x, c in zip(v[p + 1:], minus):
-                y = add[x * q + c]
-                if s is not None:
-                    w.append(exp[log[y] - s])
-                elif y:
-                    s = log[y]
-                    w.append(1)
-                else:
-                    w.append(0)
-            out.append(None if s is None else v[:p] + tuple(w))
+            logs = list(map(getitem, rows, v[p + 1:]))
+            s = logs[0]
+            if s == zero:
+                s = next((t for t in logs if t != zero), None)
+                if s is None:
+                    out.append(None)
+                    continue
+            out.append(v[:p] + tuple([exp[t - s] for t in logs]))
         return out
 
     def _add_digits(self, x: int, y: int) -> int:
@@ -536,7 +541,9 @@ class FieldSpec:
         return self.from_digits(prod[: self.a])
 
     def _pow_raw(self, x: int, e: int) -> int:
-        """x^e by square-and-multiply, without tables."""
+        """x^e for e >= 0 by square-and-multiply, without tables."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         if self.a == 1:
             return pow(x, e, self.p)
         out = 1

@@ -7,8 +7,10 @@ case analyses.
 Conditions 1 and 2 of the column conditions, and the Reed-Solomon minors,
 share one dependent-set search (``_first_dependent_subset``), which keeps
 every vector in normal form and projects all later columns from a pivot in
-one ``FieldSpec.project`` call; condition 3 takes the determinants of all
-cyclic windows at once (``linalg.window_dets``) for d_H <= 6.  Both read the
+one ``FieldSpec.project`` call; a certificate normalises each column once,
+and conditions 1 and 2 search the same normal forms.  Condition 3 takes the
+determinants of all cyclic windows at once (``linalg.window_dets``) for
+d_H <= 6, and eliminates window by window above that.  All of them read the
 field's tables directly instead of making one field-method call per
 element.  A passing check has proven the matrix's first rows-many columns
 independent (the MDS check rejects a matrix with more rows than columns),
@@ -141,7 +143,7 @@ class PairCertificate:
         }
 
 
-def _first_dependent_subset(f, cols, size):
+def _first_dependent_subset(f, cols, size, forms=None):
     """Lexicographically first set of `size` linearly dependent columns, or None.
 
     Projection from a point: a column c_i together with a set T of later
@@ -154,13 +156,16 @@ def _first_dependent_subset(f, cols, size):
     gives the answer.
 
     Rescaling a vector changes neither question, so every vector is kept in
-    normal form (first nonzero entry 1; None for the zero vector): the
-    columns are normalised once, and ``FieldSpec.project`` computes the
-    images of all later columns from a pivot, already normalised, in one
-    call.  At size 2, two vectors are dependent exactly when one is zero or
-    both normal forms are equal, so pairs are matched by hashing; pairs with
-    the first vector come first, and the first pivot of a size-3 search
-    projects doubling prefixes until that vector's partner shows.
+    normal form (first nonzero entry 1; None for the zero vector).  The
+    columns are normalised once; a caller that runs more than one search on
+    the same columns passes their normal forms in as `forms`.
+    ``FieldSpec.project`` computes the images of all later columns from a
+    pivot, already normalised, in one call, from per-field tables that need
+    no set-up per pivot, so the cost follows the columns projected.  At
+    size 2, two vectors are dependent exactly when one is zero or both
+    normal forms are equal, so pairs are matched by hashing; pairs with the
+    first vector come first, and the first pivot of a size-3 search projects
+    doubling prefixes until that vector's partner shows.
 
     A full scan projects about C(n, size - 1) columns.  At most
     _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is
@@ -250,13 +255,15 @@ def _first_dependent_subset(f, cols, size):
 
     if size < 1:  # the empty set is independent
         return None
-    return search([f.normal_form(c) for c in cols], size)
+    if forms is None:
+        forms = [f.normal_form(c) for c in cols]
+    return search(forms, size)
 
 
-def _first_dependent_small_subset(f, cols, size):
+def _first_dependent_small_subset(f, cols, size, forms):
     # condition 1 only; kept because perfbench/tracer.py wraps both names and
     # perfbench/tests asserts that no wrap target is missing
-    return _first_dependent_subset(f, cols, size)
+    return _first_dependent_subset(f, cols, size, forms)
 
 
 def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
@@ -279,6 +286,8 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     if not n >= d_h + 2 >= 4:
         raise ValueError(f"need n >= d_H + 2 >= 4, got n={n}, d_H={d_h}")
     cols = h.columns()
+    # conditions 1 and 2 search the same normal forms
+    forms = [f.normal_form(c) for c in cols]
 
     def failure(cond, witness):
         return PairCertificate(
@@ -292,11 +301,11 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
             failing_set=tuple(witness) if witness is not None else None,
         )
 
-    bad = _first_dependent_small_subset(f, cols, d_h - 1)
+    bad = _first_dependent_small_subset(f, cols, d_h - 1, forms)
     if bad is not None:
         return failure(COND_ANY_SMALL_INDEPENDENT, bad)
 
-    witness = _first_dependent_subset(f, cols, d_h)
+    witness = _first_dependent_subset(f, cols, d_h, forms)
     if witness is None:
         return failure(COND_DEPENDENT_SET_EXISTS, None)
 

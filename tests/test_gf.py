@@ -205,6 +205,34 @@ def test_pow_inv_and_div_match_the_table_free_power(q):
         f.div(1, 0)
 
 
+@pytest.mark.parametrize("q", [7, 9])
+def test_table_free_power_rejects_a_negative_exponent(q):
+    # square-and-multiply would never end: e >>= 1 keeps -1 at -1
+    f = field_of_order(q)
+    for e in (-1, -q):
+        with pytest.raises(ValueError):
+            f._pow_raw(2, e)
+
+
+@pytest.mark.parametrize("q", [4, 7, 8, 9, 25, 27, 32])
+def test_log_difference_rows_hold_the_log_of_every_difference(q):
+    f = field_of_order(q)
+    rows, exp, log = f._log_diff, f._exp, f._log
+    assert len(rows) == q
+    for c in range(q):
+        assert len(rows[c]) == q
+        for y in range(q):
+            assert exp[rows[c][y]] == f.sub(y, c), (c, y)
+            # the rows share the log table's int objects
+            assert rows[c][y] is log[f.sub(y, c)]
+        assert rows[c][c] == log[0]
+
+
+def test_fields_without_an_addition_table_have_no_log_difference_rows():
+    assert field_of_order(ADD_TABLE_MAX_ORDER)._log_diff is not None
+    assert field_of_order(3**6)._log_diff is None
+
+
 def test_elements_order():
     assert list(field(3, 1).elements()) == [0, 1, 2]
     assert list(field(2, 2).elements()) == [0, 1, 2, 3]

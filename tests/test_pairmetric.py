@@ -238,6 +238,29 @@ def test_condition3_witness_is_a_planted_wrap_window(q, n, k):
     assert tuple(cert.failing_set) == (n - 1, 0, 1) == first_singular_window(f, cols, 3)
 
 
+@pytest.mark.parametrize("q,n,start,slot,k", [(13, 16, 13, 3, 5), (11, 15, 10, 11, 2)])
+def test_condition3_eliminates_each_window_above_the_kernel_rows(q, n, start, slot, k):
+    # an elliptic-curve parity check at d_H = 7 meets conditions 1-3, and
+    # condition 3 eliminates window by window at that row count
+    from pairmds.ecmds import construct_ec
+
+    d_h = 7
+    assert d_h > pairmetric._WINDOW_KERNEL_MAX_ROWS
+    f = field_of_order(q)
+    h = construct_ec(f, n, d_h)[0].parity_check
+    assert check_theorem_conditions(h, d_h).ok
+    # swapping column k into `slot` plants a dependent window that wraps
+    # around, and every earlier window stays independent
+    planted = tuple((start + t) % n for t in range(d_h))
+    assert slot in planted and k not in planted
+    cols = h.columns()
+    cols[slot], cols[k] = cols[k], cols[slot]
+    assert rank_of_vectors(f, [cols[j] for j in planted]) < d_h
+    cert = check_theorem_conditions(CodeMatrix.from_columns(f, cols), d_h)
+    assert cert.failed_condition == COND_CONSECUTIVE_INDEPENDENT
+    assert tuple(cert.failing_set) == planted == first_singular_window(f, cols, d_h)
+
+
 @functools.lru_cache(maxsize=None)
 def construction_columns(q, n, d_pair):
     from pairmds.d5 import construct_d5
@@ -571,10 +594,12 @@ def test_checker_makes_no_per_element_field_calls(monkeypatch):
     from pairmds.d5 import construct_d5
     from pairmds.d6 import construct_d6
     from pairmds.gf import FieldSpec
+    from pairmds.linalg import rs_parity_check
 
     d5_h = construct_d5(field_of_order(25), 651)[0].parity_check
     d6_h = construct_d6(field_of_order(9), 82)[0].parity_check
-    calls = {"add": 0, "mul": 0, "inv": 0}
+    rs_h = rs_parity_check(field_of_order(27), 15, 5)
+    calls = dict.fromkeys(["add", "mul", "inv", "neg", "normal_form"], 0)
     for name in calls:
         method = getattr(FieldSpec, name)
 
@@ -583,11 +608,22 @@ def test_checker_makes_no_per_element_field_calls(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(FieldSpec, name, counted)
+
+    def arithmetic():
+        return calls["add"] + calls["mul"] + calls["inv"]
+
     assert check_theorem_conditions(d5_h, 3).ok
-    assert sum(calls.values()) <= 10, calls
-    calls.update(add=0, mul=0, inv=0)
+    assert arithmetic() <= 10, calls
+    # conditions 1 and 2 search one shared normal form per column
+    assert calls["normal_form"] <= d5_h.cols, calls
+    calls.update(dict.fromkeys(calls, 0))
     assert check_theorem_conditions(d6_h, 4).ok
-    assert sum(calls.values()) <= 10, calls
+    assert arithmetic() <= 10, calls
+    calls.update(dict.fromkeys(calls, 0))
+    # the projection reads its differences from the field's log rows, with
+    # no negation per pivot entry
+    assert check_mds_conditions(rs_h).ok
+    assert calls["neg"] <= 10, calls
 
 
 def test_certificate_rejects_singleton_violation():

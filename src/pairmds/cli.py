@@ -44,16 +44,7 @@ EXIT_USAGE = 2
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
-def _field(q: int) -> FieldSpec:
-    try:
-        return field_of_order(q)
-    except FieldError as exc:
-        raise _CliError(str(exc)) from exc
+    """A usage or code-file error: main prints it and exits 2."""
 
 
 def _construct(f: FieldSpec, n: int, d_pair: int):
@@ -107,11 +98,8 @@ def _dump(text: str, out: Optional[str]) -> None:
 
 
 def cmd_construct(args) -> int:
-    f = _field(args.q)
-    try:
-        code, cert, provenance = _construct(f, args.n, args.dpair)
-    except ParameterError as exc:
-        raise _CliError(str(exc)) from exc
+    f = field_of_order(args.q)
+    code, cert, provenance = _construct(f, args.n, args.dpair)
     doc = _code_file(f, code, cert, provenance)
     _dump(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     print(
@@ -155,7 +143,7 @@ def _load_code_file(path: str) -> Dict:
 
 def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
     """The parsed parity-check matrix and the certificate recomputed from it."""
-    f = _field(doc["q"])
+    f = field_of_order(doc["q"])
     if (doc["p"], doc["a"]) != (f.p, f.a):
         raise _CliError(f"declared p={doc['p']}, a={doc['a']} is not the field of order {f.q}")
     if doc.get("modulus", list(f.modulus)) != list(f.modulus):
@@ -245,13 +233,9 @@ def _feasible_lengths(f: FieldSpec, d_pair: int) -> List[int]:
 
 
 def cmd_table(args) -> int:
-    f = _field(args.q)
-    try:
-        lengths = _feasible_lengths(f, args.dpair)
-    except ParameterError as exc:
-        raise _CliError(str(exc)) from exc
+    f = field_of_order(args.q)
     rows = []
-    for n in lengths:
+    for n in _feasible_lengths(f, args.dpair):
         t0 = time.perf_counter()
         try:
             code, cert, provenance = _construct(f, n, args.dpair)
@@ -269,11 +253,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_ec_search(args) -> int:
-    f = _field(args.q)
-    try:
-        curve = ecmds.find_maximal_curve(f)
-    except ParameterError as exc:
-        raise _CliError(str(exc)) from exc
+    f = field_of_order(args.q)
+    curve = ecmds.find_maximal_curve(f)
     count = ecmds.ec_point_count(curve)
     a1, a2, a3, a4, a6 = curve.coefficients()
     print(
@@ -328,10 +309,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParameterError, FieldError) as exc:
+    except (_CliError, ParameterError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConstructionError as exc:

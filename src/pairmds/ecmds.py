@@ -18,10 +18,12 @@ once: rank g = k is read from g's column basis (which ``null_space(g)`` has
 already found when construct_ec built h), and rank h = n - k from the
 (n - k) x (n - k) block of h on g's free columns alone.
 
-Window sums, the SWITCH repairs and the subset-sum count run on one group
-table per curve (``_group``, cached per process): the point list with O
-first, the point-to-index map, the N x N addition table and the negation
-table, every entry computed once by the validating ``ec_add``/``ec_neg``.
+The pairing of each point with its negative, window sums, the SWITCH
+windows (read from one index list per pass) and the subset-sum count run on
+one group table per curve (``_group``, cached per process): the point list
+with O first, the point-to-index map, the N x N addition table and the
+negation table, every entry computed once by the validating
+``ec_add``/``ec_neg``.
 Since the table grows as N^2, curves are supported over fields of order at
 most ``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
 """
@@ -120,7 +122,7 @@ def ec_add(c: EllipticCurve, p: ECPoint, q: ECPoint) -> ECPoint:
         return p
     x1, y1 = p
     x2, y2 = q
-    if x1 == x2 and y2 == f.neg(f.add(y1, f.add(f.mul(c.a1, x1), c.a3))):
+    if x1 == x2 and q == ec_neg(c, p):
         return None
     if p == q:
         num = f.sub(
@@ -407,21 +409,16 @@ def _paired_points(c: EllipticCurve) -> Tuple[List[Tuple[int, int]], List[Tuple[
     The paired list P_1, P_2, ... places each point's negative adjacently,
     taking points in ascending coordinate order; P_{2i-1} + P_{2i} = O.
     """
-    pts = _group(c).points[1:]
-    used = set()
+    g = _group(c)
+    pts, neg = g.points, g.neg
     flat: List[Tuple[int, int]] = []
     torsion: List[Tuple[int, int]] = []
-    for p in pts:
-        if p in used:
-            continue
-        np_ = ec_neg(c, p)
-        if np_ == p:
-            torsion.append(p)
-            used.add(p)
-        else:
-            flat.extend((p, np_))
-            used.add(p)
-            used.add(np_)
+    for i in range(1, len(pts)):
+        j = neg[i]
+        if j == i:
+            torsion.append(pts[i])
+        elif j > i:  # a smaller j placed point i as its partner already
+            flat.extend((pts[i], pts[j]))
     return flat, torsion
 
 
@@ -474,20 +471,22 @@ def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
     element with the predecessor (or its last with the successor when the
     window wraps past the seam), in place."""
     g = _group(c)
+    add = g.add
+    idx = g.indices(seq)
     n = len(seq)
     for start in range(n):
-        window = [(start + t) % n for t in range(k)]
         s = 0
-        for pi in g.indices([seq[i] for i in window]):
-            s = g.add[s][pi]
+        for t in range(start, start + k):
+            s = add[s][idx[t % n]]
         if s != 0:
             continue
-        last = window[-1]
+        last = (start + k - 1) % n
         if last < start:  # wrapped window: push its tail forward
             i, j = last, (last + 1) % n
         else:
             i, j = (start - 1) % n, start
         seq[i], seq[j] = seq[j], seq[i]
+        idx[i], idx[j] = idx[j], idx[i]
 
 
 def _local_rearrange(
@@ -531,41 +530,34 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
     if n > N - 3:
         raise ParameterError(f"length {n} exceeds N - 3 = {N - 3} for this curve")
 
+    # len(flat) is even and len(torsion) <= 3, so n <= N - 3 =
+    # len(flat) + len(torsion) - 2 bounds every slice below: an even n by
+    # len(flat), an odd n by len(flat) + 1, any n by len(flat) - 2 without torsion
     def build() -> List[Tuple[int, int]]:
         if k % 2 == 1:
             if n % 2 == 0:
-                if n <= len(flat):
-                    return flat[len(flat) - n :]
-                # only with three 2-torsion points: complete pairs plus two
-                # torsion points whose sum is the third, not O
-                if len(torsion) >= 2 and n <= len(flat) + 2:
-                    return flat[len(flat) - (n - 2) :] + torsion[:2]
-                raise ConstructionError("no even-length seed available")
+                return flat[len(flat) - n :]  # even n <= len(flat)
             # odd n: complete pairs plus one dangling point
             if torsion:
-                return flat[len(flat) - (n - 1) :] + torsion[:1]
-            return flat[: n]  # pair run with a dangling pair-first at the end
+                return flat[len(flat) - (n - 1) :] + torsion[:1]  # n - 1 <= len(flat)
+            return flat[: n]  # no torsion: n <= len(flat) - 2
         # k even: Step 1 threading with one or two specials
         if n % 2 == 0:
             if torsion:
-                run = flat[len(flat) - (n - 2) :]
+                run = flat[len(flat) - (n - 2) :]  # even n <= len(flat)
                 # one special is a pair-first whose partner is dropped
-                rest = flat[: len(flat) - (n - 2)]
-                if rest:
-                    sp1 = rest[-2]
-                else:
-                    raise ConstructionError("no broken pair available")
+                sp1 = flat[len(flat) - n]  # even n <= len(flat)
                 return _step1_sequence(run, [sp1, torsion[0]], k)
             run = flat[: n - 2]
             sp1 = flat[n - 2]
-            sp2 = flat[n]
+            sp2 = flat[n]  # no torsion: n <= len(flat) - 2
             return _step1_sequence(run, [sp1, sp2], k)
         # k even, odd n
         if torsion:
-            run = flat[len(flat) - (n - 1) :]
+            run = flat[len(flat) - (n - 1) :]  # n - 1 <= len(flat)
             return _step1_sequence(run, [torsion[0]], k)
         run = flat[: n - 1]
-        return _step1_sequence(run, [flat[n - 1]], k)
+        return _step1_sequence(run, [flat[n - 1]], k)  # no torsion: n <= len(flat) - 2
 
     seq = build()
     if _window_violations(c, seq, k):

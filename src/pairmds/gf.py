@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -153,23 +154,12 @@ class FieldError(ValueError):
     """Unsupported field parameters or invalid element operation."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(m: int) -> List[int]:
-    """The distinct prime factors of m >= 1, ascending, by trial division."""
+    """The distinct prime factors of m >= 1, ascending, by trial division.
+
+    The package's only factoriser: it tests primality, splits field orders
+    into p^a and finds the orders a generator must avoid.
+    """
     out = []
     d = 2
     while d * d <= m:
@@ -204,13 +194,15 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, a: int):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if a < 1:
-            raise FieldError(f"extension degree must be >= 1, got {a}")
+            raise FieldError("extension degree must be >= 1")
+        # p^a >= 2^((bit length of p - 1) * a) bounds the order before it is
+        # computed and before p is factored
+        if (p.bit_length() - 1) * a >= MAX_ORDER.bit_length() or p**a > MAX_ORDER:
+            raise FieldError(f"field order exceeds supported maximum {MAX_ORDER}")
+        if _prime_factors(p) != [p]:
+            raise FieldError(f"{p} is not prime")
         q = p**a
-        if q > MAX_ORDER:
-            raise FieldError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
         self.p = p
         self.a = a
         self.q = q
@@ -690,23 +682,11 @@ def absolute_trace(f: FieldSpec, x: int) -> int:
 
 
 def field_of_order(q: int) -> FieldSpec:
-    """GF(q) for a prime power q, factoring q as p^a."""
-    if q < 2:
-        raise FieldError(f"{q} is not a prime power")
+    """GF(q) for a prime power q = p^a, p its one prime factor."""
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
-    p = q
-    for d in range(2, q):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    a = 0
-    t = q
-    while t % p == 0 and t > 1:
-        t //= p
-        a += 1
-    if t != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise FieldError(f"{q} is not a prime power")
-    return field(p, a)
+    p = factors[0]
+    return field(p, round(math.log(q, p)))

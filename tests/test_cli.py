@@ -357,6 +357,28 @@ def test_unknown_subcommand_usage_error():
     assert run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("construct --q 6 --n 7 --dpair 5", "6 is not a prime power"),
+        (
+            "construct --q 131072 --n 7 --dpair 5",
+            "field order 131072 exceeds supported maximum 65536",
+        ),
+        ("construct --q 7 --n 4 --dpair 5", "n must lie in [5, q^2+q+1] = [5, 57], got 4"),
+        ("table --q 6 --dpair 5", "6 is not a prime power"),
+        ("table --q 7 --dpair 4", "no length sweep for d_pair=4"),
+        ("ec-search --q 2048", "elliptic curves are supported for q <= 1024"),
+        ("ec-search --q 6", "6 is not a prime power"),
+    ],
+)
+def test_parameter_errors_print_one_error_line_and_exit_2(capsys, argv, line):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 # one small valid code file per construction route: (q, n, d_pair)
 _BASES = {
     "d5": ("5", "13", "5"),

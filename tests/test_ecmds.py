@@ -452,6 +452,36 @@ def test_sliding_window_violations_match_definition(case):
     assert ecmds._window_violations(c, pts, k) == want
 
 
+@functools.lru_cache(maxsize=None)
+def _first_curves_by_two_torsion(q):
+    """{t: the first candidate curve over GF(q) with t two-torsion points}.
+    A point is its own negative exactly when no other point shares its x."""
+    f = field_of_order(q)
+    want = {0, 1} if f.p == 2 else {0, 1, 3}
+    found = {}
+    for c in ecmds._curve_candidates(f):
+        t = sum(len(ecmds._ys_for_x(c, x)) == 1 for x in f.elements())
+        found.setdefault(t, c)
+        if want <= found.keys():
+            return found
+    raise AssertionError(f"GF({q}) lacks a curve class")  # pragma: no cover
+
+
+# characteristic 2 has no curve with three 2-torsion points
+@pytest.mark.parametrize(
+    "q,t", [(q, t) for q in (11, 13, 25, 27) for t in (0, 1, 3)] + [(16, 0), (16, 1)]
+)
+def test_arrange_at_the_longest_lengths_for_each_two_torsion_class(q, t):
+    c = _first_curves_by_two_torsion(q)[t]
+    flat, torsion = ecmds._paired_points(c)
+    assert len(flat) % 2 == 0
+    assert len(torsion) == t
+    N = len(flat) + len(torsion) + 1
+    for n in (N - 3, N - 4):
+        for k in range(1, n - 4):
+            assert window_check(arrange(c, n, k)), (n, k)
+
+
 @pytest.mark.parametrize("q", [13, 16, 25, 27])
 def test_pair_tiled_order_violates_every_even_window_start(q):
     c = find_maximal_curve(field_of_order(q))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,6 +353,32 @@ def test_field_of_order_rejects_non_prime_powers():
     for q in (1, 6, 10, 12, 100):
         with pytest.raises(FieldError):
             field_of_order(q)
+
+
+def test_field_of_order_splits_every_prime_power_up_to_2_12():
+    for q in range(1, 4097):
+        if q > 1 and is_prime_power(q):
+            f = field_of_order(q)
+            assert f.p == next(d for d in range(2, q + 1) if q % d == 0)
+            assert f.p**f.a == q
+        else:
+            with pytest.raises(FieldError):
+                field_of_order(q)
+    assert (field_of_order(63001).p, field_of_order(63001).a) == (251, 2)
+    assert (field_of_order(65521).p, field_of_order(65521).a) == (65521, 1)
+    assert (field_of_order(65536).p, field_of_order(65536).a) == (2, 16)
+    for q in (65535, 65537):
+        with pytest.raises(FieldError):
+            field_of_order(q)
+
+
+@pytest.mark.parametrize("p,a", [(2, 10**5), (3, 5000), (10**18 + 9, 1), (2, 17), (4, 1)])
+def test_field_spec_bounds_the_order_before_factoring(p, a):
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError) as exc:
+        FieldSpec(p, a)
+    assert time.perf_counter() - t0 < 0.1
+    assert len(str(exc.value)) < 200
 
 
 @pytest.mark.parametrize("x", [0.0, 2.5, True, False, "1", None])

@@ -253,7 +253,13 @@ def n_max(f: FieldSpec) -> int:
 
 def _curve_candidates(f: FieldSpec) -> Iterator[EllipticCurve]:
     if f.p == 2:
-        coeffs = itertools.product(f.elements(), repeat=5)
+        elements = f.elements()
+        # over GF(2^a), a >= 3 odd, a curve with a1 = 0 is supersingular
+        # (j = 0) and has trace 0 or +-sqrt(2q), below the maximal trace
+        # (floor(2 sqrt q) at a = 3, at least floor(2 sqrt q) - 1 above), so
+        # none reaches n_max and skipping them keeps the first maximal curve
+        a1s = range(1, f.q) if f.a >= 3 and f.a % 2 else elements
+        coeffs = itertools.product(a1s, elements, elements, elements, elements)
     else:
         # y -> y - (a1 x + a3)/2 removes the cross terms, so every curve is
         # isomorphic to one with a1 = a3 = 0

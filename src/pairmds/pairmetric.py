@@ -21,6 +21,8 @@ eliminate it again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import compress, repeat, tee
+from operator import lt
 from typing import Dict, Optional, Sequence, Tuple
 
 from .gf import FieldSpec
@@ -78,10 +80,6 @@ def pair_distance(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     return pair_weight(f.sub_rows(u, v))
 
 
-def hamming_weight(u: Sequence[int]) -> int:
-    return len(u) - u.count(0)
-
-
 def _nonzero_codewords(code: LinearCode, cap: int):
     """Every codeword but the zero word, which enumeration yields first.
 
@@ -93,13 +91,38 @@ def _nonzero_codewords(code: LinearCode, cap: int):
 
 
 def min_pair_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Smallest pair weight over all nonzero codewords, by full enumeration."""
-    return min(map(pair_weight, _nonzero_codewords(code, cap)))
+    """Smallest pair weight over all nonzero codewords, by full enumeration.
+
+    Every word is read, but only candidates are weighed.  A nonzero word
+    with z > 0 zeros has pair weight at least n - z + 1: each of its n - z
+    nonzero positions counts, and so does the last position of each of its
+    runs of zeros.  A word without zeros weighs n.  So, starting from
+    best = n, a word can beat the best weight so far only with more than
+    n + 1 - best zeros.  The zero counts are taken in C
+    (``tuple.count``) on a ``tee``'d copy of the words, and ``compress``
+    passes on only the words above the threshold, so no Python code runs
+    per word but for the candidates.  When a candidate lowers best, the
+    filter is rebuilt with the new threshold on the same two iterators,
+    which ``compress`` keeps in step.
+    """
+    n = code.n
+    words, copy = tee(_nonzero_codewords(code, cap))
+    best = n
+    while True:
+        zeros = map(tuple.count, copy, repeat(0))
+        for word in compress(words, map(lt, repeat(n + 1 - best), zeros)):
+            w = pair_weight(word)
+            if w < best:
+                best = w
+                break
+        else:
+            return best
 
 
 def min_hamming_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Smallest Hamming weight over all nonzero codewords, by full enumeration."""
-    return min(map(hamming_weight, _nonzero_codewords(code, cap)))
+    """Smallest Hamming weight over all nonzero codewords, by full enumeration:
+    n minus the largest zero count, taken in C."""
+    return code.n - max(map(tuple.count, _nonzero_codewords(code, cap), repeat(0)))
 
 
 @dataclass(frozen=True)

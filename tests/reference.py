@@ -20,6 +20,11 @@ def pair_read(u):
     return tuple((u[i], u[(i + 1) % n]) for i in range(n))
 
 
+def hamming_weight(u):
+    """Number of nonzero coordinates."""
+    return len(u) - u.count(0)
+
+
 def ec_sum(c, pts):
     """The sum of a list of curve points, one validating ``ec_add`` at a time."""
     acc = None

@@ -116,13 +116,42 @@ def test_n_max_examples():
 
 
 @pytest.mark.parametrize(
-    "q,count", [(5, 10), (7, 13), (8, 14), (9, 16), (11, 18), (13, 21)]
+    "q,count", [(5, 10), (7, 13), (8, 14), (9, 16), (11, 18), (13, 21), (32, 44)]
 )
 def test_find_maximal_curve(q, count):
     f = field_of_order(q)
     c = find_maximal_curve(f)
     assert ec_point_count(c) == count == n_max(f)
     assert c.discriminant() != 0
+
+
+def _curves(f, coeffs):
+    for c in coeffs:
+        try:
+            yield EllipticCurve(f, *c)
+        except ParameterError:
+            continue
+
+
+def test_no_supersingular_curve_over_gf8_is_maximal():
+    # every a1 = 0 tuple over GF(8), the ones the candidate scan skips
+    f = field_of_order(8)
+    target = n_max(f)
+    curves = list(_curves(f, itertools.product([0], *[f.elements()] * 4)))
+    assert curves
+    assert all(ec_point_count(c) < target for c in curves)
+
+
+def test_curve_scan_over_gf8_finds_the_unfiltered_first_maximal_curve():
+    f = field_of_order(8)
+    target = n_max(f)
+    first = next(
+        c for c in _curves(f, itertools.product(f.elements(), repeat=5))
+        if ec_point_count(c) == target
+    )
+    assert find_maximal_curve(f) == first
+    # a1 leads the product order, so the scan starts past every a1 = 0 tuple
+    assert next(ecmds._curve_candidates(f)).a1 == 1
 
 
 @pytest.mark.parametrize(

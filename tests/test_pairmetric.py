@@ -3,11 +3,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pairmds import pairmetric
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, rank_of_vectors
+from pairmds.linalg import (
+    CodeMatrix,
+    EnumerationCapExceeded,
+    LinearCode,
+    enumerate_codewords,
+    rank_of_vectors,
+)
 from pairmds.pairmetric import (
     COND_ANY_SMALL_INDEPENDENT,
     COND_CONSECUTIVE_INDEPENDENT,
@@ -16,7 +22,6 @@ from pairmds.pairmetric import (
     _first_dependent_subset,
     check_mds_conditions,
     check_theorem_conditions,
-    hamming_weight,
     min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
     pair_distance,
@@ -24,7 +29,7 @@ from pairmds.pairmetric import (
 )
 
 from goldens import H2_FULL, H2_N5
-from reference import columns_independent, pair_read
+from reference import columns_independent, hamming_weight, pair_read
 
 
 def test_pair_read():
@@ -137,7 +142,7 @@ def test_pair_weight_matches_the_definition(u):
 
 def test_bruteforce_minima_match_a_plain_loop():
     from pairmds.d5 import build_h
-    from pairmds.linalg import enumerate_codewords, rs_parity_check
+    from pairmds.linalg import rs_parity_check
 
     codes = [LinearCode(build_h(field_of_order(q), n)[0]) for q, n in [(4, 9), (5, 8), (8, 7), (9, 7)]]
     codes += [LinearCode(rs_parity_check(field_of_order(q), n, r)) for q, n, r in [(7, 8, 4), (27, 5, 2)]]
@@ -150,6 +155,52 @@ def test_bruteforce_minima_match_a_plain_loop():
                 ham_best = h if ham_best is None else min(ham_best, h)
         assert min_pair_distance_bruteforce(code) == pair_best
         assert min_hamming_distance_bruteforce(code) == ham_best
+
+
+# q^k at most this many words per example; GF(257) has no addition table, so
+# each of its words is one odometer step
+_PROPERTY_WORDS = 3000
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pruned_scan_matches_the_plain_minima(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 257]), label="q")
+    f = field_of_order(q)
+    n = data.draw(st.integers(2, 4 if q == 257 else 9), label="n")
+    k_max = min(n - 1, 2) if q == 257 else max(k for k in range(1, n) if q**k <= _PROPERTY_WORDS)
+    k = data.draw(st.integers(1, k_max), label="k")
+    r = n - k
+    rows = [data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)) for _ in range(r)]
+    # a zero column gives a weight-1 word, a repeated one a weight-2 word:
+    # non-MDS codes whose minimum is small
+    defect = data.draw(st.sampled_from(["none", "zero", "repeat"]), label="defect")
+    if defect != "none":
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        for row in rows:
+            row[j] = 0 if defect == "zero" else row[i]
+    assume(rank_of_vectors(f, rows) == r)
+    code = LinearCode(CodeMatrix.from_rows(f, rows))
+    words = [w for w in enumerate_codewords(code) if any(w)]
+    assert min_pair_distance_bruteforce(code) == min(map(pair_weight, words))
+    assert min_hamming_distance_bruteforce(code) == min(map(hamming_weight, words))
+
+
+def test_pruned_scan_weighs_few_words(monkeypatch):
+    # a d5 code of the oracle benchmark: 7^5 = 16,807 words, nearly all of
+    # them too heavy in nonzero entries to beat the minimum
+    from pairmds.d5 import build_h
+
+    code = LinearCode(build_h(field_of_order(7), 8)[0])
+    calls = [0]
+
+    def counted(u):
+        calls[0] += 1
+        return pair_weight(u)
+
+    monkeypatch.setattr(pairmetric, "pair_weight", counted)
+    assert min_pair_distance_bruteforce(code) == 5
+    assert 0 < calls[0] < 7**5 // 10
 
 
 def test_min_pair_distance_repetition_code():

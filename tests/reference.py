@@ -7,7 +7,7 @@ faster or more indirectly, kept here so that tests can compare the two.
 import itertools
 
 from pairmds.d5 import _block_columns
-from pairmds.ecmds import ec_add
+from pairmds.ecmds import EllipticCurve, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
 from pairmds.linalg import CodeMatrix, rank_of_vectors
 
@@ -31,6 +31,48 @@ def ec_sum(c, pts):
     for p in pts:
         acc = ec_add(c, acc, p)
     return acc
+
+
+def independent_point_count(f, coeffs):
+    """Count projective points by scanning all affine (x, y) pairs."""
+    a1, a2, a3, a4, a6 = coeffs
+    count = 1
+    for x in f.elements():
+        x2 = f.mul(x, x)
+        rhs = f.add(f.mul(x, x2), f.add(f.mul(a2, x2), f.add(f.mul(a4, x), a6)))
+        for y in f.elements():
+            lhs = f.add(f.mul(y, y), f.add(f.mul(a1, f.mul(x, y)), f.mul(a3, y)))
+            if lhs == rhs:
+                count += 1
+    return count
+
+
+def curve_candidates(f):
+    """The nonsingular curves of the maximal-curve search, in its order.
+
+    Characteristic 2 scans (a1, a2, a3, a4, a6) in ascending order, with
+    a1 = 0 left out over GF(2^a) for odd a >= 3: those curves are
+    supersingular, and none of them is maximal there.  Odd characteristic
+    scans y^2 = x^3 + a2 x^2 + a4 x + a6, to which every curve is isomorphic.
+    """
+    elements = f.elements()
+    if f.p == 2:
+        a1s = range(1, f.q) if f.a >= 3 and f.a % 2 else elements
+        coeffs = itertools.product(a1s, elements, elements, elements, elements)
+    else:
+        coeffs = ((0, a2, 0, a4, a6) for a2, a4, a6 in itertools.product(elements, repeat=3))
+    for c in coeffs:
+        try:
+            yield EllipticCurve(f, *c)
+        except ParameterError:
+            continue
+
+
+def first_maximal_curve(f):
+    """The first candidate with n_max(f) points, each candidate's points
+    listed one by one."""
+    target = n_max(f)
+    return next(c for c in curve_candidates(f) if len(ec_points(c)) == target)
 
 
 def transpose(m):

@@ -34,6 +34,7 @@ from goldens import (
     OVOID_Q4,
     OVOID_Q4_N7,
 )
+from reference import independent_point_count
 
 D5_SWEEP_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 D6_SWEEP_FIELDS = [3, 4, 5, 7, 8, 9]
@@ -117,20 +118,6 @@ def test_criterion_4_oracle_equivalence():
     _run(4, "brute-force oracle equivalence", 600.0, check)
 
 
-def _independent_point_count(f, coeffs):
-    """Count projective points by scanning all affine (x, y) pairs."""
-    a1, a2, a3, a4, a6 = coeffs
-    count = 1
-    for x in f.elements():
-        x2 = f.mul(x, x)
-        rhs = f.add(f.mul(x, x2), f.add(f.mul(a2, x2), f.add(f.mul(a4, x), a6)))
-        for y in f.elements():
-            lhs = f.add(f.mul(y, y), f.add(f.mul(a1, f.mul(x, y)), f.mul(a3, y)))
-            if lhs == rhs:
-                count += 1
-    return count
-
-
 def _exhaustive_max_points(q):
     """Largest point count over every (nonsingular) Weierstrass equation.
 
@@ -154,7 +141,7 @@ def _exhaustive_max_points(q):
             ecmds.EllipticCurve(f, *coeffs)
         except Exception:
             continue
-        best = max(best, _independent_point_count(f, coeffs))
+        best = max(best, independent_point_count(f, coeffs))
     return best
 
 
@@ -166,7 +153,7 @@ def test_criterion_5_maximal_curves():
             assert _exhaustive_max_points(q) == expected, q
             curve = ecmds.find_maximal_curve(f)
             assert ecmds.ec_point_count(curve) == expected
-            assert _independent_point_count(f, curve.coefficients()) == expected
+            assert independent_point_count(f, curve.coefficients()) == expected
 
     _run(5, "maximal curve counts", 120.0, check)
 

@@ -125,6 +125,12 @@ def test_ec_search(capsys):
     assert run(["ec-search", "--q", "2048"]) == 2
 
 
+@pytest.mark.parametrize("q,count", [(128, 150), (512, 558)])
+def test_ec_search_largest_binary_fields(capsys, q, count):
+    assert run(["ec-search", "--q", str(q)]) == 0
+    assert f"rational points: {count} (N(q) = {count})" in capsys.readouterr().out
+
+
 def test_rs_route(tmp_path, capsys):
     out = tmp_path / "rs.json"
     assert run(["construct", "--q", "9", "--n", "10", "--dpair", "8", "--out", str(out)]) == 0

@@ -33,7 +33,13 @@ from pairmds.pairmetric import (
     min_pair_distance_bruteforce,
 )
 
-from reference import columns_independent, ec_sum
+from reference import (
+    columns_independent,
+    curve_candidates,
+    ec_sum,
+    first_maximal_curve,
+    independent_point_count,
+)
 
 
 def curve_5_3x():
@@ -125,6 +131,13 @@ def test_find_maximal_curve(q, count):
     assert c.discriminant() != 0
 
 
+def test_ec_point_count_rejects_fields_beyond_the_curve_search():
+    # in characteristic 2 the count builds q trace masks of q bits each
+    c = EllipticCurve(field(2, 11), 1, 0, 0, 0, 1)
+    with pytest.raises(ParameterError, match="q <= 1024"):
+        ec_point_count(c)
+
+
 def _curves(f, coeffs):
     for c in coeffs:
         try:
@@ -151,7 +164,77 @@ def test_curve_scan_over_gf8_finds_the_unfiltered_first_maximal_curve():
     )
     assert find_maximal_curve(f) == first
     # a1 leads the product order, so the scan starts past every a1 = 0 tuple
-    assert next(ecmds._curve_candidates(f)).a1 == 1
+    assert next(curve_candidates(f)).a1 == 1
+
+
+def _sampled_prefixes(f):
+    """A few (a1, a2, a3, a4) of each kind the point counter handles."""
+    rng = random.Random(f.q)
+    some = functools.partial(rng.randrange, f.q)
+    nonzero = functools.partial(rng.randrange, 1, f.q)
+    if f.p == 2:
+        # a1 != 0: one x has a1 x + a3 = 0; a1 = 0, a3 != 0: none has;
+        # a1 = a3 = 0: singular for every a6
+        return (
+            [(nonzero(), some(), some(), some()) for _ in range(3)]
+            + [(0, some(), nonzero(), some()) for _ in range(2)]
+            + [(0, some(), 0, some())]
+        )
+    # general prefixes complete the square; a1 = a3 = 0 is the search's form
+    prefixes = [(some(), some(), some(), some()) for _ in range(2)]
+    prefixes += [(0, some(), 0, some()) for _ in range(2)]
+    if f.p == 3:
+        prefixes.append((0, 0, 0, 0))  # y^2 = x^3 + a6 is singular for every a6
+    return prefixes
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
+def test_point_counts_match_two_independent_counts(q):
+    f = field_of_order(q)
+    for prefix in _sampled_prefixes(f):
+        counts = list(ecmds._point_counts(f, *prefix))
+        nonsingular = _curves(f, (prefix + (a6,) for a6 in f.elements()))
+        assert [a6 for a6, _ in counts] == [c.a6 for c in nonsingular]
+        for a6, n in counts:
+            c = EllipticCurve(f, *prefix, a6)
+            assert n == len(ec_points(c)) == independent_point_count(f, c.coefficients()), c
+            assert ec_point_count(c) == n
+
+
+@pytest.mark.parametrize(
+    "q",
+    [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49,
+     53, 59, 61, 64],
+)
+def test_find_maximal_curve_matches_reference_scan(q):
+    f = field_of_order(q)
+    assert find_maximal_curve(f) == first_maximal_curve(f)
+
+
+# first maximal curves at the larger fields, each found by the scan that
+# counts every candidate's points one x at a time
+@pytest.mark.parametrize(
+    "q,coeffs",
+    [
+        (81, (0, 0, 0, 9, 0)),
+        (125, (0, 0, 0, 1, 0)),
+        (128, (1, 0, 1, 0, 13)),
+        (169, (0, 0, 0, 1, 4)),
+        (243, (0, 2, 0, 0, 1)),
+        (256, (0, 0, 1, 0, 32)),
+        (343, (0, 0, 0, 0, 21)),
+        (512, (1, 0, 1, 0, 253)),
+        (625, (0, 0, 0, 0, 5)),
+        (729, (0, 0, 0, 1, 0)),
+        (961, (0, 0, 0, 1, 0)),
+        (1024, (0, 0, 1, 0, 0)),
+    ],
+)
+def test_first_maximal_curve_pinned(q, coeffs):
+    f = field_of_order(q)
+    c = find_maximal_curve(f)
+    assert c.coefficients() == coeffs
+    assert len(ec_points(c)) == n_max(f)
 
 
 @pytest.mark.parametrize(
@@ -268,11 +351,7 @@ def test_paired_points_structure():
 def test_step1_tail_layout_n19_k6():
     # on a 19-point curve with k = 6: N-3 = 16 = (k+1)*2 + 2
     f = field(13, 1)
-    curve = None
-    for cand in ecmds._curve_candidates(f):
-        if ec_point_count(cand) == 19:
-            curve = cand
-            break
+    curve = next(c for c in curve_candidates(f) if ec_point_count(c) == 19)
     flat, torsion = ecmds._paired_points(curve)
     assert not torsion and len(flat) == 18
     P = {i + 1: flat[i] for i in range(18)}
@@ -488,7 +567,7 @@ def _first_curves_by_two_torsion(q):
     f = field_of_order(q)
     want = {0, 1} if f.p == 2 else {0, 1, 3}
     found = {}
-    for c in ecmds._curve_candidates(f):
+    for c in curve_candidates(f):
         t = sum(len(ecmds._ys_for_x(c, x)) == 1 for x in f.elements())
         found.setdefault(t, c)
         if want <= found.keys():

@@ -107,6 +107,9 @@ def insertion_scheme_even(x: XOrder) -> InsertionScheme:
 
     Deterministic augmenting-path matching: locations are processed in
     ascending index order and candidate values in ascending code order.
+    Each location's search is a depth-first search with one set of values
+    seen, on an explicit stack: a path can pass through about q locations,
+    past the interpreter's recursion limit from GF(1024) on.
     """
     f = x.field
     q = f.q
@@ -115,19 +118,32 @@ def insertion_scheme_even(x: XOrder) -> InsertionScheme:
     excl = [set(location_exclusions(x, j)) for j in range(q)]
     match_of_value: Dict[int, int] = {}
 
-    def augment(j: int, seen: set) -> bool:
-        for y in range(q):
-            if y in excl[j] or y in seen:
+    def augment(root: int) -> bool:
+        seen = set()
+        # the open locations, each with its values left to try, and the
+        # value each but the last has taken from the next one's owner
+        stack = [(root, iter(range(q)))]
+        path: List[int] = []
+        while stack:
+            j, values = stack[-1]
+            y = next((y for y in values if y not in excl[j] and y not in seen), None)
+            if y is None:
+                stack.pop()
+                del path[-1:]
                 continue
             seen.add(y)
             owner = match_of_value.get(y)
-            if owner is None or augment(owner, seen):
+            if owner is None:
                 match_of_value[y] = j
+                for (k, _), v in zip(stack, path):
+                    match_of_value[v] = k
                 return True
+            path.append(y)
+            stack.append((owner, iter(range(q))))
         return False
 
     for j in range(q):
-        if not augment(j, set()):
+        if not augment(j):
             raise ConstructionError(f"no perfect matching for insertions at L_{j}")
     assignment = [0] * q
     for y, j in match_of_value.items():

@@ -10,8 +10,9 @@ deterministic basis: the reduced row echelon form is unique).  A
 certificate that has proven some columns a basis records them there, so no
 matrix is eliminated twice.  Also: small determinants (a 4x4 determinant by
 2x2 minors for coplanarity, and the determinants of every cyclic d-column
-window of a d-row matrix at once, by cofactor expansion on the field's row
-kernels, for the checker's condition 3); codeword enumeration for
+window of a d-row matrix at once, for the 3 and 4 rows of the pair-distance
+5 and 6 parity checks, by cofactor expansion on the field's row kernels,
+for the checker's condition 3); codeword enumeration for
 brute-force oracles (a block of low-digit words built once, and each coset
 of it read from the field's addition table in C); and the Reed-Solomon
 parity check used for short lengths.
@@ -118,77 +119,43 @@ def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
     return sub(plus, add(mul(top02, bot13), mul(top13, bot02)))
 
 
-@functools.lru_cache(maxsize=None)
-def _window_schedule(d: int) -> Tuple[Tuple[Tuple[Tuple[int, int, int], ...], ...], ...]:
-    """The cofactor expansions that ``window_dets`` runs for d rows.
-
-    A pattern is a set of column offsets inside a window; the minor of the
-    bottom j rows on pattern S + t (every offset moved by t) at window i is
-    the minor on S at window i + t, so only the patterns that contain 0 are
-    computed, each as one list over the windows, and a moved pattern is a
-    slice of that list.  Level j (j = 2..d) lists the patterns of size j
-    that contain 0, in a fixed order; pattern S = (0, o_2, ..., o_j) is
-    expanded along its top row: term t multiplies that row moved by o_t with
-    the level j - 1 minor on S without o_t, given as (o_t, index of its
-    pattern at level j - 1, slice start).  Terms alternate in sign.
-    """
-    levels = []
-    prev = [(0,)]
-    for j in range(2, d + 1):
-        index = {s: k for k, s in enumerate(prev)}
-        patterns = [(0,) + rest for rest in itertools.combinations(range(1, d), j - 1)]
-        level = []
-        for s in patterns:
-            terms = []
-            for t, o in enumerate(s):
-                rest = s[:t] + s[t + 1:]
-                terms.append((o, index[tuple(x - rest[0] for x in rest)], rest[0]))
-            level.append(tuple(terms))
-        levels.append(tuple(level))
-        prev = patterns
-    return tuple(levels)
-
-
 def window_dets(f: FieldSpec, rows: Sequence[Sequence[int]]) -> List[int]:
     """Determinants of the cyclic windows of d consecutive columns of a
-    d-row matrix.
+    d-row matrix, d = 3 or 4: the parity checks of pair distance 5 and 6.
 
-    Entry i is the determinant of columns i, ..., i + d - 1 (mod n).  The
-    minors of the bottom j rows are built bottom-up, j = 1..d, by cofactor
-    expansion along row d - j, each minor pattern as one list over all
-    windows (see ``_window_schedule``); every term is one ``mul_rows`` pass
-    and every sum one ``add_rows`` or ``sub_rows`` pass, 2^(d-1) patterns
-    in all.  The row kernels stop at the shorter row, which sets each
-    list's length: the rows are extended cyclically by d - 1 entries, and
-    the minors on a pattern reaching offset m have n + d - 1 - m entries.
+    Entry i is the determinant of columns i, ..., i + d - 1 (mod n).  Each
+    minor on a set of column offsets is one list over all windows, built by
+    cofactor expansion along its top row from the minors of the rows below:
+    the 2x2 minors of the bottom two rows on offsets (0, k), then the 3x3
+    minors of the bottom three, then, for d = 4, the 4x4 determinants.  A
+    minor on offsets moved by t is the same list read from t on.  Every
+    product is one ``mul_rows`` pass and every sum one ``add_rows`` or
+    ``sub_rows`` pass.  The row kernels stop at the shorter row, which sets
+    each list's length: the rows are extended cyclically by d - 1 entries.
     """
     d = len(rows)
+    if d not in (3, 4):
+        raise ValueError(f"window determinants take 3 or 4 rows, got {d}")
     n = len(rows[0])
     if n < d - 1:
         raise ValueError(f"{n} columns are too few for windows of {d}")
     mul, add, sub = f.mul_rows, f.add_rows, f.sub_rows
     ext = [list(r) + list(r[:d - 1]) for r in rows]
+    r0, r1, r2 = ext[-3:]
+    # mS (pS): the minors of the bottom two (three) rows on offsets S
+    m01 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
+    m02 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
+    p012 = add(sub(mul(r0, m01[1:]), mul(r0[1:], m02)), mul(r0[2:], m01))
     if d == 3:
-        # the same passes as the schedule's, written out: walking the
-        # schedule costs a few microseconds, which a d_H = 3 check notices
-        r0, r1, r2 = ext
-        m01 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
-        m02 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
-        return add(sub(mul(r0, m01[1:]), mul(r0[1:], m02)), mul(r0[2:], m01))
-    minors = [ext[d - 1]]
-    for j, level in enumerate(_window_schedule(d), 2):
-        top = ext[d - j]
-        moved = [top] + [top[o:] for o in range(1, d)]
-        level_minors = []
-        for terms in level:
-            acc = None
-            for t, (o, k, start) in enumerate(terms):
-                child = minors[k]
-                term = mul(moved[o], child[start:] if start else child)
-                acc = term if acc is None else (sub if t & 1 else add)(acc, term)
-            level_minors.append(acc)
-        minors = level_minors
-    return minors[0]
+        return p012
+    m03 = sub(mul(r1, r2[3:]), mul(r1[3:], r2))
+    p013 = add(sub(mul(r0, m02[1:]), mul(r0[1:], m03)), mul(r0[3:], m01))
+    p023 = add(sub(mul(r0, m01[2:]), mul(r0[2:], m03)), mul(r0[3:], m02))
+    top = ext[0]
+    return sub(
+        add(sub(mul(top, p012[1:]), mul(top[1:], p023)), mul(top[2:], p013)),
+        mul(top[3:], p012),
+    )
 
 
 def _forward(

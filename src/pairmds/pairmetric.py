@@ -10,12 +10,13 @@ every vector in normal form and projects all later columns from a pivot in
 one ``FieldSpec.project`` call; a certificate normalises each column once,
 and conditions 1 and 2 search the same normal forms.  Condition 3 takes the
 determinants of all cyclic windows at once (``linalg.window_dets``) for
-d_H <= 6, and eliminates window by window above that.  All of them read the
-field's tables directly instead of making one field-method call per
-element.  A passing check has proven the matrix's first rows-many columns
-independent (the MDS check rejects a matrix with more rows than columns),
-and records them as its column basis, so a ``LinearCode`` on it does not
-eliminate it again.
+d_H = 3 and 4, the parity checks of pair distance 5 and 6 that
+``construct`` emits, and eliminates window by window at every other row
+count.  All of them read the field's tables directly instead of making one
+field-method call per element.  A passing check has proven the matrix's
+first rows-many columns independent (the MDS check rejects a matrix with
+more rows than columns), and records them as its column basis, so a
+``LinearCode`` on it does not eliminate it again.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ COND_CONSECUTIVE_INDEPENDENT = "condition-3"
 
 _SUBSET_SCAN_CAP = 2_000_000
 
-# condition 3 takes all window determinants at once up to this many rows; a
-# hostile file may declare any row count, and the kernel's 2^(d-1) minor
-# patterns grow with it, so larger ones eliminate window by window
-_WINDOW_KERNEL_MAX_ROWS = 6
+# condition 3 takes all window determinants at once at these row counts, the
+# d_H of the pair-distance 5 and 6 constructions; a file may declare any
+# other, which eliminates window by window
+_WINDOW_KERNEL_ROWS = (3, 4)
 
 
 def pair_weight(u: Sequence[int]) -> int:
@@ -58,10 +59,6 @@ def pair_weight(u: Sequence[int]) -> int:
     n = len(u)
     if n < 2:
         raise ValueError("pair weight needs length >= 2")
-    if u.count(0) < 2:
-        # a (0, 0) pair needs two zeros; most words of a brute-force
-        # enumeration have fewer, and the count runs in C
-        return n
     w = 0
     prev = u[n - 1]
     for x in u:
@@ -80,16 +77,6 @@ def pair_distance(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     return pair_weight(f.sub_rows(u, v))
 
 
-def _nonzero_codewords(code: LinearCode, cap: int):
-    """Every codeword but the zero word, which enumeration yields first.
-
-    k >= 1, so at least one word is left.
-    """
-    words = enumerate_codewords(code, cap=cap)
-    next(words)
-    return words
-
-
 def min_pair_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Smallest pair weight over all nonzero codewords, by full enumeration.
 
@@ -106,7 +93,9 @@ def min_pair_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) 
     which ``compress`` keeps in step.
     """
     n = code.n
-    words, copy = tee(_nonzero_codewords(code, cap))
+    words = enumerate_codewords(code, cap=cap)
+    next(words)  # the zero word; k >= 1, so at least one word is left
+    words, copy = tee(words)
     best = n
     while True:
         zeros = map(tuple.count, copy, repeat(0))
@@ -117,12 +106,6 @@ def min_pair_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) 
                 break
         else:
             return best
-
-
-def min_hamming_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Smallest Hamming weight over all nonzero codewords, by full enumeration:
-    n minus the largest zero count, taken in C."""
-    return code.n - max(map(tuple.count, _nonzero_codewords(code, cap), repeat(0)))
 
 
 @dataclass(frozen=True)
@@ -295,9 +278,9 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     1. any d_h - 1 columns are linearly independent;
     2. some d_h columns are linearly dependent;
     3. every d_h cyclically consecutive columns are independent (for
-       d_h <= 6 the determinants of all n windows are computed at once by
-       ``linalg.window_dets``, and the first zero one is the witness; more
-       rows use one elimination per window).
+       d_h = 3 and 4 the determinants of all n windows are computed at once
+       by ``linalg.window_dets``, and the first zero one is the witness;
+       every other row count uses one elimination per window).
 
     Returns a success certificate claiming pair distance d_h + 2, or a
     failure certificate naming the violated condition and a witness.
@@ -332,7 +315,7 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     if witness is None:
         return failure(COND_DEPENDENT_SET_EXISTS, None)
 
-    if d_h <= _WINDOW_KERNEL_MAX_ROWS:
+    if d_h in _WINDOW_KERNEL_ROWS:
         dets = window_dets(f, h.entries)
         if 0 in dets:
             i = dets.index(0)

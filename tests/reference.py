@@ -6,10 +6,10 @@ faster or more indirectly, kept here so that tests can compare the two.
 
 import itertools
 
-from pairmds.d5 import _block_columns
+from pairmds.d5 import _block_columns, location_exclusions
 from pairmds.ecmds import EllipticCurve, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
-from pairmds.linalg import CodeMatrix, rank_of_vectors
+from pairmds.linalg import CodeMatrix, enumerate_codewords, rank_of_vectors
 
 
 def pair_read(u):
@@ -47,17 +47,18 @@ def independent_point_count(f, coeffs):
     return count
 
 
-def curve_candidates(f):
+def curve_candidates(f, a1_min=0):
     """The nonsingular curves of the maximal-curve search, in its order.
 
-    Characteristic 2 scans (a1, a2, a3, a4, a6) in ascending order, with
-    a1 = 0 left out over GF(2^a) for odd a >= 3: those curves are
-    supersingular, and none of them is maximal there.  Odd characteristic
-    scans y^2 = x^3 + a2 x^2 + a4 x + a6, to which every curve is isomorphic.
+    Characteristic 2 scans (a1, a2, a3, a4, a6) in ascending order from
+    a1 = a1_min, with a1 = 0 left out over GF(2^a) for odd a >= 3: those
+    curves are supersingular, and none of them is maximal there.  Odd
+    characteristic scans y^2 = x^3 + a2 x^2 + a4 x + a6, to which every
+    curve is isomorphic.
     """
     elements = f.elements()
     if f.p == 2:
-        a1s = range(1, f.q) if f.a >= 3 and f.a % 2 else elements
+        a1s = range(1 if f.a >= 3 and f.a % 2 else a1_min, f.q)
         coeffs = itertools.product(a1s, elements, elements, elements, elements)
     else:
         coeffs = ((0, a2, 0, a4, a6) for a2, a4, a6 in itertools.product(elements, repeat=3))
@@ -229,3 +230,40 @@ def projector(f, pivot):
         return v[:p] + tuple(w)
 
     return image
+
+
+def insertion_assignment_recursive(x):
+    """The insertion values of ``d5.insertion_scheme_even``, by the
+    recursive augmenting-path matching: locations in ascending order,
+    values in ascending code order, one set of values seen per location.
+    Nests about q calls deep."""
+    q = x.field.q
+    excl = [set(location_exclusions(x, j)) for j in range(q)]
+    match_of_value = {}
+
+    def augment(j, seen):
+        for y in range(q):
+            if y in excl[j] or y in seen:
+                continue
+            seen.add(y)
+            owner = match_of_value.get(y)
+            if owner is None or augment(owner, seen):
+                match_of_value[y] = j
+                return True
+        return False
+
+    for j in range(q):
+        if not augment(j, set()):
+            raise AssertionError(f"no perfect matching for insertions at L_{j}")
+    assignment = [0] * q
+    for y, j in match_of_value.items():
+        assignment[j] = y
+    return tuple(assignment)
+
+
+def min_hamming_distance_bruteforce(code):
+    """Smallest Hamming weight over all nonzero codewords, by full
+    enumeration: n minus the largest zero count, taken in C."""
+    words = enumerate_codewords(code)
+    next(words)  # the zero word
+    return code.n - max(map(tuple.count, words, itertools.repeat(0)))

@@ -16,7 +16,6 @@ from pairmds.gf import field_of_order
 from pairmds.linalg import CodeMatrix, LinearCode, null_space
 from pairmds.pairmetric import (
     check_theorem_conditions,
-    min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
     pair_distance,
     pair_weight,
@@ -34,7 +33,7 @@ from goldens import (
     OVOID_Q4,
     OVOID_Q4_N7,
 )
-from reference import independent_point_count
+from reference import independent_point_count, min_hamming_distance_bruteforce
 
 D5_SWEEP_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 D6_SWEEP_FIELDS = [3, 4, 5, 7, 8, 9]

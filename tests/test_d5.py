@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from pairmds.linalg import CodeMatrix, rank
 from pairmds.pairmetric import check_theorem_conditions
 
 from goldens import H2_FULL, H2_N5, H2_N6, H4_FULL, H5_FULL, H5_N13, H5_N14
-from reference import block_matrix, columns_independent
+from reference import block_matrix, columns_independent, insertion_assignment_recursive
 
 
 def as_rows(m: CodeMatrix):
@@ -85,6 +86,30 @@ def test_insertion_scheme_is_valid_matching(q):
     assert sorted(scheme.assignment) == list(range(q))  # a perfect matching
     for j, y in enumerate(scheme.assignment):
         assert y not in set(location_exclusions(x, j))
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64, 128, 256])
+def test_insertion_scheme_matches_the_recursive_matching(q):
+    x = canonical_xorder(field_of_order(q))
+    assert insertion_scheme_even(x).assignment == insertion_assignment_recursive(x)
+
+
+def test_insertion_scheme_needs_no_recursion_depth():
+    # the recursive matching nests about q calls deep, and the interpreter's
+    # limit of 1000 frames ended it from GF(1024) on
+    x = canonical_xorder(field_of_order(256))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assignment = insertion_scheme_even(x).assignment
+    finally:
+        sys.setrecursionlimit(limit)
+    assert assignment == insertion_assignment_recursive(x)
 
 
 def test_insertion_scheme_rejects_odd_q():

@@ -28,10 +28,7 @@ from pairmds.ecmds import (
 from pairmds.errors import ParameterError
 from pairmds.gf import FieldError, field, field_of_order
 from pairmds.linalg import CodeMatrix, LinearCode, null_space, rank, rank_of_vectors
-from pairmds.pairmetric import (
-    min_hamming_distance_bruteforce,
-    min_pair_distance_bruteforce,
-)
+from pairmds.pairmetric import min_pair_distance_bruteforce
 
 from reference import (
     columns_independent,
@@ -39,6 +36,7 @@ from reference import (
     ec_sum,
     first_maximal_curve,
     independent_point_count,
+    min_hamming_distance_bruteforce,
 )
 
 
@@ -561,18 +559,25 @@ def test_sliding_window_violations_match_definition(case):
 
 
 @functools.lru_cache(maxsize=None)
-def _first_curves_by_two_torsion(q):
-    """{t: the first candidate curve over GF(q) with t two-torsion points}.
-    A point is its own negative exactly when no other point shares its x."""
+def _first_curve_with_two_torsion(q, t):
+    """The first candidate curve over GF(q) with t two-torsion points.
+
+    A point is its own negative exactly when no other point shares its x.
+    In characteristic 2, -(x, y) = (x, y + a1 x + a3), so P = -P needs
+    a1 x + a3 = 0, which no nonsingular curve with a1 = 0 meets (a1 = a3 = 0
+    is singular there): a class with t > 0 is searched from a1 = 1.
+    """
     f = field_of_order(q)
-    want = {0, 1} if f.p == 2 else {0, 1, 3}
-    found = {}
-    for c in curve_candidates(f):
-        t = sum(len(ecmds._ys_for_x(c, x)) == 1 for x in f.elements())
-        found.setdefault(t, c)
-        if want <= found.keys():
-            return found
+    a1_min = 1 if f.p == 2 and t else 0
+    for c in curve_candidates(f, a1_min):
+        if sum(len(ecmds._ys_for_x(c, x)) == 1 for x in f.elements()) == t:
+            return c
     raise AssertionError(f"GF({q}) lacks a curve class")  # pragma: no cover
+
+
+def test_first_binary_curves_of_each_two_torsion_class():
+    assert _first_curve_with_two_torsion(16, 0).coefficients() == (0, 0, 1, 0, 0)
+    assert _first_curve_with_two_torsion(16, 1).coefficients() == (1, 0, 0, 0, 1)
 
 
 # characteristic 2 has no curve with three 2-torsion points
@@ -580,7 +585,7 @@ def _first_curves_by_two_torsion(q):
     "q,t", [(q, t) for q in (11, 13, 25, 27) for t in (0, 1, 3)] + [(16, 0), (16, 1)]
 )
 def test_arrange_at_the_longest_lengths_for_each_two_torsion_class(q, t):
-    c = _first_curves_by_two_torsion(q)[t]
+    c = _first_curve_with_two_torsion(q, t)
     flat, torsion = ecmds._paired_points(c)
     assert len(flat) % 2 == 0
     assert len(torsion) == t

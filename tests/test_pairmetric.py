@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pairmds import pairmetric
 from pairmds.gf import field, field_of_order
@@ -22,14 +22,18 @@ from pairmds.pairmetric import (
     _first_dependent_subset,
     check_mds_conditions,
     check_theorem_conditions,
-    min_hamming_distance_bruteforce,
     min_pair_distance_bruteforce,
     pair_distance,
     pair_weight,
 )
 
 from goldens import H2_FULL, H2_N5
-from reference import columns_independent, hamming_weight, pair_read
+from reference import (
+    columns_independent,
+    hamming_weight,
+    min_hamming_distance_bruteforce,
+    pair_read,
+)
 
 
 def test_pair_read():
@@ -131,8 +135,15 @@ def test_min_pair_distance_bruteforce_examples():
     assert min_pair_distance_bruteforce(LinearCode(CodeMatrix.from_rows(f2, H2_FULL))) == 5
 
 
+# words with no zero and with one zero are drawn rarely at the longer
+# lengths, so each is also given as an example
 @settings(max_examples=300, deadline=None)
 @given(u=st.lists(st.sampled_from([0, 0, 0, 1, 7]), min_size=2, max_size=12))
+@example(u=[1, 7])
+@example(u=[7] * 12)
+@example(u=[0, 7])
+@example(u=[1] * 11 + [0])
+@example(u=[7, 1, 0, 1, 7])
 def test_pair_weight_matches_the_definition(u):
     n = len(u)
     want = sum(1 for i in range(n) if (u[i], u[(i + 1) % n]) != (0, 0))
@@ -289,19 +300,16 @@ def test_condition3_witness_is_a_planted_wrap_window(q, n, k):
     assert tuple(cert.failing_set) == (n - 1, 0, 1) == first_singular_window(f, cols, 3)
 
 
-@pytest.mark.parametrize("q,n,start,slot,k", [(13, 16, 13, 3, 5), (11, 15, 10, 11, 2)])
-def test_condition3_eliminates_each_window_above_the_kernel_rows(q, n, start, slot, k):
-    # an elliptic-curve parity check at d_H = 7 meets conditions 1-3, and
-    # condition 3 eliminates window by window at that row count
+def planted_ec_window(d_h, q, n, start, slot, k):
+    """An elliptic-curve parity check with d_h rows meets conditions 1-3;
+    swapping column k into `slot` plants a dependent window that starts at
+    `start`, and every earlier window stays independent."""
     from pairmds.ecmds import construct_ec
 
-    d_h = 7
-    assert d_h > pairmetric._WINDOW_KERNEL_MAX_ROWS
+    assert d_h not in pairmetric._WINDOW_KERNEL_ROWS
     f = field_of_order(q)
     h = construct_ec(f, n, d_h)[0].parity_check
     assert check_theorem_conditions(h, d_h).ok
-    # swapping column k into `slot` plants a dependent window that wraps
-    # around, and every earlier window stays independent
     planted = tuple((start + t) % n for t in range(d_h))
     assert slot in planted and k not in planted
     cols = h.columns()
@@ -310,6 +318,29 @@ def test_condition3_eliminates_each_window_above_the_kernel_rows(q, n, start, sl
     cert = check_theorem_conditions(CodeMatrix.from_columns(f, cols), d_h)
     assert cert.failed_condition == COND_CONSECUTIVE_INDEPENDENT
     assert tuple(cert.failing_set) == planted == first_singular_window(f, cols, d_h)
+
+
+# condition 3 eliminates window by window at the row counts outside the
+# kernel's: d_H = 7 and 5 from elliptic curves, d_H = 2 by hand
+@pytest.mark.parametrize("q,n,start,slot,k", [(13, 16, 13, 3, 5), (11, 15, 10, 11, 2)])
+def test_condition3_eliminates_each_window_above_the_kernel_rows(q, n, start, slot, k):
+    planted_ec_window(7, q, n, start, slot, k)
+
+
+@pytest.mark.parametrize("q,n,start,slot,k", [(13, 16, 12, 15, 10), (16, 20, 16, 16, 15)])
+def test_condition3_eliminates_each_window_at_five_rows(q, n, start, slot, k):
+    planted_ec_window(5, q, n, start, slot, k)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_condition3_eliminates_each_window_at_two_rows(q):
+    # columns (1, x) for every x, then (1, 0) again: no column is zero, the
+    # first and last are dependent, and so is the window that wraps around
+    f = field_of_order(q)
+    cols = [(1, x) for x in range(q)] + [(1, 0)]
+    cert = check_theorem_conditions(CodeMatrix.from_columns(f, cols), 2)
+    assert cert.failed_condition == COND_CONSECUTIVE_INDEPENDENT
+    assert tuple(cert.failing_set) == (q, 0) == first_singular_window(f, cols, 2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ matrices.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -130,11 +131,7 @@ def secant_planes(f: FieldSpec, pts: Sequence[Point], A: Point, B: Point) -> Lis
         tuple(f.add(w1[t], f.mul(c, w2[t])) for t in range(4)) for c in f.elements()
     ]
     normals.append(tuple(w2))
-    planes = []
-    for w in normals:
-        on_plane = [p for p in pts if f.dot(w, p) == 0]
-        planes.append(sorted(on_plane))
-    return planes
+    return [sorted(itertools.compress(pts, on)) for on in f.orthogonal(normals, pts)]
 
 
 def _verify_ovoid(o: Ovoid) -> None:

@@ -13,17 +13,20 @@ The certificate runs on the field's row kernels.  The generator matrix is
 built from power rows: the row of x^i over the arranged points is the row of
 x^(i-1) times the row of x-coordinates, and x^i y multiplies it by the row of
 y-coordinates, so no element is raised to a power.  h g^T = 0 is checked
-with one ``FieldSpec.dot`` per pair of rows.  Each matrix is eliminated
-once: rank g = k is read from g's column basis (which ``null_space(g)`` has
-already found when construct_ec built h), and rank h = n - k from the
-(n - k) x (n - k) block of h on g's free columns alone.
+from h and g alone by the field's vanishing-product kernel
+(``FieldSpec.orthogonal``): g's columns are packed once, and each row of h
+is one pass over them.  Each matrix is eliminated once: rank g = k is read
+from g's column basis (which ``null_space(g)`` has already found when
+construct_ec built h), and rank h = n - k from the (n - k) x (n - k) block
+of h on g's free columns alone.
 
 The pairing of each point with its negative, window sums, the SWITCH
-windows (read from one index list per pass) and the subset-sum count run on
-one group table per curve (``_group``, cached per process): the point list
-with O first, the point-to-index map, the N x N addition table and the
-negation table, every entry computed once by the validating
-``ec_add``/``ec_neg``.
+windows (read from one index list per pass) and the subset-sum count (the
+counts of every subset size packed into one int per group element, so a
+point is one C-level pass over the group) run on one group table per curve
+(``_group``, cached per process): the point list with O first, the
+point-to-index map, the N x N addition table and the negation table, every
+entry computed once by the validating ``ec_add``/``ec_neg``.
 Since the table grows as N^2, curves are supported over fields of order at
 most ``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
 
@@ -513,26 +516,41 @@ def subset_sum_count(a: EvalArrangement) -> int:
     """N(k, O, D): the number of k-subsets of D summing to O.
 
     Dynamic programming over (subset size, group element), the group being
-    indexed by the curve's full point list.  Point i (from 0) updates only
-    the sizes it can change: the i points before it fill sizes up to i, and
-    a size below k - (n - i) + 1 can no longer reach k.
+    indexed by the curve's full point list, with the sizes packed into one
+    int per element: slot s of ``counts[t]`` holds the number of subsets of
+    size lo + s of the points so far that sum to t.  Only the sizes lo .. top
+    that can still reach k are kept: after the first m points,
+    lo = max(0, k - (n - m)) and top = min(k, m).  So a kept count is
+    C(m, s) at most, with s <= k and m - s <= n - k, and C(m, s) = C(m, j)
+    <= C(n, j) for j = min(s, m - s) <= min(k, n - k) <= n / 2: slots
+    of the bit length of C(n, min(k, n - k)) never carry into the next.
+
+    A point P adds to each count the count one size lower at t - P, for all
+    t in one C-level pass: the itemgetter of the group row of -P reads
+    counts[t - P] for every t, and a left shift moves them one size up.
+    When the lowest size drops out, the untranslated counts move one slot
+    down instead, and once top is k the size k + 1 is masked off.
     """
     g = _group(a.curve)
-    ng = len(g.points)
-    k = a.k
-    n = len(a.points)
-    counts = [[0] * ng for _ in range(k + 1)]
-    counts[0][0] = 1  # index 0 is O
+    n, k = a.n, a.k
+    width = math.comb(n, min(k, n - k)).bit_length()
+    rep = itertools.repeat
+    counts = [0] * len(g.points)
+    counts[0] = 1  # the empty subset; index 0 is O
+    lo = top = 0
     for i, pi in enumerate(g.indices(a.points)):
-        row = g.add[pi]
-        for size in range(min(k, i + 1), max(0, k - (n - i)), -1):
-            prev = counts[size - 1]
-            cur = counts[size]
-            for h in range(ng):
-                cnt = prev[h]
-                if cnt:
-                    cur[row[h]] += cnt
-    return counts[k][0]
+        moved = operator.itemgetter(*g.add[g.neg[pi]])(counts)
+        if lo < k - (n - 1 - i):
+            lo += 1
+            counts = map(operator.add, map(operator.rshift, counts, rep(width)), moved)
+        else:
+            counts = map(operator.add, counts, map(operator.lshift, moved, rep(width)))
+        if top < k:
+            top += 1
+        else:
+            counts = map(operator.and_, counts, rep((1 << width * (k + 1 - lo)) - 1))
+        counts = list(counts)
+    return counts[0]  # lo = top = k
 
 
 def generator_matrix(a: EvalArrangement) -> CodeMatrix:
@@ -746,10 +764,7 @@ def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> Pai
     if len(basis) != k:
         raise ConstructionError("evaluation matrix is rank deficient")
     window_ok = window_check(a)
-    dot = f.dot
-    product_zero = h.cols == n and all(
-        dot(hrow, grow) == 0 for hrow in h.entries for grow in g.entries
-    )
+    product_zero = h.cols == n and all(map(all, f.orthogonal(h.entries, g.entries)))
     rank_ok = False
     if product_zero and h.rows == n - k:
         in_basis = set(basis)

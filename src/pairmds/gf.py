@@ -9,15 +9,16 @@ Every extension field uses one fixed monic irreducible modulus, shipped in an
 embedded table (the polynomial whose integer encoding is smallest), so the
 field, and every code file built over it, is a function of (p, a) alone.
 
-Arithmetic is table-driven and every table is built eagerly when a field is
-constructed: one exp/log pair in every field, safe at 0 (O(q) each; see
-``FieldSpec``), a flat q x q addition table in every field with q <= 2^8 (at
-most 65,536 small ints) and beside it q rows of the logs of differences (at
-most 65,536 pointers to the log table's ints, 0.5 MB), and, in
-odd-characteristic extension fields, a q-entry negation table read from the
-exp table.  Prime fields multiply mod p; every other product, and every
-quotient, inverse, power and negation, is one exp lookup at a sum,
-difference or multiple of logs, with no test for zero.
+Arithmetic is table-driven, and every table but the digit tables of the
+vanishing-product kernel is built eagerly when a field is constructed: one
+exp/log pair in every field, safe at 0 (O(q) each; see ``FieldSpec``), a
+flat q x q addition table in every field with q <= 2^8 (at most 65,536
+small ints) and beside it q rows of the logs of differences (at most
+65,536 pointers to the log table's ints, 0.5 MB), and, in odd-characteristic
+extension fields, a q-entry negation table read from the exp table.  Prime
+fields multiply mod p; every other product, and every quotient, inverse,
+power and negation, is one exp lookup at a sum, difference or multiple of
+logs, with no test for zero.
 Scalar addition computes mod p in prime fields and XOR in binary fields;
 larger odd-extension fields add digit by digit.  The exp table is filled by
 the table-free multiply-by-x step (a shift and one reduction), one coset of
@@ -28,13 +29,15 @@ Vector kernels run a whole vector through the tables in one pass:
 ``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination,
 ``mul_rows``, ``add_rows`` and ``sub_rows`` the elementwise steps of the
 batched window determinants, the elliptic generator matrix and codeword
-enumeration, ``dot`` the inner product, ``addition_rows`` the addition-table
-rows that codeword enumeration reads whole cosets from, and ``normal_form``
-and ``project`` the project-and-normalise step of the checker's
-dependent-set search; ``project`` maps every later vector from one pivot in
-one call, the common 3- and 4-coordinate case in one comprehension of
-quotient lookups, and reads the logs of the differences from the field's
-rows, so a pivot costs no per-call table building.
+enumeration, ``orthogonal`` the vanishing-product kernel (which u . v are
+0, for h g^T and the ovoid's secant planes), ``addition_rows`` the
+addition-table rows that codeword enumeration reads whole cosets from, and
+``normal_form`` and ``project`` the project-and-normalise step of the
+checker's dependent-set search; ``project`` maps every later vector from one
+pivot in one call, the common 3- and 4-coordinate case in one comprehension
+of quotient lookups, and reads the logs of the differences from the field's
+rows, so a pivot costs no per-call table building; ``project_codes`` gives
+the images of 3-coordinate vectors as ints.
 """
 
 from __future__ import annotations
@@ -43,12 +46,16 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, List, Optional, Sequence, Tuple
+import sys
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
 # odd-extension fields up to this order get a flat q x q addition table
 ADD_TABLE_MAX_ORDER = 1 << 8
+
+# the memoryview format of an unsigned slot of 1, 2, 4 or 8 bytes
+_SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # One monic irreducible polynomial per (p, a), a >= 2, p^a <= 2^16: the one
 # with the smallest integer encoding sum(c_i * p^i).  Degree-1 moduli are
@@ -176,8 +183,9 @@ def _prime_factors(m: int) -> List[int]:
 class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
-    Immutable after construction; all lookup tables are built eagerly so a
-    FieldSpec can be shared freely across threads.  Every field has one
+    Immutable after construction but for the digit tables of
+    ``orthogonal``, built on first use (a race builds the same table twice);
+    the other lookup tables are built eagerly.  Every field has one
     exp/log pair that is safe at 0.  With q1 = q - 1 and the sentinel
     z = 3*q1 - 1, ``_log[x]`` is the logarithm of x != 0 to the generator g
     and ``_log[0] = z``; ``_exp`` holds g^0 .. g^(2*q1 - 1) (offsets
@@ -215,6 +223,10 @@ class FieldSpec:
         self._neg: List[int] | None = None
         if p != 2 and a > 1:
             self._neg = [exp[i + q1 // 2] for i in log]
+        # tables of ``orthogonal``, built on first use; set here, so that
+        # filling them adds no attribute (a new one slows every attribute read)
+        self._packed: Dict[int, List[List[bytes]]] = {}
+        self._digit_rows: Optional[List[List[int]]] = None
         self._add: List[int] | None = None
         self._log_diff: List[List[int]] | None = None
         if q <= ADD_TABLE_MAX_ORDER:
@@ -344,25 +356,84 @@ class FieldSpec:
             return [add[x * q + neg[y]] for x, y in zip(u, v)]
         return [self._add_digits(x, neg[y]) for x, y in zip(u, v)]
 
-    def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """The sum of u_t * v_t (over the shorter length)."""
-        if self.a == 1:
-            return sum(map(operator.mul, u, v)) % self.p
-        exp, log = self._exp, self._log
-        prods = [exp[log[x] + log[y]] for x, y in zip(u, v) if x and y]
-        if self.p == 2:
-            return functools.reduce(operator.xor, prods, 0)
-        add = self._add
-        s = 0
-        if add is not None:
-            q = self.q
-            for x in prods:
-                s = add[s * q + x]
+    def orthogonal(
+        self, us: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]]
+    ) -> Iterator[List[bool]]:
+        """The vanishing-product kernel: for each u in `us`, in turn, the
+        list over `vectors` of whether the dot product u . v is 0.  Every u
+        is as long as the vectors.
+
+        A product is linear in u over GF(p): with e_b the element of code p^b
+        and d_b(x) digit b of x, x y = sum over b of d_b(x) (e_b y).  So each
+        column t of the vectors is packed once per b into one int,
+        ``T[b][t]``, whose slots hold the digits of e_b v_t for every v in
+        turn (``_digit_bytes``), and the slots of
+        S = sum over t and b of d_b(u_t) T[b][t] hold the digits of u . v for
+        every v: one C-level pass over the columns per digit of u.  Binary
+        fields XOR the columns at the set bits of u, so the slots of S are
+        the products themselves.  Other fields add: a slot sums at most
+        n a (p - 1)^2 for rows of length n, which sets its width, so no slot
+        carries, and u . v is 0 when every slot of v is 0 mod p.
+        """
+        columns = list(zip(*vectors))
+        p, a, n = self.p, self.a, len(columns)
+        if p == 2:
+            width = (a + 7) // 8
         else:
-            add_digits = self._add_digits
-            for x in prods:
-                s = add_digits(s, x)
-        return s
+            bound = max(n, 1) * a * (p - 1) ** 2
+            width = next(w for w in (1, 2, 4, 8) if bound >> 8 * w == 0)
+        order = sys.byteorder
+        size = len(vectors) * width * (1 if p == 2 else a)  # bytes per column
+        flat = list(itertools.chain.from_iterable(columns))
+        tables = []
+        for row in self._digit_bytes(width):
+            packed = b"".join(map(row.__getitem__, flat))
+            starts = range(0, len(packed), size or 1)
+            tables.append([int.from_bytes(packed[i:i + size], order) for i in starts])
+        digit_rows = self._digit_rows
+        if digit_rows is None and p != 2 and a > 1:
+            # row b maps each element code to its base-p digit b
+            digits = [[x // p**b % p for x in range(self.q)] for b in range(a)]
+            digit_rows = self._digit_rows = digits
+        rep, compress, mul, not_ = itertools.repeat, itertools.compress, operator.mul, operator.not_
+        for u in us:
+            if p == 2:
+                s = 0
+                for b, table in enumerate(tables):
+                    bits = map(operator.and_, u, rep(1 << b))
+                    s = functools.reduce(operator.xor, compress(table, bits), s)
+                raw = s.to_bytes(size, order)
+                yield list(map(not_, raw if width == 1 else map(operator.or_, raw[::2], raw[1::2])))
+                continue
+            if a == 1:
+                s = sum(map(mul, compress(tables[0], u), filter(None, u)))
+            else:
+                nonzero = [x for x in u if x]
+                s = sum([
+                    sum(map(mul, compress(table, u), map(row.__getitem__, nonzero)))
+                    for table, row in zip(tables, digit_rows)
+                ])
+            slots = memoryview(s.to_bytes(size, order)).cast(_SLOT_FORMAT[width])
+            rests = map(operator.mod, slots, rep(p))
+            yield list(map(not_, rests if a == 1 else map(any, zip(*[rests] * a))))
+
+    def _digit_bytes(self, width: int) -> List[List[bytes]]:
+        """Row b, for b < a, maps each element y to the digits of e_b y
+        (e_b the element of code p^b), each digit `width` bytes in the
+        machine's byte order; a binary field's code is kept whole.  Built on
+        first use, once per width."""
+        rows = self._packed.get(width)
+        if rows is None:
+            order, q = sys.byteorder, self.q
+            if self.p == 2:
+                enc = [y.to_bytes(width, order) for y in range(q)]
+            else:
+                enc = [b"".join(d.to_bytes(width, order) for d in self.digits(y)) for y in range(q)]
+            rows = self._packed[width] = [
+                list(map(enc.__getitem__, self.mul_rows(itertools.repeat(self.p**b), range(q))))
+                for b in range(self.a)
+            ]
+        return rows
 
     def normal_form(self, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """v scaled so its first nonzero entry is 1; None for the zero vector.
@@ -449,6 +520,28 @@ class FieldSpec:
             else one(0, tail, v)
             for v in vectors
             for o, x, y, z in (v or (0, 0, 0, 0),)
+        ]
+
+    def project_codes(
+        self, pivot: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
+    ) -> List[Optional[int]]:
+        """``project`` from a pivot of length 3, each image given as an int:
+        (1, t) as t, (0, 1) as q and the zero image as None, so equal images
+        are equal ints.  A pivot (1, a, b) in a field with an addition table
+        takes one comprehension of the same lookups as ``project``; other
+        pivots convert ``project``'s tuples."""
+        diff, q = self._log_diff, self.q
+        if diff is None or not pivot[0]:
+            return [w if w is None else w[1] if w[0] else q for w in self.project(pivot, vectors)]
+        exp = self._exp
+        _, a, b = pivot
+        la, lb = diff[a], diff[b]
+        return [
+            exp[lb[y] - la[x]] if o and x != a
+            else (q if y != b else None) if o
+            else y if x else q if y else None
+            for v in vectors
+            for o, x, y in (v or (0, 0, 0),)
         ]
 
     def _project_one(

@@ -170,8 +170,10 @@ def _first_dependent_subset(f, cols, size, forms=None):
     no set-up per pivot, so the cost follows the columns projected.  At
     size 2, two vectors are dependent exactly when one is zero or both
     normal forms are equal, so pairs are matched by hashing; pairs with the
-    first vector come first, and the first pivot of a size-3 search projects
-    doubling prefixes until that vector's partner shows.
+    first vector come first, and the first pivot of a top-level size-3
+    search projects doubling prefixes until that vector's partner shows.
+    At the size-3 level on 3-coordinate vectors (the Reed-Solomon minors'
+    last level) the images are ints, not tuples (``FieldSpec.project_codes``).
 
     A full scan projects about C(n, size - 1) columns.  At most
     _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is
@@ -218,19 +220,19 @@ def _first_dependent_subset(f, cols, size, forms=None):
         j = min(partner)
         return j, partner[j]
 
-    def first_pivot_pair(pivot, later):
+    def first_pivot_pair(images, pivot, later):
         # A dependent set, where there is one, mostly contains the first
         # pivot and the first vector after it, whose partner lies early:
         # project doubling prefixes until it shows.
-        images = f.project(pivot, later[:8])
-        while len(images) < len(later):
-            found = head_partner(images)
-            if found is not None:
-                return found
-            images += f.project(pivot, later[len(images):2 * len(images)])
-        return first_pair(images)
+        found = images(pivot, later[:8])
+        while len(found) < len(later):
+            pair = head_partner(found)
+            if pair is not None:
+                return pair
+            found += images(pivot, later[len(found):2 * len(found)])
+        return first_pair(found)
 
-    def search(vectors, size):
+    def search(vectors, size, top=False):
         nonlocal left
         if size == 2:
             return first_pair(vectors)
@@ -241,20 +243,22 @@ def _first_dependent_subset(f, cols, size, forms=None):
             if size == 1:
                 continue
             later = vectors[i + 1:]
+            if size == 3:
+                images = f.project_codes if len(pivot) == 3 else f.project
             if len(later) > left:
                 # a reader of pairs stops at the first vector's partner, so
                 # it can still finish inside the budget; nothing else can
-                found = head_partner(f.project(pivot, later[:left])) if size == 3 else None
+                found = head_partner(images(pivot, later[:left])) if size == 3 else None
                 if found is None:
                     raise exceeded()
             else:
                 left -= len(later)
                 if size > 3:
                     found = search(f.project(pivot, later), size - 1)
-                elif i:
-                    found = first_pair(f.project(pivot, later))
+                elif i or not top:
+                    found = first_pair(images(pivot, later))
                 else:
-                    found = first_pivot_pair(pivot, later)
+                    found = first_pivot_pair(images, pivot, later)
             if found is not None:
                 return (i,) + tuple(i + 1 + t for t in found)
         return None
@@ -263,7 +267,7 @@ def _first_dependent_subset(f, cols, size, forms=None):
         return None
     if forms is None:
         forms = [f.normal_form(c) for c in cols]
-    return search(forms, size)
+    return search(forms, size, top=True)
 
 
 def _first_dependent_small_subset(f, cols, size, forms):

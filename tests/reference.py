@@ -4,10 +4,12 @@ Each is a plain, direct computation of something the package computes
 faster or more indirectly, kept here so that tests can compare the two.
 """
 
+import functools
 import itertools
+import operator
 
 from pairmds.d5 import _block_columns, location_exclusions
-from pairmds.ecmds import EllipticCurve, ec_add, ec_points, n_max
+from pairmds.ecmds import EllipticCurve, _group, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
 from pairmds.linalg import CodeMatrix, enumerate_codewords, rank_of_vectors
 
@@ -267,3 +269,44 @@ def min_hamming_distance_bruteforce(code):
     words = enumerate_codewords(code)
     next(words)  # the zero word
     return code.n - max(map(tuple.count, words, itertools.repeat(0)))
+
+
+def dot(f, u, v):
+    """The sum of u_t * v_t over the shorter length, one product and one
+    addition at a time: mod p in prime fields, XOR in binary fields, and
+    the field's addition table or digit loop in odd-extension fields."""
+    if f.a == 1:
+        return sum(map(operator.mul, u, v)) % f.p
+    prods = [f.mul(x, y) for x, y in zip(u, v) if x and y]
+    if f.p == 2:
+        return functools.reduce(operator.xor, prods, 0)
+    s = 0
+    for x in prods:
+        s = f.add(s, x)
+    return s
+
+
+def subset_sum_count_by_size(a):
+    """N(k, O, D) by dynamic programming with one list per subset size and
+    one Python step per (point, size, group element).
+
+    Point i (from 0) updates only the sizes it can change: the i points
+    before it fill sizes up to i, and a size below k - (n - i) + 1 can no
+    longer reach k.
+    """
+    g = _group(a.curve)
+    ng = len(g.points)
+    k = a.k
+    n = len(a.points)
+    counts = [[0] * ng for _ in range(k + 1)]
+    counts[0][0] = 1  # index 0 is O
+    for i, pi in enumerate(g.indices(a.points)):
+        row = g.add[pi]
+        for size in range(min(k, i + 1), max(0, k - (n - i)), -1):
+            prev = counts[size - 1]
+            cur = counts[size]
+            for h in range(ng):
+                cnt = prev[h]
+                if cnt:
+                    cur[row[h]] += cnt
+    return counts[k][0]

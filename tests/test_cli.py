@@ -249,6 +249,27 @@ def test_malformed_code_file_exit_2(tmp_path, capsys, base, mutate):
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+@pytest.mark.parametrize("bad, shown", [
+    (True, "of type bool"), (1.0, "of type float"), (-1, "-1"), (5, "5"),
+    (2**70, str(2**70)), ("3", "of type str"), (None, "of type NoneType"),
+])
+@pytest.mark.parametrize("slot", [0, 6, 12])
+def test_bad_matrix_entry_names_the_entry(tmp_path, capsys, bad, shown, slot):
+    out = tmp_path / "code.json"
+    assert run(["construct", "--q", "5", "--n", "13", "--dpair", "5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["parity_check"][1][slot] = bad
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(bad_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: bad parity-check matrix: element code {shown} is not an integer in 0..4\n"
+    )
+    assert not captured.out
+
+
 def test_deeply_nested_code_file_exit_2(tmp_path, capsys):
     # deeper than the JSON decoder's recursion limit
     bad = tmp_path / "nested.json"

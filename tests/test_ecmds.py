@@ -33,10 +33,12 @@ from pairmds.pairmetric import min_pair_distance_bruteforce
 from reference import (
     columns_independent,
     curve_candidates,
+    dot,
     ec_sum,
     first_maximal_curve,
     independent_point_count,
     min_hamming_distance_bruteforce,
+    subset_sum_count_by_size,
 )
 
 
@@ -295,7 +297,7 @@ def test_generator_matrix_entries_are_monomial_values(q, data):
 
 
 def test_elliptic_certificate_makes_no_per_element_field_calls(monkeypatch):
-    # h g^T runs on FieldSpec.dot and the generator matrix on mul_rows; what
+    # h g^T runs on FieldSpec.orthogonal and the generator matrix on mul_rows; what
     # is left is forward elimination, one inv per pivot and one mul per
     # cleared row
     from pairmds.gf import FieldSpec
@@ -424,6 +426,32 @@ def test_subset_sum_count_matches_bruteforce():
         pts = tuple(p for p in ec_points(c) if p is not None)[:n]
         arrangement = EvalArrangement(c, pts, k)
         assert subset_sum_count(arrangement) == brute_subset_count(c, pts, k)
+
+
+@pytest.mark.parametrize("q", [13, 16])
+def test_packed_subset_sum_count_matches_the_per_size_count_on_the_workload(q):
+    # every elliptic (n, d_pair) point of the benchmark's elliptic workload
+    f = field_of_order(q)
+    c = find_maximal_curve(f)
+    for n in range(q + 2, n_max(f) - 2):
+        for d_pair in range(7, n + 1):
+            a = arrange(c, n, n - d_pair + 2)
+            assert subset_sum_count(a) == subset_sum_count_by_size(a), (n, d_pair)
+
+
+@pytest.mark.parametrize("which", ["2", "n//2", "n-2"])
+def test_packed_subset_sum_count_beyond_64_bit_counts(which):
+    # at q = 128, n = N(q) - 3 = 147, the counts of the middle sizes pass
+    # 2^64, so every slot of the packed count is wider than a machine word
+    f = field_of_order(128)
+    c = find_maximal_curve(f)
+    n = n_max(f) - 3
+    k = {"2": 2, "n//2": n // 2, "n-2": n - 2}[which]
+    a = EvalArrangement(c, tuple(ec_points(c)[1:n + 1]), k)
+    count = subset_sum_count(a)
+    assert count == subset_sum_count_by_size(a)
+    if which == "n//2":
+        assert count > 2**64
 
 
 def test_minimum_distance_equivalence_both_branches():
@@ -610,7 +638,7 @@ def _ec_verdict_by_full_rank(a, g, h):
     f = a.curve.field
     n, k = a.n, a.k
     product_zero = h.cols == n and all(
-        f.dot(hrow, grow) == 0 for hrow in h.entries for grow in g.entries
+        dot(f, hrow, grow) == 0 for hrow in h.entries for grow in g.entries
     )
     if not window_check(a):
         return False, "window-check"

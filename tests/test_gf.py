@@ -16,6 +16,8 @@ from pairmds.gf import (
     field_of_order,
 )
 
+from reference import dot
+
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
 
@@ -281,8 +283,76 @@ def test_dot_matches_scalar_reference(q, n, data):
     want = 0
     for x, y in zip(u, v):
         want = f.add(want, f.mul(x, y))
-    assert f.dot(u, v) == want
-    assert f.dot(tuple(v), tuple(u)) == want
+    assert dot(f, u, v) == want
+    assert dot(f, tuple(v), tuple(u)) == want
+
+
+def _with_product(f, u, v, target, rng):
+    """v changed at one nonzero position of u so that u . v = target."""
+    t = rng.choice([j for j, x in enumerate(u) if x])
+    v = list(v)
+    v[t] = 0
+    v[t] = f.div(f.sub(target, dot(f, u, v)), u[t])
+    return v
+
+
+# GF(729) has no addition table; GF(16) adds by XOR, GF(13) mod p
+@pytest.mark.parametrize("q", [13, 16, 25, 27, 243, 729])
+def test_orthogonal_matches_the_reference_dot(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    # e_b, the element of code p^b: its product digits vanish in every slot
+    # but slot b, so some slot sums are 0 mod p and one is not
+    targets = [0] + [f.p**b for b in range(f.a)] + [q - 1]
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        density = rng.choice([0.1, 0.5, 1.0])  # 1.0: a dense, hostile row
+        us = [
+            [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        vs = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, 12))]
+        u0 = us[0]
+        u0[rng.randrange(n)] = rng.randrange(1, q)
+        planted = [u for u in us if any(u)]
+        vs += [_with_product(f, rng.choice(planted), v, rng.choice(targets), rng) for v in vs[:6]]
+        vs.append(_with_product(f, u0, [rng.randrange(q) for _ in range(n)], 0, rng))
+        got = list(f.orthogonal(us, vs))
+        assert got == [[dot(f, u, v) == 0 for v in vs] for u in us], (q, us, vs)
+        assert got[0][-1]
+
+
+def test_orthogonal_on_edge_shapes():
+    for q in (5, 8, 9):
+        f = field_of_order(q)
+        assert list(f.orthogonal([[1, 2]], [])) == [[]]
+        assert list(f.orthogonal([], [[1, 2]])) == []
+        got = list(f.orthogonal([[0, 0], [1, 0]], [[0, 1], [1, 1]]))
+        assert got == [[True, True], [True, False]]
+        assert list(f.orthogonal([()], [(), ()])) == [[True, True]]
+
+
+# GF(729) has no addition table and converts project's tuples throughout
+@pytest.mark.parametrize("q", [7, 8, 9, 27, 729])
+def test_project_codes_are_the_projected_normal_forms(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    forms = [None, (0, 0, 1)] + [f.normal_form((0, 1, rng.randrange(q))) for _ in range(5)]
+    forms += [(1, rng.randrange(q), rng.randrange(q)) for _ in range(30)]
+    for pivot in forms[1:]:
+        vectors = rng.sample(forms, 20) + [pivot]
+        want = [w if w is None else w[1] if w[0] else q for w in f.project(pivot, vectors)]
+        assert f.project_codes(pivot, vectors) == want, pivot
+
+
+def test_orthogonal_builds_its_tables_on_first_use():
+    f = FieldSpec(3, 3)
+    attributes = set(vars(f))
+    assert not f._packed and f._digit_rows is None
+    list(f.orthogonal([[1, 2, 0]], [[2, 1, 5]]))
+    assert f._packed and f._digit_rows is not None
+    # filling them adds no attribute, which would slow every attribute read
+    assert set(vars(f)) == attributes
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairmds import linalg
-from pairmds.gf import field, field_of_order
+from pairmds.gf import FieldError, field, field_of_order
 from pairmds.linalg import (
     CodeMatrix,
     EnumerationCapExceeded,
@@ -32,6 +33,50 @@ from reference import (
 
 def mat(q, rows):
     return CodeMatrix.from_rows(field_of_order(q), rows)
+
+
+class _Code(enum.IntEnum):
+    ONE = 1
+
+
+# each value, and the message that names it over GF(5)
+BAD_ENTRIES = [
+    (True, "of type bool"),
+    (1.0, "of type float"),
+    (-1, "-1"),
+    (5, "5"),
+    (2**70, str(2**70)),
+    ("3", "of type str"),
+    (None, "of type NoneType"),
+    (_Code.ONE, "of type _Code"),
+]
+
+
+@pytest.mark.parametrize("bad, shown", BAD_ENTRIES, ids=[repr(b) for b, _ in BAD_ENTRIES])
+@pytest.mark.parametrize("slot", [0, 3, 6])
+def test_matrix_names_the_first_bad_entry(bad, shown, slot):
+    # a row that fails the C-level test is checked entry by entry, so the
+    # message names the first bad entry, wherever it sits in the row
+    f = field_of_order(5)
+    row = [1, 2, 3, 4, 0, 1, 2]
+    row[slot] = bad
+    for rows in ([row], [[0] * 7, row], [row, [9] * 7]):
+        with pytest.raises(FieldError) as exc:
+            CodeMatrix.from_rows(f, rows)
+        assert str(exc.value) == f"element code {shown} is not an integer in 0..4"
+    if slot < 6:
+        row[slot + 1] = 7  # a later bad entry goes unnamed
+        with pytest.raises(FieldError, match=f"^element code {shown} is not"):
+            CodeMatrix.from_rows(f, [row])
+
+
+def test_matrix_accepts_every_code_and_only_those():
+    f = field_of_order(9)
+    m = CodeMatrix.from_rows(f, [list(range(9)), [8] * 9, [0] * 9])
+    assert m.rows == 3 and m.cols == 9
+    assert CodeMatrix.from_rows(f, [[], []]).cols == 0
+    with pytest.raises(ValueError, match="ragged"):
+        CodeMatrix.from_rows(f, [[1, 2], [1]])
 
 
 def test_rank_examples():

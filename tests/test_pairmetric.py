@@ -651,6 +651,50 @@ def test_first_dependent_subset_matches_the_reference_and_its_cap(drawn, data):
         assert got == ref, (f, cols, size, cap, projected)
 
 
+def _seeded_columns(rng, f, rows, n):
+    """Reed-Solomon columns (1, x, x^2, ...) and the point at infinity, mixed
+    with random, zero, rescaled and summed columns, so that most pivots of
+    every level lead with 1 and dependent sets are common."""
+    q = f.q
+    cols = []
+    for _ in range(n):
+        kinds = ["rs", "random", "zero", "infinity", "repeat", "sum"]
+        kind = rng.choices(kinds, [24, 6, 1, 1, 1, 1])[0]
+        if kind == "rs":
+            x = rng.randrange(q)
+            cols.append(tuple(f.pow(x, t) for t in range(rows)))
+        elif kind == "infinity":
+            cols.append((0,) * (rows - 1) + (1,))
+        elif kind == "zero":
+            cols.append((0,) * rows)
+        elif kind == "repeat" and cols:
+            cols.append(tuple(f.mul(rng.randrange(1, q), x) for x in rng.choice(cols)))
+        elif kind == "sum" and len(cols) >= 2:
+            u, v = rng.sample(cols, 2)
+            lam = rng.randrange(q)
+            cols.append(tuple(f.add(x, f.mul(lam, y)) for x, y in zip(u, v)))
+        else:
+            cols.append(tuple(rng.randrange(q) for _ in range(rows)))
+    return cols
+
+
+# GF(729) has no addition table, so its size-3 level projects tuples
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 16, 25, 27, 729])
+def test_int_coded_size_three_level_gives_the_reference_witness(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    dependent = searches = 0
+    for _ in range(60):
+        rows = rng.randint(3, 5)
+        cols = _seeded_columns(rng, f, rows, rng.randint(rows, 18))
+        for size in range(3, rows + 1):
+            want = reference_first_dependent_subset(f, cols, size, cap=10**9)[0]
+            assert _first_dependent_subset(f, cols, size) == want, (cols, size)
+            searches += 1
+            dependent += want is not None
+    assert 0.2 * searches < dependent < 0.95 * searches
+
+
 def test_a_pair_inside_the_budget_is_returned():
     # the first pivot's later columns overrun the budget, but the first
     # vector's partner lies inside it: a reader of pairs stops there

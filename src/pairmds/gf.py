@@ -34,10 +34,10 @@ enumeration, ``orthogonal`` the vanishing-product kernel (which u . v are
 addition-table rows that codeword enumeration reads whole cosets from, and
 ``normal_form`` and ``project`` the project-and-normalise step of the
 checker's dependent-set search; ``project`` maps every later vector from one
-pivot in one call, the common 3- and 4-coordinate case in one comprehension
-of quotient lookups, and reads the logs of the differences from the field's
-rows, so a pivot costs no per-call table building; ``project_codes`` gives
-the images of 3-coordinate vectors as ints.
+pivot in one call, the common 4-coordinate case in one comprehension of
+quotient lookups, and reads the logs of the differences from the field's
+rows, so a pivot costs no per-call table building; ``project_codes`` does
+the same for 3-coordinate vectors and gives their images as ints.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class FieldSpec:
         # tables of ``orthogonal``, built on first use; set here, so that
         # filling them adds no attribute (a new one slows every attribute read)
         self._packed: Dict[int, List[List[bytes]]] = {}
-        self._digit_rows: Optional[List[List[int]]] = None
+        self._digit_rows: Optional[List[Tuple[int, ...]]] = None
         self._add: List[int] | None = None
         self._log_diff: List[List[int]] | None = None
         if q <= ADD_TABLE_MAX_ORDER:
@@ -393,8 +393,7 @@ class FieldSpec:
         digit_rows = self._digit_rows
         if digit_rows is None and p != 2 and a > 1:
             # row b maps each element code to its base-p digit b
-            digits = [[x // p**b % p for x in range(self.q)] for b in range(a)]
-            digit_rows = self._digit_rows = digits
+            digit_rows = self._digit_rows = list(zip(*map(self.digits, range(self.q))))
         rep, compress, mul, not_ = itertools.repeat, itertools.compress, operator.mul, operator.not_
         for u in us:
             if p == 2:
@@ -406,6 +405,8 @@ class FieldSpec:
                 yield list(map(not_, raw if width == 1 else map(operator.or_, raw[::2], raw[1::2])))
                 continue
             if a == 1:
+                # a prime field's one digit is the element itself; reading
+                # it through a digit row made prime fields 1.5x slower
                 s = sum(map(mul, compress(tables[0], u), filter(None, u)))
             else:
                 nonzero = [x for x in u if x]
@@ -461,8 +462,8 @@ class FieldSpec:
         of v - v[p] * pivot with coordinate p (now 0) dropped, its image in
         the quotient by <pivot>; None when that image is zero.
 
-        The common case, a pivot and a vector of length 3 or 4 that both
-        start at index 0, is one comprehension: with pivot (1, a, b, c) and
+        The common case, a pivot and a vector of length 4 that both start
+        at index 0, is one comprehension: with pivot (1, a, b, c) and
         v = (1, x, y, z) the image is (1, (y - b)/(x - a), (z - c)/(x - a)),
         or (0, 1, (z - c)/(y - b)) when x = a.  The logs of y - b are read
         from the field's row ``_log_diff[b]``, so a pivot costs no set-up,
@@ -473,7 +474,8 @@ class FieldSpec:
         pivot only drops its coordinate.  Other pivots take one
         comprehension per vector (``_project_long``); the rare vectors of
         the fast cases, and every field without an addition table, go
-        through ``_project_one``.
+        through ``_project_one``.  The fast form of a pivot (1, a, b) is
+        ``project_codes``, whose images are ints.
         """
         p = pivot.index(1)
         tail = pivot[p + 1:]
@@ -486,7 +488,7 @@ class FieldSpec:
         diff = self._log_diff
         if diff is None:
             return [one(p, tail, v) for v in vectors]
-        if (p, len(tail)) not in ((0, 2), (0, 3), (1, 1)):
+        if (p, len(tail)) not in ((0, 3), (1, 1)):
             return self._project_long(p, tail, vectors)
         exp = self._exp
         if p:
@@ -503,17 +505,8 @@ class FieldSpec:
                 for v in vectors
                 for o, x, y in (v or (0, 0, 0),)
             ]
-        a, b = tail[:2]
-        la, lb = diff[a], diff[b]
-        if len(tail) == 2:
-            return [
-                (1, exp[lb[y] - la[x]]) if o and x != a
-                else (0, 1) if o and y != b
-                else one(0, tail, v)
-                for v in vectors
-                for o, x, y in (v or (0, 0, 0),)
-            ]
-        lc = diff[tail[2]]
+        a, b, c = tail
+        la, lb, lc = diff[a], diff[b], diff[c]
         return [
             (1, exp[lb[y] - (s := la[x])], exp[lc[z] - s]) if o and x != a
             else (0, 1, exp[lc[z] - lb[y]]) if o and y != b
@@ -528,8 +521,9 @@ class FieldSpec:
         """``project`` from a pivot of length 3, each image given as an int:
         (1, t) as t, (0, 1) as q and the zero image as None, so equal images
         are equal ints.  A pivot (1, a, b) in a field with an addition table
-        takes one comprehension of the same lookups as ``project``; other
-        pivots convert ``project``'s tuples."""
+        takes one comprehension: v = (1, x, y) maps to (y - b)/(x - a), one
+        exp lookup at a difference of logs from the rows ``_log_diff``, or
+        to (0, 1) when x = a; other pivots convert ``project``'s tuples."""
         diff, q = self._log_diff, self.q
         if diff is None or not pivot[0]:
             return [w if w is None else w[1] if w[0] else q for w in self.project(pivot, vectors)]

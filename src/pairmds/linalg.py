@@ -30,8 +30,6 @@ from .gf import ADD_TABLE_MAX_ORDER, FieldSpec
 
 DEFAULT_ENUM_CAP = 1 << 22
 
-_INT = {int}
-
 # codeword enumeration: the fewest low digits whose words number at least
 # this form its block
 _BLOCK_WORDS = 64
@@ -52,15 +50,12 @@ class CodeMatrix:
         rows = len(self.entries)
         if rows:
             cols = len(self.entries[0])
-            q, check = self.field.q, self.field.check
+            check = self.field.check
             for row in self.entries:
                 if len(row) != cols:
                     raise ValueError("ragged matrix")
-                # a row of plain ints in 0..q-1 passes in C; any other row is
-                # checked entry by entry, which names the first bad entry
-                if set(map(type, row)) != _INT or min(row) < 0 or max(row) >= q:
-                    for x in row:
-                        check(x)
+                for x in row:
+                    check(x)
 
     @property
     def rows(self) -> int:

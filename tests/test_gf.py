@@ -280,11 +280,17 @@ def test_dot_matches_scalar_reference(q, n, data):
     entry = st.integers(0, q - 1) | st.just(0)
     u = data.draw(st.lists(entry, min_size=n, max_size=n))
     v = data.draw(st.lists(entry, min_size=n, max_size=n))
+    if any(u) and data.draw(st.booleans()):
+        # a vanishing product with nonzero terms
+        t = data.draw(st.sampled_from([j for j, x in enumerate(u) if x]))
+        v[t] = 0
+        v[t] = f.div(f.sub(0, dot(f, u, v)), u[t])
     want = 0
     for x, y in zip(u, v):
         want = f.add(want, f.mul(x, y))
     assert dot(f, u, v) == want
-    assert dot(f, tuple(v), tuple(u)) == want
+    assert list(f.orthogonal([u], [v])) == [[want == 0]]
+    assert list(f.orthogonal([tuple(v)], [tuple(u)])) == [[want == 0]]
 
 
 def _with_product(f, u, v, target, rng):

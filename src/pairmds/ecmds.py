@@ -410,7 +410,11 @@ def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     Scans the general form in characteristic 2 and y^2 = x^3 + a2 x^2 + a4 x
     + a6 in odd characteristic, which finds the general scan's first curve.
     Each prefix (a1, a2, a3, a4) counts all its a6 in one ``_point_counts``
-    pass, and only the curve found is built.
+    pass, and only the curve found is built.  In characteristic 3 a prefix
+    (0, a2, 0, a4) with a2 != 0 is counted only at a4 = 0: x -> x + t,
+    t = a4/a2, maps its curves one to one onto those of (0, a2, 0, 0), with
+    a6 moved to a6 + t^3 + a2 t^2 + a4 t and the point counts kept, so some
+    a4 has a maximal curve exactly when a4 = 0, which comes first, has one.
     """
     _check_curve_order(f)
     target = n_max(f)
@@ -425,7 +429,15 @@ def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     else:
         # y -> y - (a1 x + a3)/2 removes the cross terms, so every curve is
         # isomorphic to one with a1 = a3 = 0
-        prefixes = ((0, a2, 0, a4) for a2, a4 in itertools.product(elements, repeat=2))
+        # over GF(3^a), a >= 3 odd, a curve with a2 = 0 is supersingular
+        # (j = 0) and has trace 0 or +-sqrt(3q), below the maximal trace, as
+        # in characteristic 2; with a2 != 0 only a4 = 0 is counted
+        skip = f.p == 3 and f.a >= 3 and f.a % 2
+        prefixes = (
+            (0, a2, 0, a4)
+            for a2 in (range(1, f.q) if skip else elements)
+            for a4 in ((0,) if a2 and f.p == 3 else elements)
+        )
     for prefix in prefixes:
         for a6, count in _point_counts(f, *prefix):
             if count == target:

@@ -29,7 +29,8 @@ Vector kernels run a whole vector through the tables in one pass:
 ``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination,
 ``mul_rows``, ``add_rows`` and ``sub_rows`` the elementwise steps of the
 batched window determinants, the elliptic generator matrix and codeword
-enumeration, ``orthogonal`` the vanishing-product kernel (which u . v are
+enumeration, ``minor_rows`` the elementwise a*b - c*d of the window
+determinants, ``orthogonal`` the vanishing-product kernel (which u . v are
 0, for h g^T and the ovoid's secant planes), ``addition_rows`` the
 addition-table rows that codeword enumeration reads whole cosets from, and
 ``normal_form`` and ``project`` the project-and-normalise step of the
@@ -37,7 +38,7 @@ checker's dependent-set search; ``project`` maps every later vector from one
 pivot in one call, the common 4-coordinate case in one comprehension of
 quotient lookups, and reads the logs of the differences from the field's
 rows, so a pivot costs no per-call table building; ``project_codes`` does
-the same for 3-coordinate vectors and gives their images as ints.
+the same for 3- and 4-coordinate vectors and gives their images as ints.
 """
 
 from __future__ import annotations
@@ -329,6 +330,27 @@ class FieldSpec:
             return [add[x * q + y] for x, y in zip(u, v)]
         return list(map(self._add_digits, u, v))
 
+    def minor_rows(
+        self, u: Sequence[int], v: Sequence[int], s: Sequence[int], t: Sequence[int]
+    ) -> List[int]:
+        """The elementwise u v - s t of four rows (as long as the shortest),
+        the 2x2 minors of the window determinants, in one pass."""
+        rows = zip(u, v, s, t)
+        if self.a == 1:
+            p = self.p
+            return [(x * y - w * z) % p for x, y, w, z in rows]
+        exp, log = self._exp, self._log
+        if self.p == 2:
+            return [exp[log[x] + log[y]] ^ exp[log[w] + log[z]] for x, y, w, z in rows]
+        neg, add = self._neg, self._add
+        if add is not None:
+            q = self.q
+            return [
+                add[exp[log[x] + log[y]] * q + neg[exp[log[w] + log[z]]]] for x, y, w, z in rows
+            ]
+        add_digits = self._add_digits
+        return [add_digits(exp[log[x] + log[y]], neg[exp[log[w] + log[z]]]) for x, y, w, z in rows]
+
     def addition_rows(self, u: Sequence[int]) -> List[int]:
         """Rows u_0, u_1, ... of the addition table, concatenated.
 
@@ -518,24 +540,54 @@ class FieldSpec:
     def project_codes(
         self, pivot: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
     ) -> List[Optional[int]]:
-        """``project`` from a pivot of length 3, each image given as an int:
-        (1, t) as t, (0, 1) as q and the zero image as None, so equal images
-        are equal ints.  A pivot (1, a, b) in a field with an addition table
-        takes one comprehension: v = (1, x, y) maps to (y - b)/(x - a), one
-        exp lookup at a difference of logs from the rows ``_log_diff``, or
-        to (0, 1) when x = a; other pivots convert ``project``'s tuples."""
+        """``project`` from a pivot of length 3 or 4, each image given as an
+        int, so equal images are equal ints: (1, t) as t and (0, 1) as q;
+        (1, s, t) as s q + t, (0, 1, t) as q^2 + t and (0, 0, 1) as q^2 + q;
+        the zero image as None.  A pivot (1, a, b) or (1, a, b, c) in a field
+        with an addition table takes one comprehension, each ratio one exp
+        lookup at a difference of logs from the rows ``_log_diff``:
+        v = (1, x, y) maps to (y - b)/(x - a), or to (0, 1) when x = a, and
+        v = (1, x, y, z) to (1, (y - b)/(x - a), (z - c)/(x - a)), or to
+        (0, 1, (z - c)/(y - b)) when x = a.  Other pivots, and the rare
+        vectors of a 4-coordinate pivot (zero, starting with 0, or with
+        x = a and y = b), convert ``project``'s tuples (``_codes``)."""
         diff, q = self._log_diff, self.q
         if diff is None or not pivot[0]:
-            return [w if w is None else w[1] if w[0] else q for w in self.project(pivot, vectors)]
+            return self._codes(self.project(pivot, vectors), len(pivot) - 1)
         exp = self._exp
-        _, a, b = pivot
-        la, lb = diff[a], diff[b]
+        if len(pivot) == 3:
+            _, a, b = pivot
+            la, lb = diff[a], diff[b]
+            return [
+                exp[lb[y] - la[x]] if o and x != a
+                else (q if y != b else None) if o
+                else y if x else q if y else None
+                for v in vectors
+                for o, x, y in (v or (0, 0, 0),)
+            ]
+        _, a, b, c = pivot
+        la, lb, lc = diff[a], diff[b], diff[c]
+        codes, one, tail, qq = self._codes, self._project_one, pivot[1:], q * q
         return [
-            exp[lb[y] - la[x]] if o and x != a
-            else (q if y != b else None) if o
-            else y if x else q if y else None
+            exp[lb[y] - (s := la[x])] * q + exp[lc[z] - s] if o and x != a
+            else qq + exp[lc[z] - lb[y]] if o and y != b
+            else codes((one(0, tail, v),), 3)[0]
             for v in vectors
-            for o, x, y in (v or (0, 0, 0),)
+            for o, x, y, z in (v or (0, 0, 0, 0),)
+        ]
+
+    def _codes(
+        self, images: Iterable[Optional[Tuple[int, ...]]], m: int
+    ) -> List[Optional[int]]:
+        """The ints of ``project_codes`` for normal forms of length m = 2
+        or 3 (None for None)."""
+        q = self.q
+        if m == 2:
+            return [w if w is None else w[1] if w[0] else q for w in images]
+        qq = q * q
+        return [
+            w if w is None else w[1] * q + w[2] if w[0] else qq + w[2] if w[1] else qq + q
+            for w in images
         ]
 
     def _project_one(

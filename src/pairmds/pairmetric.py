@@ -7,16 +7,19 @@ case analyses.
 Conditions 1 and 2 of the column conditions, and the Reed-Solomon minors,
 share one dependent-set search (``_first_dependent_subset``), which keeps
 every vector in normal form and projects all later columns from a pivot in
-one ``FieldSpec.project`` call; a certificate normalises each column once,
-and conditions 1 and 2 search the same normal forms.  Condition 3 takes the
-determinants of all cyclic windows at once (``linalg.window_dets``) for
-d_H = 3 and 4, the parity checks of pair distance 5 and 6 that
-``construct`` emits, and eliminates window by window at every other row
-count.  All of them read the field's tables directly instead of making one
-field-method call per element.  A passing check has proven the matrix's
-first rows-many columns independent (the MDS check rejects a matrix with
-more rows than columns), and records them as its column basis, so a
-``LinearCode`` on it does not eliminate it again.
+one call: ``FieldSpec.project_codes``, whose images are ints, for the last
+projection before pairs are matched, where the images have 2 or 3
+coordinates, and ``FieldSpec.project`` otherwise.  A certificate
+normalises each column once (a column that starts with 1 is its own normal
+form), and conditions 1 and 2 search the same normal forms.  Condition 3
+takes the determinants of all cyclic windows at once
+(``linalg.window_dets``) for d_H = 3 and 4, the parity checks of pair
+distance 5 and 6 that ``construct`` emits, and eliminates window by window
+at every other row count.  All of them read the field's tables directly
+instead of making one field-method call per element.  A passing check has
+proven the matrix's first rows-many columns independent (the MDS check
+rejects a matrix with more rows than columns), and records them as its
+column basis, so a ``LinearCode`` on it does not eliminate it again.
 """
 
 from __future__ import annotations
@@ -172,8 +175,10 @@ def _first_dependent_subset(f, cols, size, forms=None):
     normal forms are equal, so pairs are matched by hashing; pairs with the
     first vector come first, and the first pivot of a top-level size-3
     search projects doubling prefixes until that vector's partner shows.
-    At the size-3 level on 3-coordinate vectors (the Reed-Solomon minors'
-    last level) the images are ints, not tuples (``FieldSpec.project_codes``).
+    At the size-3 level on 3- and 4-coordinate vectors (the Reed-Solomon
+    minors' last level, d6 condition 1 and the ovoid's no-three-collinear
+    check) the images are ints, not tuples (``FieldSpec.project_codes``), so
+    the pairs are matched by hashing ints.
 
     A full scan projects about C(n, size - 1) columns.  At most
     _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is
@@ -244,7 +249,7 @@ def _first_dependent_subset(f, cols, size, forms=None):
                 continue
             later = vectors[i + 1:]
             if size == 3:
-                images = f.project_codes if len(pivot) == 3 else f.project
+                images = f.project_codes if len(pivot) in (3, 4) else f.project
             if len(later) > left:
                 # a reader of pairs stops at the first vector's partner, so
                 # it can still finish inside the budget; nothing else can
@@ -296,8 +301,9 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     if not n >= d_h + 2 >= 4:
         raise ValueError(f"need n >= d_H + 2 >= 4, got n={n}, d_H={d_h}")
     cols = h.columns()
-    # conditions 1 and 2 search the same normal forms
-    forms = [f.normal_form(c) for c in cols]
+    # conditions 1 and 2 search the same normal forms; a column that starts
+    # with 1 is its own
+    forms = [c if c[0] == 1 else f.normal_form(c) for c in cols]
 
     def failure(cond, witness):
         return PairCertificate(

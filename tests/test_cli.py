@@ -2,6 +2,7 @@ import functools
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -508,6 +509,70 @@ def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(["verify", str(bad)])
+    assert code in (0, 1, 2)
+    assert (out.getvalue() + err.getvalue()).count("\n") == 1
+
+
+# one code file per route at full size: (q, n, d_pair); d5 and the ovoid
+# file reach the 3- and 4-row certificate, the elliptic one has 35 points
+_LARGE_BASES = {
+    "d5": ("25", "651", "5"),
+    "ovoid": ("16", "257", "6"),
+    "elliptic": ("27", "35", "7"),
+}
+
+# seconds one verify of a mutated full-size file may take: an unmutated one
+# takes 2-15 ms in process on a 2-CPU guest, and a mutated one stops sooner
+_LARGE_VERIFY_LIMIT_S = 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def _large_base_text(base):
+    q, n, dpair = _LARGE_BASES[base]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert run(["construct", "--q", q, "--n", n, "--dpair", dpair]) == 0
+    return out.getvalue()
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_full_size_file_ends_with_one_message_line(tmp_path, data):
+    # a column of a full-size matrix zeroed, given a first entry of 0 or of
+    # neither 0 nor 1, or made a copy of another column; or a point of the
+    # elliptic file's list repeated
+    base = data.draw(st.sampled_from(sorted(_LARGE_BASES)))
+    doc = json.loads(_large_base_text(base))
+    h = doc["parity_check"]
+    n, q = len(h[0]), doc["q"]
+    j = data.draw(st.integers(0, n - 1))
+    kinds = ["zero-column", "first-zero", "first-other", "repeated-column"]
+    if base == "elliptic":
+        kinds.append("repeated-point")
+    kind = data.draw(st.sampled_from(kinds))
+    other = (j + data.draw(st.integers(1, n - 1))) % n
+    if kind == "zero-column":
+        for row in h:
+            row[j] = 0
+    elif kind == "first-zero":
+        h[0][j] = 0
+    elif kind == "first-other":
+        h[0][j] = data.draw(st.integers(2, q - 1))
+    elif kind == "repeated-column":
+        for row in h:
+            row[j] = row[other]
+    else:
+        points = doc["provenance"]["points"]
+        points[j] = list(points[other])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["verify", str(bad)])
+    assert time.perf_counter() - start < _LARGE_VERIFY_LIMIT_S
     assert code in (0, 1, 2)
     assert (out.getvalue() + err.getvalue()).count("\n") == 1
 

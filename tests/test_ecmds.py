@@ -246,6 +246,27 @@ def test_first_maximal_curve_characteristic_3(q, coeffs):
     assert find_maximal_curve(field_of_order(q)).coefficients() == coeffs
 
 
+def test_characteristic_3_shift_keeps_point_counts():
+    # x -> x + a4/a2 maps (0, a2, 0, a4, a6) onto (0, a2, 0, 0, a6 + shift):
+    # find_maximal_curve counts only a4 = 0 when a2 != 0 because of it
+    f = field_of_order(27)
+    for a2 in range(1, 27):
+        base = dict(ecmds._point_counts(f, 0, a2, 0, 0))
+        for a4 in range(1, 27):
+            t = f.div(a4, a2)
+            shift = f.add(f.add(f.pow(t, 3), f.mul(a2, f.mul(t, t))), f.mul(a4, t))
+            got = dict(ecmds._point_counts(f, 0, a2, 0, a4))
+            assert got == {f.sub(a6, shift): n for a6, n in base.items()}, (a2, a4)
+
+
+@pytest.mark.parametrize("q", [27, 243])
+def test_no_supersingular_curve_over_odd_degree_gf3_is_maximal(q):
+    # every a2 = 0 curve in the search's form, the ones it skips
+    f = field_of_order(q)
+    counts = [n for a4 in f.elements() for _, n in ecmds._point_counts(f, 0, 0, 0, a4)]
+    assert counts and max(counts) < n_max(f)
+
+
 def test_rr_basis_examples():
     c = find_maximal_curve(field(11, 1))
     assert [(m.i, m.j) for m in rr_basis(c, 1)] == [(0, 0)]

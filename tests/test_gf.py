@@ -16,7 +16,7 @@ from pairmds.gf import (
     field_of_order,
 )
 
-from reference import dot
+from reference import dot, projector
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -338,17 +338,57 @@ def test_orthogonal_on_edge_shapes():
         assert list(f.orthogonal([()], [(), ()])) == [[True, True]]
 
 
+def point_code(q, w):
+    """The int that stands for a normal form w of length 2 or 3 (None for
+    None): the forms (1, ...) by the base-q value of their tail, then the
+    forms (0, 1, ...), then (0, 0, 1)."""
+    if w is None:
+        return None
+    lead = w.index(1)
+    tail = 0
+    for x in w[lead + 1:]:
+        tail = tail * q + x
+    return sum(q ** (len(w) - 1 - j) for j in range(lead)) + tail
+
+
+def test_point_codes_number_the_projective_points():
+    f = field_of_order(7)
+    for m in (2, 3):
+        forms = {f.normal_form(w) for w in itertools.product(range(7), repeat=m)} - {None}
+        assert sorted(point_code(7, w) for w in forms) == list(range(len(forms)))
+
+
 # GF(729) has no addition table and converts project's tuples throughout
 @pytest.mark.parametrize("q", [7, 8, 9, 27, 729])
 def test_project_codes_are_the_projected_normal_forms(q):
     f = field_of_order(q)
     rng = random.Random(q)
-    forms = [None, (0, 0, 1)] + [f.normal_form((0, 1, rng.randrange(q))) for _ in range(5)]
-    forms += [(1, rng.randrange(q), rng.randrange(q)) for _ in range(30)]
+
+    def elem():
+        return rng.randrange(q)
+
+    def check(pivot, vectors):
+        image = projector(f, pivot)
+        want = [point_code(q, image(v)) for v in vectors]
+        assert f.project_codes(pivot, vectors) == want, (pivot, vectors)
+
+    forms = [None, (0, 0, 1)] + [f.normal_form((0, 1, elem())) for _ in range(5)]
+    forms += [(1, elem(), elem()) for _ in range(30)]
     for pivot in forms[1:]:
-        vectors = rng.sample(forms, 20) + [pivot]
-        want = [w if w is None else w[1] if w[0] else q for w in f.project(pivot, vectors)]
-        assert f.project_codes(pivot, vectors) == want, pivot
+        check(pivot, rng.sample(forms, 20) + [pivot])
+    # 4-coordinate pivots of every kind, against the zero vector, the pivot
+    # itself, vectors that start with 0 (whose images start with 1, 0 or
+    # nothing before the 1) and vectors that share x = a, with y = b or not
+    pivots = [(1, elem(), elem(), elem()) for _ in range(12)]
+    pivots += [(1, 0, 0, 0), (0, 1, elem(), elem()), (0, 1, 0, 0), (0, 0, 1, elem()), (0, 0, 0, 1)]
+    for pivot in pivots:
+        a, b, c = pivot[1:]
+        vectors = [None, pivot, (0, 0, 0, 1), (0, 0, 1, elem()), (0, 1, elem(), elem())]
+        vectors += [(0, 1, b, c), (0, 1, elem(), c), (0, 0, 1, c)]
+        vectors += [(1, a, b, c), (1, a, b, elem()), (1, a, elem(), elem()), (1, a, elem(), c)]
+        vectors += [(1, elem(), elem(), elem()) for _ in range(20)]
+        rng.shuffle(vectors)
+        check(pivot, vectors)
 
 
 def test_orthogonal_builds_its_tables_on_first_use():

@@ -401,6 +401,43 @@ def test_window_determinants_match_rank(q, d, plant, data):
         assert want is not None
 
 
+# prime, 2^a, odd extension with the flat addition table, odd extension
+# with the digit loop
+@pytest.mark.parametrize("q", [7, 13, 8, 16, 9, 25, 27, 729])
+def test_minor_rows_and_window_dets_match_scalar_references(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        n = rng.randint(0, 12)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(4)]
+        k = rng.randint(0, n)
+        rows[rng.randrange(4)][:k] = [0] * k  # leading zeros, perhaps a whole zero row
+        u, v, s, t = rows
+        want = [f.sub(f.mul(a, b), f.mul(c, d)) for a, b, c, d in zip(u, v, s, t[1:])]
+        assert f.minor_rows(u, v, s, t[1:]) == want
+    for d in (3, 4):
+        for plant in ("random", "zero-row", "repeated-column"):
+            for _ in range(4):
+                n = rng.randint(d, 12)
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
+                if plant == "zero-row":
+                    rows[rng.randrange(d)] = [0] * n
+                elif plant == "repeated-column":
+                    j, k = rng.sample(range(n), 2)
+                    for row in rows:
+                        row[k] = row[j]
+                dets = window_dets(f, rows)
+                if d == 3:
+                    assert dets == window_dets3(f, rows), (q, rows)
+                else:
+                    windows = [
+                        [[row[(i + t) % n] for t in range(4)] for row in rows] for i in range(n)
+                    ]
+                    assert dets == [det4(f, w) for w in windows], (q, rows)
+                if plant == "zero-row":
+                    assert dets == [0] * n
+
+
 def test_window_dets_needs_d_minus_one_columns():
     f = field_of_order(5)
     # with d - 1 columns every window repeats one

@@ -30,21 +30,18 @@ entry computed once by the validating ``ec_add``/``ec_neg``.
 Since the table grows as N^2, curves are supported over fields of order at
 most ``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
 
-The maximal-curve search counts points without listing them.  For each
-prefix (a1, a2, a3, a4) in the search order, ``_point_counts`` yields the
-count of every nonsingular a6 in ascending order from rows built once per
-prefix; the discriminant is quadratic in a6, so singular a6 are skipped
-before they are counted and a prefix singular for every a6 costs nothing.
-In odd characteristic each count is one gather of the field's 1 + chi table,
-shifted to a6, at the row of x^3 + a2 x^2 + a4 x (plus b^2/4 for a general
-prefix); in characteristic 2 it is one XOR and one ``int.bit_count`` of trace
-bitmasks, the masks of every a6 cached for one (a1, a3) at a time.  A curve
-is built only when its count reaches N(q).  ``ec_point_count`` is the same
-counter at one a6, and ``_ys_for_x`` only lists points.  On a 2-CPU KVM
-guest (Python 3.11.7) the search and count take, against a scan that counts
-each candidate one x at a time: 4 ms at q = 27 (84 ms), 8 ms at 128
-(4.3 s), 1.0 s at 243 (67 s), 0.13 s at 512 (271 s) and 7 ms at 1024
-(6.1 s).
+The curve is y^2 + b(x) y = g(x) + a6, and the rows of g(x) = x^3 + a2 x^2 +
+a4 x and b(x) = a1 x + a3 over every x (``_curve_rows``) serve both the
+point lister and the counter, in every characteristic.  ``ec_points`` takes
+the points at x as the y where the row y^2 + b(x) y equals g(x) + a6.  The
+maximal-curve search counts without listing: for each prefix (a1, a2, a3,
+a4), ``_point_counts`` yields the count of every nonsingular a6, ascending,
+skipping the zeros of the discriminant's row over every a6.  In odd
+characteristic a count is one gather of the field's 1 + chi table, shifted
+to a6, at the row of g (plus b^2/4 for a general prefix); in characteristic
+2 it is one XOR and one ``int.bit_count`` of trace bitmasks, the masks of
+every a6 cached for one (a1, a3) at a time.  A curve is built only when its
+count reaches N(q); ``ec_point_count`` is the same counter at one a6.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
@@ -186,97 +183,67 @@ class _GroupTable:
             raise ParameterError(f"point {exc.args[0]} is not on the curve") from None
 
 
-class _SolveTables:
-    """Per-field tables for solving and counting the Weierstrass equation in y.
+class _CountTables:
+    """Per-field tables for counting the points of every a6 of a prefix.
 
     In characteristic 2, ``trace_bit[v]`` is Tr(v) as the digit '0' or '1',
     so a row's traces read as one integer bitmask.  In odd characteristic,
     ``roots[v]`` is the number of y with y^2 = v, that is 1 + chi(v), and
-    ``step[a6]`` (a6 >= 1, built on first use) takes a row r over the
-    field's elements to the row v -> r[v + d], d the field difference of the
-    codes a6 and a6 - 1: below the lowest nonzero base-p digit j of a6 every
-    digit of a6 - 1 is p - 1, so d = 1 + p + ... + p^j, one of a
-    translations.
+    ``step[a6]`` (a6 >= 1) takes a row r over the field's elements to the
+    row v -> r[v + d], d the field difference of the codes a6 and a6 - 1:
+    below the lowest nonzero base-p digit j of a6 every digit of a6 - 1 is
+    p - 1, so d = 1 + p + ... + p^j, one of a translations.
     """
 
     def __init__(self, f: FieldSpec):
-        self.f = f
-        if f.p == 2:
-            self.trace = [absolute_trace(f, x) for x in f.elements()]
-            self.trace_bit = ["01"[t] for t in self.trace]
-            # least z with z^2 + z = u, for each solvable u
-            self.artin: Dict[int, int] = {}
-            for z in f.elements():
-                u = f.add(f.mul(z, z), z)
-                if u not in self.artin:
-                    self.artin[u] = z
-            self.sqrt = [f.pow(x, f.q // 2) for x in f.elements()]
-        else:
-            self.sqrt_of: Dict[int, int] = {}
-            self.roots = [0] * f.q
-            for x in f.elements():
-                s = f.mul(x, x)
-                self.roots[s] += 1
-                if s not in self.sqrt_of or x < self.sqrt_of[s]:
-                    self.sqrt_of[s] = x
-
-    @functools.cached_property
-    def step(self) -> List[Optional[operator.itemgetter]]:
-        f = self.f
         p = f.p
+        xs = f.elements()
+        if p == 2:
+            self.trace_bit = ["01"[absolute_trace(f, x)] for x in xs]
+            return
+        self.roots = [0] * f.q
+        for s in f.mul_rows(xs, xs):
+            self.roots[s] += 1
         shifts = []
         u = 0
         for j in range(f.a):
             u += p**j
-            shifts.append(operator.itemgetter(*f.add_rows(itertools.repeat(u), f.elements())))
-        step: List[Optional[operator.itemgetter]] = [None]
+            shifts.append(operator.itemgetter(*f.add_rows(itertools.repeat(u), xs)))
+        self.step: List[Optional[operator.itemgetter]] = [None]
         for a6 in range(1, f.q):
             j = 0
             while a6 % p == 0:
                 a6 //= p
                 j += 1
-            step.append(shifts[j])
-        return step
+            self.step.append(shifts[j])
 
 
 @functools.lru_cache(maxsize=None)
-def _solver(f: FieldSpec) -> _SolveTables:
-    return _SolveTables(f)
+def _count_tables(f: FieldSpec) -> _CountTables:
+    return _CountTables(f)
 
 
-def _ys_for_x(c: EllipticCurve, x: int) -> List[int]:
-    """All y with (x, y) on the curve, ascending."""
-    f = c.field
-    tab = _solver(f)
-    x2 = f.mul(x, x)
-    rhs = f.add(f.mul(x, x2), f.add(f.mul(c.a2, x2), f.add(f.mul(c.a4, x), c.a6)))
-    b = f.add(f.mul(c.a1, x), c.a3)
-    if f.p == 2:
-        if b == 0:
-            return [tab.sqrt[rhs]]
-        u = f.mul(rhs, f.inv(f.mul(b, b)))
-        if tab.trace[u]:
-            return []
-        z = tab.artin[u]
-        return sorted((f.mul(b, z), f.mul(b, f.add(z, 1))))
-    # odd characteristic: y = (-b +- s) / 2 with s^2 = b^2 + 4 rhs
-    disc = f.add(f.mul(b, b), f.smul(4, rhs))
-    if disc == 0:
-        return [f.div(f.neg(b), f.scalar(2))]
-    s = tab.sqrt_of.get(disc)
-    if s is None:
-        return []
-    inv2 = f.inv(f.scalar(2))
-    y1 = f.mul(f.sub(s, b), inv2)
-    y2 = f.mul(f.sub(f.neg(s), b), inv2)
-    return sorted((y1, y2))
+def _curve_rows(f: FieldSpec, a1: int, a2: int, a3: int, a4: int) -> Tuple[List[int], List[int]]:
+    """The rows over every x of g(x) = x^3 + a2 x^2 + a4 x and b(x) = a1 x +
+    a3, so that the curve of a6 is y^2 + b(x) y = g(x) + a6.  b is the
+    constant a3 when a1 = 0."""
+    rep = itertools.repeat
+    xs = f.elements()
+    g = f.mul_rows(f.add_rows(f.mul_rows(f.add_rows(xs, rep(a2)), xs), rep(a4)), xs)
+    b = f.add_rows(f.mul_rows(rep(a1), xs), rep(a3)) if a1 else [a3] * f.q
+    return g, b
 
 
 def ec_points(c: EllipticCurve) -> List[ECPoint]:
     """O followed by all affine rational points in ascending (x, y) order."""
+    f = c.field
+    ys = f.elements()
+    squares = f.mul_rows(ys, ys)
     pts: List[ECPoint] = [None]
-    for x in c.field.elements():
-        pts.extend((x, y) for y in _ys_for_x(c, x))
+    for x, gx, bx in zip(ys, *_curve_rows(f, c.a1, c.a2, c.a3, c.a4)):
+        lhs = f.add_rows(squares, f.mul_rows(itertools.repeat(bx), ys)) if bx else squares
+        rhs = f.add(gx, c.a6)
+        pts.extend((x, y) for y in itertools.compress(ys, map(rhs.__eq__, lhs)))
     return pts
 
 
@@ -315,9 +282,8 @@ def _trace_masks(f: FieldSpec, a1: int, a3: int) -> Tuple[List[int], List[int]]:
     search counts every a4 of one (a1, a2, a3) before it moves on, and one
     mask set is q ints of q bits.
     """
-    tab = _solver(f)
-    b = f.add_rows(f.mul_rows(itertools.repeat(a1), f.elements()), itertools.repeat(a3))
-    inv = [f.inv(v) if v else 0 for v in b]
+    tab = _count_tables(f)
+    inv = [f.inv(v) if v else 0 for v in _curve_rows(f, a1, 0, a3, 0)[1]]
     w = f.mul_rows(inv, inv)
     masks = [0]
     bit = 1
@@ -328,7 +294,7 @@ def _trace_masks(f: FieldSpec, a1: int, a3: int) -> Tuple[List[int], List[int]]:
     return w, masks
 
 
-def _trace_mask(tab: _SolveTables, row: Sequence[int]) -> int:
+def _trace_mask(tab: _CountTables, row: Sequence[int]) -> int:
     """The bits Tr(v) of a row, its first entry the most significant."""
     return int("".join(map(tab.trace_bit.__getitem__, row)), 2)
 
@@ -339,9 +305,9 @@ def _point_counts(
     """(a6, number of rational points) for every a6 >= start, ascending, that
     makes y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 nonsingular.
 
-    The discriminant is quadratic in a6, so the singular a6 are its roots,
-    found before any count; a prefix singular for every a6 yields nothing.
-    g(x) = x^3 + a2 x^2 + a4 x and b(x) = a1 x + a3 are built once, as rows.
+    The discriminant c2 a6^2 + c1 a6 + c0 is evaluated over every a6 as one
+    row, and an a6 where it is 0 is never counted; a prefix singular for
+    every a6 yields nothing.  g and b are the prefix's ``_curve_rows``.
 
     In odd characteristic (y + b/2)^2 = g + b^2/4 + a6, so with h = g + b^2/4
     the count is 1 + sum over x of window[h(x)], window[v] = roots[v + a6]:
@@ -358,41 +324,32 @@ def _point_counts(
     c2, c1, c0 = _discriminant_in_a6(f, a1, a2, a3, a4)
     if not (c2 or c1 or c0):
         return
-    singular = _roots_of_quadratic(f, c2, c1, c0)
     rep = itertools.repeat
     xs = f.elements()
-    g = f.mul_rows(f.add_rows(f.mul_rows(f.add_rows(xs, rep(a2)), xs), rep(a4)), xs)
-    tab = _solver(f)
+    # c2 = -432 is 0 in characteristics 2 and 3
+    lead = f.add_rows(f.mul_rows(rep(c2), xs), rep(c1)) if c2 else rep(c1)
+    disc = f.add_rows(f.mul_rows(lead, xs), rep(c0))
+    tab = _count_tables(f)
     if f.p == 2:
+        # b enters only through w = b^-2, which comes with the masks
+        g = _curve_rows(f, 0, a2, 0, a4)[0]
         w, masks = _trace_masks(f, a1, a3)
         gm = _trace_mask(tab, f.mul_rows(g, w))
         base = 2 * f.q + 1 - w.count(0)
         for a6 in range(start, f.q):
-            if a6 not in singular:
+            if disc[a6]:
                 yield a6, base - 2 * (gm ^ masks[a6]).bit_count()
         return
+    g, b = _curve_rows(f, a1, a2, a3, a4)
     if a1 or a3:
-        b = f.add_rows(f.mul_rows(rep(a1), xs), rep(a3))
         g = f.add_rows(g, f.mul_rows(f.mul_rows(b, b), rep(f.inv(f.scalar(4)))))
     gather = operator.itemgetter(*g)
     window = operator.itemgetter(*f.add_rows(xs, rep(start)))(tab.roots) if start else tab.roots
     for a6 in range(start, f.q):
         if a6 > start:
             window = tab.step[a6](window)
-        if a6 not in singular:
+        if disc[a6]:
             yield a6, 1 + sum(gather(window))
-
-
-def _roots_of_quadratic(f: FieldSpec, c2: int, c1: int, c0: int) -> Set[int]:
-    """The x with c2 x^2 + c1 x + c0 = 0, for coefficients not all zero."""
-    if not c2:
-        return {f.div(f.neg(c0), c1)} if c1 else set()
-    # c2 = -432 != 0 only for p >= 5: x = (-c1 +- s) / (2 c2), s^2 = c1^2 - 4 c2 c0
-    s = _solver(f).sqrt_of.get(f.sub(f.mul(c1, c1), f.smul(4, f.mul(c2, c0))))
-    if s is None:
-        return set()
-    den = f.smul(2, c2)
-    return {f.div(f.sub(s, c1), den), f.div(f.sub(f.neg(s), c1), den)}
 
 
 def n_max(f: FieldSpec) -> int:

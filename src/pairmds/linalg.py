@@ -20,11 +20,10 @@ C); and the Reed-Solomon parity check used for short lengths.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, field as dc_field
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .gf import ADD_TABLE_MAX_ORDER, FieldSpec
 
@@ -45,8 +44,14 @@ class CodeMatrix:
 
     field: FieldSpec
     entries: Tuple[Tuple[int, ...], ...]
+    _column_basis: Optional[Tuple[int, ...]] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        # set on the instance now, so that filling it in later adds no
+        # attribute: CPython then keeps the attributes out of a dict
+        object.__setattr__(self, "_column_basis", None)
         rows = len(self.entries)
         if rows:
             cols = len(self.entries[0])
@@ -79,7 +84,7 @@ class CodeMatrix:
     def columns(self) -> List[Tuple[int, ...]]:
         return list(zip(*self.entries))
 
-    @functools.cached_property
+    @property
     def column_basis(self) -> Tuple[int, ...]:
         """Ascending indices of columns that form a basis of the column space,
         so the rank is its length.
@@ -87,12 +92,14 @@ class CodeMatrix:
         Computed on first use as the pivot columns of a forward elimination,
         unless ``null_space`` or ``record_column_basis`` has already set it.
         """
-        return tuple(_forward(self.field, self.entries)[0])
+        if self._column_basis is None:
+            self.record_column_basis(_forward(self.field, self.entries)[0])
+        return self._column_basis
 
     def record_column_basis(self, cols: Sequence[int]) -> None:
         """Keep `cols`, columns a caller has proven to be a basis of the
         column space, as ``column_basis``."""
-        object.__setattr__(self, "column_basis", tuple(cols))
+        object.__setattr__(self, "_column_basis", tuple(cols))
 
 
 def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:

@@ -35,18 +35,19 @@ def ec_sum(c, pts):
     return acc
 
 
-def independent_point_count(f, coeffs):
-    """Count projective points by scanning all affine (x, y) pairs."""
+def independent_points(f, coeffs):
+    """The affine points, in ascending (x, y) order, by testing every (x, y)
+    pair in the Weierstrass equation one field operation at a time."""
     a1, a2, a3, a4, a6 = coeffs
-    count = 1
+    pts = []
     for x in f.elements():
         x2 = f.mul(x, x)
         rhs = f.add(f.mul(x, x2), f.add(f.mul(a2, x2), f.add(f.mul(a4, x), a6)))
         for y in f.elements():
             lhs = f.add(f.mul(y, y), f.add(f.mul(a1, f.mul(x, y)), f.mul(a3, y)))
             if lhs == rhs:
-                count += 1
-    return count
+                pts.append((x, y))
+    return pts
 
 
 def curve_candidates(f, a1_min=0):

@@ -36,7 +36,7 @@ from reference import (
     dot,
     ec_sum,
     first_maximal_curve,
-    independent_point_count,
+    independent_points,
     min_hamming_distance_bruteforce,
     subset_sum_count_by_size,
 )
@@ -175,17 +175,32 @@ def _sampled_prefixes(f):
     if f.p == 2:
         # a1 != 0: one x has a1 x + a3 = 0; a1 = 0, a3 != 0: none has;
         # a1 = a3 = 0: singular for every a6
-        return (
+        prefixes = (
             [(nonzero(), some(), some(), some()) for _ in range(3)]
             + [(0, some(), nonzero(), some()) for _ in range(2)]
             + [(0, some(), 0, some())]
         )
-    # general prefixes complete the square; a1 = a3 = 0 is the search's form
-    prefixes = [(some(), some(), some(), some()) for _ in range(2)]
-    prefixes += [(0, some(), 0, some()) for _ in range(2)]
-    if f.p == 3:
-        prefixes.append((0, 0, 0, 0))  # y^2 = x^3 + a6 is singular for every a6
-    return prefixes
+    else:
+        # general prefixes complete the square; a1 = a3 = 0 is the search's form
+        prefixes = [(some(), some(), some(), some()) for _ in range(2)]
+        prefixes += [(0, some(), 0, some()) for _ in range(2)]
+        if f.p == 3:
+            prefixes.append((0, 0, 0, 0))  # y^2 = x^3 + a6 is singular for every a6
+    # the discriminant c2 a6^2 + c1 a6 + c0 has c2 = -432: for p >= 5 it has
+    # none, one or two roots in a6, and for p = 2, 3 (c2 = 0) at most one
+    counts = (0, 1, 2) if f.p >= 5 else (1,)
+    return prefixes + [_first_prefix_with_singular_a6(f, s) for s in counts]
+
+
+def _first_prefix_with_singular_a6(f, s):
+    """The first (a1, a2, a3, a4), a1 varying fastest, for which exactly s
+    of the a6 give a singular curve, each a6 tried by ``EllipticCurve``."""
+    for a4, a3, a2, a1 in itertools.product(f.elements(), repeat=4):
+        prefix = (a1, a2, a3, a4)
+        nonsingular = _curves(f, (prefix + (a6,) for a6 in f.elements()))
+        if f.q - sum(1 for _ in nonsingular) == s:
+            return prefix
+    raise AssertionError(f"no prefix over GF({f.q}) has {s} singular a6")  # pragma: no cover
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
@@ -197,8 +212,9 @@ def test_point_counts_match_two_independent_counts(q):
         assert [a6 for a6, _ in counts] == [c.a6 for c in nonsingular]
         for a6, n in counts:
             c = EllipticCurve(f, *prefix, a6)
-            assert n == len(ec_points(c)) == independent_point_count(f, c.coefficients()), c
-            assert ec_point_count(c) == n
+            pts = ec_points(c)
+            assert pts == [None] + independent_points(f, c.coefficients()), c
+            assert n == len(pts) == ec_point_count(c), c
 
 
 @pytest.mark.parametrize(
@@ -609,9 +625,9 @@ def test_sliding_window_violations_match_definition(case):
 
 @functools.lru_cache(maxsize=None)
 def _first_curve_with_two_torsion(q, t):
-    """The first candidate curve over GF(q) with t two-torsion points.
+    """The first candidate curve over GF(q) with t two-torsion points, the
+    points P = -P other than O.
 
-    A point is its own negative exactly when no other point shares its x.
     In characteristic 2, -(x, y) = (x, y + a1 x + a3), so P = -P needs
     a1 x + a3 = 0, which no nonsingular curve with a1 = 0 meets (a1 = a3 = 0
     is singular there): a class with t > 0 is searched from a1 = 1.
@@ -619,7 +635,7 @@ def _first_curve_with_two_torsion(q, t):
     f = field_of_order(q)
     a1_min = 1 if f.p == 2 and t else 0
     for c in curve_candidates(f, a1_min):
-        if sum(len(ecmds._ys_for_x(c, x)) == 1 for x in f.elements()) == t:
+        if sum(ec_neg(c, p) == p for p in ec_points(c)[1:]) == t:
             return c
     raise AssertionError(f"GF({q}) lacks a curve class")  # pragma: no cover
 

@@ -511,6 +511,24 @@ def test_null_space_matches_gauss_jordan_reference(fm):
     assert m.column_basis == tuple(pivots)
 
 
+def test_column_basis_adds_no_attribute():
+    # an attribute first set after __init__ would move the matrix's
+    # attributes into a dict and slow every later read
+    f = field_of_order(7)
+    rows = [[1, 2, 3, 4], [2, 4, 6, 2]]
+    read, eliminated, recorded = (CodeMatrix.from_rows(f, rows) for _ in range(3))
+    keys = list(vars(read))
+    assert read.column_basis == (0, 3)
+    assert null_space(eliminated).column_basis == (0, 1)
+    recorded.record_column_basis([0, 3])
+    for m in (read, eliminated, recorded):
+        assert list(vars(m)) == keys
+        assert m.column_basis == (0, 3)
+    # the basis is a cache: it takes no part in equality or the repr
+    assert read == CodeMatrix.from_rows(f, rows)
+    assert repr(read) == repr(CodeMatrix.from_rows(f, rows))
+
+
 @pytest.mark.parametrize("as_row", [list, tuple])
 def test_rank_of_vectors_finds_dependencies_below_the_first_pivot(as_row):
     f = field_of_order(7)

@@ -15,10 +15,10 @@ x^(i-1) times the row of x-coordinates, and x^i y multiplies it by the row of
 y-coordinates, so no element is raised to a power.  h g^T = 0 is checked
 from h and g alone by the field's vanishing-product kernel
 (``FieldSpec.orthogonal``): g's columns are packed once, and each row of h
-is one pass over them.  Each matrix is eliminated once: rank g = k is read
-from g's column basis (which ``null_space(g)`` has already found when
-construct_ec built h), and rank h = n - k from the (n - k) x (n - k) block
-of h on g's free columns alone.
+is one pass over them.  The certificate never eliminates g: Riemann-Roch
+gives rank g = k, and columns 0 ... k - 1 as a basis once the window check
+has passed, so rank h = n - k is read from the (n - k) x (n - k) block of h
+on the last n - k columns alone.
 
 The pairing of each point with its negative, window sums, the SWITCH
 windows (read from one index list per pass) and the subset-sum count (the
@@ -26,7 +26,8 @@ counts of every subset size packed into one int per group element, so a
 point is one C-level pass over the group) run on one group table per curve
 (``_group``, cached per process): the point list with O first, the
 point-to-index map, the N x N addition table and the negation table, every
-entry computed once by the validating ``ec_add``/``ec_neg``.
+entry computed once by ``ec_neg`` and by ``ec_add``'s formulas without
+its membership tests, since ``ec_points`` lists only points on the curve.
 Since the table grows as N^2, curves are supported over fields of order at
 most ``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
 
@@ -136,11 +137,15 @@ def ec_neg(c: EllipticCurve, pt: ECPoint) -> ECPoint:
 
 def ec_add(c: EllipticCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-tangent group law with identity O (valid in any characteristic)."""
+    for pt in (p, q):
+        if not c.is_on_curve(pt):
+            raise ParameterError(f"point {pt} is not on the curve")
+    return _chord_tangent(c, p, q)
+
+
+def _chord_tangent(c: EllipticCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+    """p + q for points already known to be on the curve."""
     f = c.field
-    if p is not None and not c.is_on_curve(p):
-        raise ParameterError(f"point {p} is not on the curve")
-    if q is not None and not c.is_on_curve(q):
-        raise ParameterError(f"point {q} is not on the curve")
     if p is None:
         return q
     if q is None:
@@ -257,7 +262,7 @@ def _group(c: EllipticCurve) -> _GroupTable:
     _check_curve_order(c.field)
     pts = ec_points(c)
     index = {p: i for i, p in enumerate(pts)}
-    add = [[index[ec_add(c, p, r)] for r in pts] for p in pts]
+    add = [[index[_chord_tangent(c, p, r)] for r in pts] for p in pts]
     neg = [index[ec_neg(c, p)] for p in pts]
     return _GroupTable(pts, index, add, neg)
 
@@ -719,28 +724,30 @@ def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> Pai
     (the subset-sum count) and n - k + 1 when none does, and in both cases
     pair distance n - k + 2 by the run-length bound and the Singleton ceiling.
 
-    g must have rank k, read from its column basis (ConstructionError if
-    not).  The rank of h is proven on F, the n - k columns outside that
-    basis: a nonsingular block h_F shows that h has full row rank, and when
-    h g^T = 0 the converse holds too, since a vector v with g v^T = 0 and
-    v_F = 0 vanishes on g's basis columns as well, so v -> v_F is injective
-    on the rows' span.  So rank h is taken only when h g^T = 0, by
-    eliminating h_F; when it is n - k, F is recorded as h's column basis.
+    g is never eliminated: Riemann-Roch gives what its elimination would.
+    The points are distinct and affine, and a nonzero f in L(kO) has at most
+    k zeros, so evaluation at n > k points is injective and rank g = k.  f
+    vanishes at k distinct points P_1 ... P_k exactly when div f = P_1 + ...
+    + P_k - kO, and a principal divisor sums to O in the group, so columns
+    0 ... k - 1 of g are independent whenever P_1 + ... + P_k != O: when the
+    window check passes, since window 0 is among its windows.  Then the
+    rank of h is proven on F, the last n - k columns: a nonsingular block
+    h_F shows that h has full row rank, and when h g^T = 0 the converse
+    holds too, since a vector v with g v^T = 0 and v_F = 0 vanishes on
+    columns 0 ... k - 1 as well, so v -> v_F is injective on the rows'
+    span.  So rank h is taken only when the window check passed and h g^T =
+    0, by eliminating h_F; when it is n - k, F is recorded as h's column
+    basis.
     """
     f = a.curve.field
     n, k = a.n, a.k
-    basis = g.column_basis
-    if len(basis) != k:
-        raise ConstructionError("evaluation matrix is rank deficient")
     window_ok = window_check(a)
     product_zero = h.cols == n and all(map(all, f.orthogonal(h.entries, g.entries)))
     rank_ok = False
-    if product_zero and h.rows == n - k:
-        in_basis = set(basis)
-        free = [c for c in range(n) if c not in in_basis]
-        rank_ok = rank_of_vectors(f, [[row[c] for c in free] for row in h.entries]) == n - k
+    if window_ok and product_zero and h.rows == n - k:
+        rank_ok = rank_of_vectors(f, [row[k:] for row in h.entries]) == n - k
         if rank_ok:
-            h.record_column_basis(free)
+            h.record_column_basis(range(k, n))
     nsolutions = subset_sum_count(a)
     failed = None
     if not window_ok:

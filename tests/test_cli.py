@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,8 @@ from pairmds.cli import _code_file, _reverify, build_parser, main
 from pairmds.gf import field_of_order
 from pairmds.linalg import DEFAULT_ENUM_CAP, LinearCode, null_space, rs_parity_check
 from pairmds.pairmetric import ROUTE_EC, ROUTE_MDS, PairCertificate
+
+from reference import ec_sum
 
 
 def run(args):
@@ -514,11 +517,13 @@ def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
 
 
 # one code file per route at full size: (q, n, d_pair); d5 and the ovoid
-# file reach the 3- and 4-row certificate, the elliptic one has 35 points
+# file reach the 3- and 4-row certificate, the elliptic ones have 35 points
+# and 147 points at k = 138
 _LARGE_BASES = {
     "d5": ("25", "651", "5"),
     "ovoid": ("16", "257", "6"),
     "elliptic": ("27", "35", "7"),
+    "elliptic-128": ("128", "147", "9"),
 }
 
 # seconds one verify of a mutated full-size file may take: an unmutated one
@@ -549,7 +554,7 @@ def test_mutated_full_size_file_ends_with_one_message_line(tmp_path, data):
     n, q = len(h[0]), doc["q"]
     j = data.draw(st.integers(0, n - 1))
     kinds = ["zero-column", "first-zero", "first-other", "repeated-column"]
-    if base == "elliptic":
+    if base.startswith("elliptic"):
         kinds.append("repeated-point")
     kind = data.draw(st.sampled_from(kinds))
     other = (j + data.draw(st.integers(1, n - 1))) % n
@@ -589,7 +594,7 @@ def test_reshaped_elliptic_matrix_with_matching_declaration(
     tmp_path, capsys, reshape, code, message
 ):
     # n and dimension agree with the reshaped matrix, so it reaches the
-    # certificate, whose block of h on g's free columns is gathered only
+    # certificate, whose block of h on the last n - k columns is gathered only
     # once h has n columns
     doc = json.loads(_base_text("elliptic"))
     _RESHAPES[reshape](doc)
@@ -599,6 +604,29 @@ def test_reshaped_elliptic_matrix_with_matching_declaration(
     assert run(["verify", str(bad)]) == code
     captured = capsys.readouterr()
     assert (captured.out + captured.err) == message + "\n"
+
+
+def test_elliptic_file_with_a_first_window_summing_to_o_fails_the_window_check(
+    tmp_path, capsys
+):
+    # q=11, n=14 > q + 1, so some k-subset of the points sums to O; moved to
+    # the front it is window 0, the window whose sum decides whether G's
+    # first k columns are a basis
+    doc = json.loads(_base_text("elliptic"))
+    prov = doc["provenance"]
+    curve = ecmds.EllipticCurve(field_of_order(doc["q"]), *prov["curve"])
+    points = [tuple(p) for p in prov["points"]]
+    k = prov["k"]
+    assert len(points) > doc["q"] + 1
+    front = next(
+        s for s in itertools.combinations(points, k) if ec_sum(curve, s) is None
+    )
+    prov["points"] = [list(p) for p in front] + [list(p) for p in points if p not in front]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err) == "verification FAILED: window-check\n"
 
 
 def _count_eliminations(monkeypatch):
@@ -617,7 +645,7 @@ def _count_eliminations(monkeypatch):
 
 def test_elliptic_construct_and_verify_eliminate_each_matrix_once(tmp_path, monkeypatch):
     # q=27, n=35, d_pair=7: G is 30 x 35, H is 5 x 35, and H_F, the block of H
-    # on G's free columns, is 5 x 5
+    # on the last n - k columns, is 5 x 5
     shapes = _count_eliminations(monkeypatch)
     out = tmp_path / "ec.json"
     assert run(["construct", "--q", "27", "--n", "35", "--dpair", "7", "--out", str(out)]) == 0
@@ -625,8 +653,9 @@ def test_elliptic_construct_and_verify_eliminate_each_matrix_once(tmp_path, monk
     # the certificate recorded
     assert shapes == [(30, 35), (5, 5)]
     shapes.clear()
+    # rank G = k comes from Riemann-Roch, so verify eliminates H_F alone
     assert run(["verify", str(out)]) == 0
-    assert shapes == [(30, 35), (5, 5)]
+    assert shapes == [(5, 5)]
 
 
 @pytest.mark.parametrize("q,n,dpair", [(5, 9, 5), (5, 10, 6), (11, 9, 7), (11, 13, 11)])

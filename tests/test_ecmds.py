@@ -333,6 +333,33 @@ def test_generator_matrix_entries_are_monomial_values(q, data):
         assert row == tuple(f.mul(f.pow(x, fn.i), f.pow(y, fn.j)) for x, y in a.points)
 
 
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from([7, 8, 9, 13, 16, 27]), closed=st.booleans(), data=st.data())
+def test_generator_matrix_rank_and_first_columns_follow_riemann_roch(q, closed, data):
+    # the lemma check_ec_conditions rests on in place of eliminating G: rank
+    # G = k at any n > k distinct affine points, and G's first k columns are
+    # independent iff P_1 + ... + P_k != O
+    c = find_maximal_curve(field_of_order(q))
+    f = c.field
+    pts = ec_points(c)[1:]
+    n = data.draw(st.integers(2, len(pts)))
+    k = data.draw(st.integers(1, n - 1))
+    chosen = [pts[i] for i in data.draw(st.permutations(range(len(pts))))[:n]]
+    if closed:
+        # P_k := -(P_1 + ... + P_(k-1)) where that is an affine point not
+        # among them, so that the first k points sum to O
+        closing = ec_neg(c, ec_sum(c, chosen[: k - 1]))
+        if closing is not None and closing not in chosen[: k - 1]:
+            tail = [p for p in chosen[k - 1:] if p != closing]
+            chosen = (chosen[: k - 1] + [closing] + tail)[:n]
+    a = EvalArrangement(c, tuple(chosen), k)
+    g = generator_matrix(a)
+    sums_to_o = ec_sum(c, a.points[:k]) is None
+    event("first k sum to O" if sums_to_o else "first k sum to a point")
+    assert rank_of_vectors(f, g.entries) == k
+    assert columns_independent(g, range(k)) == (not sums_to_o)
+
+
 def test_elliptic_certificate_makes_no_per_element_field_calls(monkeypatch):
     # h g^T runs on FieldSpec.orthogonal and the generator matrix on mul_rows; what
     # is left is forward elimination, one inv per pivot and one mul per
@@ -586,12 +613,13 @@ def test_subset_sum_count_builds_the_group_table_once(q, monkeypatch):
     pts = ec_points(c)
     arrangement = EvalArrangement(c, tuple(pts[1:q + 3]), 5)
     calls = [0]
+    chord_tangent = ecmds._chord_tangent
 
     def counted(*args):
         calls[0] += 1
-        return ec_add(*args)
+        return chord_tangent(*args)
 
-    monkeypatch.setattr(ecmds, "ec_add", counted)
+    monkeypatch.setattr(ecmds, "_chord_tangent", counted)
     ecmds._group.cache_clear()
     first = subset_sum_count(arrangement)
     assert calls[0] == len(pts) ** 2
@@ -670,8 +698,8 @@ def test_pair_tiled_order_violates_every_even_window_start(q):
 
 def _ec_verdict_by_full_rank(a, g, h):
     """(ok, failed_condition) of check_ec_conditions as it stood before the
-    rank of h moved to g's free columns: the same window check and products,
-    and one elimination of the whole of h."""
+    rank of h moved to a block of its columns: the same window check and
+    products, and one elimination of the whole of h."""
     f = a.curve.field
     n, k = a.n, a.k
     product_zero = h.cols == n and all(
@@ -714,8 +742,8 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
     rng = random.Random(seed)
     rows = [list(row) for row in h]
     if mix:
-        # an invertible row mix, so that the block on g's free columns is
-        # no longer the identity
+        # an invertible row mix, so that the block on the last n - k
+        # columns is no longer the identity
         while True:
             m = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
             if rank_of_vectors(f, m) == r:

@@ -89,12 +89,16 @@ def _code_file(f: FieldSpec, code: LinearCode, cert: PairCertificate, provenance
 
 
 def _dump(text: str, out: Optional[str]) -> None:
-    """Write `text` to the file `out`, or to stdout when `out` is None or "-"."""
+    """Write `text` to the file `out`, or to stdout when `out` is None or "-";
+    a file that cannot be written is a usage error."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def cmd_construct(args) -> int:

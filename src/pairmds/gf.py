@@ -5,8 +5,9 @@ of the element in the polynomial basis (digit i = coefficient of x^i).  Code 0
 is the additive identity and code 1 the multiplicative identity, so prime
 fields behave like plain integers mod p.
 
-Every extension field uses one fixed monic irreducible modulus, shipped in an
-embedded table (the polynomial whose integer encoding is smallest), so the
+Every extension field uses one fixed modulus, found when the field is built:
+the monic irreducible polynomial whose integer encoding sum(c_i p^i) is
+smallest, by Rabin's irreducibility test on the table-free product.  So the
 field, and every code file built over it, is a function of (p, a) alone.
 
 Arithmetic is table-driven, and every table but the digit tables of the
@@ -58,105 +59,6 @@ ADD_TABLE_MAX_ORDER = 1 << 8
 # the memoryview format of an unsigned slot of 1, 2, 4 or 8 bytes
 _SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# One monic irreducible polynomial per (p, a), a >= 2, p^a <= 2^16: the one
-# with the smallest integer encoding sum(c_i * p^i).  Degree-1 moduli are
-# always x and are not tabulated.
-_IRREDUCIBLE = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
-    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
-    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
-    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (5, 5): (1, 4, 0, 0, 0, 1),
-    (5, 6): (2, 1, 0, 0, 0, 0, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (2, 0, 0, 1),
-    (7, 4): (1, 1, 0, 0, 1),
-    (7, 5): (3, 1, 0, 0, 0, 1),
-    (11, 2): (1, 0, 1),
-    (11, 3): (4, 1, 0, 1),
-    (11, 4): (2, 1, 0, 0, 1),
-    (13, 2): (2, 0, 1),
-    (13, 3): (2, 0, 0, 1),
-    (13, 4): (2, 0, 0, 0, 1),
-    (17, 2): (3, 0, 1),
-    (17, 3): (3, 1, 0, 1),
-    (19, 2): (1, 0, 1),
-    (19, 3): (2, 0, 0, 1),
-    (23, 2): (1, 0, 1),
-    (23, 3): (3, 1, 0, 1),
-    (29, 2): (2, 0, 1),
-    (29, 3): (4, 1, 0, 1),
-    (31, 2): (1, 0, 1),
-    (31, 3): (3, 0, 0, 1),
-    (37, 2): (2, 0, 1),
-    (37, 3): (2, 0, 0, 1),
-    (41, 2): (3, 0, 1),
-    (43, 2): (1, 0, 1),
-    (47, 2): (1, 0, 1),
-    (53, 2): (2, 0, 1),
-    (59, 2): (1, 0, 1),
-    (61, 2): (2, 0, 1),
-    (67, 2): (1, 0, 1),
-    (71, 2): (1, 0, 1),
-    (73, 2): (5, 0, 1),
-    (79, 2): (1, 0, 1),
-    (83, 2): (1, 0, 1),
-    (89, 2): (3, 0, 1),
-    (97, 2): (5, 0, 1),
-    (101, 2): (2, 0, 1),
-    (103, 2): (1, 0, 1),
-    (107, 2): (1, 0, 1),
-    (109, 2): (2, 0, 1),
-    (113, 2): (3, 0, 1),
-    (127, 2): (1, 0, 1),
-    (131, 2): (1, 0, 1),
-    (137, 2): (3, 0, 1),
-    (139, 2): (1, 0, 1),
-    (149, 2): (2, 0, 1),
-    (151, 2): (1, 0, 1),
-    (157, 2): (2, 0, 1),
-    (163, 2): (1, 0, 1),
-    (167, 2): (1, 0, 1),
-    (173, 2): (2, 0, 1),
-    (179, 2): (1, 0, 1),
-    (181, 2): (2, 0, 1),
-    (191, 2): (1, 0, 1),
-    (193, 2): (5, 0, 1),
-    (197, 2): (2, 0, 1),
-    (199, 2): (1, 0, 1),
-    (211, 2): (1, 0, 1),
-    (223, 2): (1, 0, 1),
-    (227, 2): (1, 0, 1),
-    (229, 2): (2, 0, 1),
-    (233, 2): (3, 0, 1),
-    (239, 2): (1, 0, 1),
-    (241, 2): (7, 0, 1),
-    (251, 2): (1, 0, 1),
-}
-
 
 class FieldError(ValueError):
     """Unsupported field parameters or invalid element operation."""
@@ -166,7 +68,8 @@ def _prime_factors(m: int) -> List[int]:
     """The distinct prime factors of m >= 1, ascending, by trial division.
 
     The package's only factoriser: it tests primality, splits field orders
-    into p^a and finds the orders a generator must avoid.
+    into p^a, finds the orders a generator must avoid and the primes r | a
+    of Rabin's test.
     """
     out = []
     d = 2
@@ -179,6 +82,85 @@ def _prime_factors(m: int) -> List[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _mul_raw(p: int, mod: Sequence[int], x: int, y: int) -> int:
+    """The product of the codes x and y in GF(p)[x]/(mod), for a monic `mod`
+    of degree a >= 1 (coefficients by ascending degree): their polynomials
+    multiplied and reduced, without tables."""
+    a = len(mod) - 1
+    xd, yd = [], []
+    for _ in range(a):
+        xd.append(x % p)
+        yd.append(y % p)
+        x //= p
+        y //= p
+    prod = [0] * (2 * a - 1)
+    for i, xi in enumerate(xd):
+        if xi:
+            for j, yj in enumerate(yd):
+                prod[i + j] += xi * yj
+    for i in range(2 * a - 2, a - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(a):
+                prod[i - a + j] -= c * mod[j]
+    out = 0
+    for c in reversed(prod[:a]):
+        out = out * p + c % p
+    return out
+
+
+def _pow_raw(p: int, mod: Sequence[int], x: int, e: int) -> int:
+    """x^e in GF(p)[x]/(mod) for e >= 0 by square-and-multiply, without tables."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if len(mod) == 2:
+        return pow(x, e, p)
+    out = 1
+    while e:
+        if e & 1:
+            out = _mul_raw(p, mod, out, x)
+        e >>= 1
+        if e:
+            x = _mul_raw(p, mod, x, x)
+    return out
+
+
+def _is_irreducible(p: int, mod: Sequence[int]) -> bool:
+    """Rabin's test (M. O. Rabin, "Probabilistic algorithms in finite
+    fields", SIAM J. Comput. 9(2), 1980) of a monic `mod` of degree a >= 2
+    over GF(p), with q = p^a and x the code p.
+
+    `mod` is irreducible exactly when x^q = x mod `mod` and, for every prime
+    r | a, x^(p^(a/r)) - x is a unit mod `mod`.  Given the first condition,
+    `mod` is squarefree and each factor's degree d_i divides a, so
+    GF(p)[x]/(mod) is the product of the fields GF(p^(d_i)), and h is a unit
+    exactly when h^(q-1) = 1.  h - x is h with digit 1 lowered by one.
+    """
+    a = len(mod) - 1
+    q = p**a
+    if _pow_raw(p, mod, p, q) != p:
+        return False
+    for r in _prime_factors(a):
+        h = _pow_raw(p, mod, p, p ** (a // r))
+        d = h // p % p
+        h += ((d - 1) % p - d) * p
+        if _pow_raw(p, mod, h, q - 1) != 1:
+            return False
+    return True
+
+
+def _least_irreducible(p: int, a: int) -> Tuple[int, ...]:
+    """The monic irreducible polynomial of degree a >= 2 over GF(p) whose
+    encoding sum(c_i p^i) is smallest; the candidates with c_0 = 0, which x
+    divides, are skipped."""
+    for code in range(1, p**a):
+        if code % p:
+            mod = tuple(code // p**i % p for i in range(a)) + (1,)
+            if _is_irreducible(p, mod):
+                return mod
+    raise FieldError(f"no irreducible polynomial of degree {a} over GF({p})")  # pragma: no cover
 
 
 class FieldSpec:
@@ -215,7 +197,7 @@ class FieldSpec:
         self.p = p
         self.a = a
         self.q = q
-        self.modulus: Tuple[int, ...] = (0, 1) if a == 1 else _IRREDUCIBLE[(p, a)]
+        self.modulus: Tuple[int, ...] = (0, 1) if a == 1 else _least_irreducible(p, a)
         exp, log, self._generator = self._build_tables()
         q1 = q - 1
         log[0] = 3 * q1 - 1
@@ -258,12 +240,6 @@ class FieldSpec:
             out.append(x % self.p)
             x //= self.p
         return out
-
-    def from_digits(self, digits: Sequence[int]) -> int:
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + (d % self.p)
-        return code
 
     # -- arithmetic ----------------------------------------------------
 
@@ -652,40 +628,6 @@ class FieldSpec:
             mult *= p
         return out
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        """Polynomial product reduced by the modulus, without tables."""
-        p = self.p
-        xd = self.digits(x)
-        yd = self.digits(y)
-        prod = [0] * (2 * self.a - 1)
-        for i, xi in enumerate(xd):
-            if xi:
-                for j, yj in enumerate(yd):
-                    prod[i + j] = (prod[i + j] + xi * yj) % p
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.a - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.a):
-                    prod[i - self.a + j] = (prod[i - self.a + j] - c * mod[j]) % p
-        return self.from_digits(prod[: self.a])
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        """x^e for e >= 0 by square-and-multiply, without tables."""
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        if self.a == 1:
-            return pow(x, e, self.p)
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, x)
-            e >>= 1
-            if e:
-                x = self._mul_raw(x, x)
-        return out
-
     def mul(self, x: int, y: int) -> int:
         if self.a == 1:
             return x * y % self.p
@@ -727,14 +669,14 @@ class FieldSpec:
         return self._generator
 
     def _build_tables(self):
-        q = self.q
+        p, q, mod = self.p, self.q, self.modulus
         if q == 2:
             return [1, 1], [0, 0], 1
         # x generates the unit group exactly when x^((q-1)/r) != 1 for every
         # prime r dividing q-1, so a candidate costs O(log q) products per r
         exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
         gen = next(
-            (x for x in range(2, q) if all(self._pow_raw(x, e) != 1 for e in exponents)),
+            (x for x in range(2, q) if all(_pow_raw(p, mod, x, e) != 1 for e in exponents)),
             None,
         )
         if gen is None:  # pragma: no cover - the unit group is always cyclic
@@ -746,7 +688,7 @@ class FieldSpec:
             for i in range(q - 1):
                 exp[i] = exp[i + q - 1] = val
                 log[val] = i
-                val = val * gen % self.p
+                val = val * gen % p
             return exp, log, gen
         # Multiplying by x is a shift and one reduction, far cheaper than a
         # general product.  x generates a subgroup of order d, and every unit
@@ -763,7 +705,7 @@ class FieldSpec:
         d = len(xs)
         c = (q - 1) // d
         # gen^c generates <x>, say gen^c = x^t, so x = gen^(c * t^-1 mod d)
-        step = c * pow(xs.index(self._pow_raw(gen, c)), -1, d)
+        step = c * pow(xs.index(_pow_raw(p, mod, gen, c)), -1, d)
         rep = 1
         for j in range(c):
             val = rep
@@ -773,7 +715,7 @@ class FieldSpec:
                 log[val] = i
                 val = times_x(val)
                 i = (i + step) % (q - 1)
-            rep = self._mul_raw(rep, gen)
+            rep = _mul_raw(p, mod, rep, gen)
         return exp, log, gen
 
     def _times_x_step(self):

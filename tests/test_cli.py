@@ -410,6 +410,21 @@ def test_parameter_errors_print_one_error_line_and_exit_2(capsys, argv, line):
     assert captured.err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("command", ["construct --q 5 --n 9 --dpair 5", "table --q 3 --dpair 5"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_prints_one_error_line_and_exit_2(
+    tmp_path, capsys, command, target, reason
+):
+    out = str(tmp_path / target)
+    assert run(command.split() + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+
+
 # one small valid code file per construction route: (q, n, d_pair)
 _BASES = {
     "d5": ("5", "13", "5"),

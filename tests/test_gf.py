@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -5,12 +6,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pairmds import gf
 from pairmds.gf import (
-    _IRREDUCIBLE,
     ADD_TABLE_MAX_ORDER,
     MAX_ORDER,
     FieldError,
     FieldSpec,
+    _is_irreducible,
+    _least_irreducible,
+    _mul_raw,
+    _pow_raw,
     absolute_trace,
     field,
     field_of_order,
@@ -113,28 +118,52 @@ def test_primitive_element_is_least_of_full_order():
             assert brute_order(f, x) < q - 1
 
 
-def test_generator_search_is_a_few_powers_per_candidate(monkeypatch):
+def counted_raw_products(monkeypatch):
+    """A counter of every table-free product made from now on."""
     calls = [0]
-    mul_raw = FieldSpec._mul_raw
 
-    def counted(self, x, y):
+    def counted(p, mod, x, y):
         calls[0] += 1
-        return mul_raw(self, x, y)
+        return _mul_raw(p, mod, x, y)
 
-    monkeypatch.setattr(FieldSpec, "_mul_raw", counted)
+    monkeypatch.setattr(gf, "_mul_raw", counted)
+    return calls
+
+
+def test_generator_search_is_a_few_powers_per_candidate(monkeypatch):
+    calls = counted_raw_products(monkeypatch)
+    _least_irreducible(3, 10)
+    search = calls[0]
+    calls[0] = 0
     f = FieldSpec(3, 10)
     q = f.q
-    # the search tests x^((q-1)/r) for r in {2, 11, 61} with at most
-    # 2 * 16 products per power, for each candidate 2..34 (34 generates);
-    # the exp-table walk makes one table-free product per coset of <x>
-    # (x has order (q-1)/122 here) and at most 2 * 16 for gen^122
+    # apart from the modulus search: the generator search tests
+    # x^((q-1)/r) for r in {2, 11, 61} with at most 2 * 16 products per
+    # power, for each candidate 2..34 (34 generates); the exp-table walk
+    # makes one table-free product per coset of <x> (x has order (q-1)/122
+    # here) and at most 2 * 16 for gen^122
     assert f.primitive_element() == 34
     walk = 122 + 2 * q.bit_length()
-    assert 0 < calls[0] <= (34 - 1) * 3 * 2 * q.bit_length() + walk
+    assert 0 < calls[0] - search <= (34 - 1) * 3 * 2 * q.bit_length() + walk
+
+
+@pytest.mark.parametrize("p,a,passing", [(3, 10, 1), (2, 16, 2)])
+def test_modulus_search_is_one_power_per_candidate(monkeypatch, p, a, passing):
+    calls = counted_raw_products(monkeypatch)
+    mod = _least_irreducible(p, a)
+    q = p**a
+    # each candidate up to the modulus with c_0 != 0 takes x^q, at most
+    # 2 * bit_length(q) products; the ones with x^q = x (the modulus, and
+    # x^16 + x + 1 at GF(2^16)) add x^(p^(a/r)) and a (q-1)-th power for
+    # each prime r | a
+    low = sum(c * p**i for i, c in enumerate(mod[:-1]))
+    tried = sum(1 for code in range(1, low + 1) if code % p)
+    powers = tried + passing * 2 * len(gf._prime_factors(a))
+    assert 0 < calls[0] <= powers * 2 * q.bit_length()
 
 
 def table_free_mul(f):
-    return f._mul_raw if f.a > 1 else (lambda x, y: x * y % f.q)
+    return functools.partial(_mul_raw, f.p, f.modulus) if f.a > 1 else (lambda x, y: x * y % f.q)
 
 
 def check_exp_log_walk(f, steps):
@@ -193,9 +222,9 @@ def test_pow_inv_and_div_match_the_table_free_power(q):
     for x in range(1, q):
         for e in range(-q, 2 * q + 1):
             if e >= 0:
-                assert f.pow(x, e) == f._pow_raw(x, e), (x, e)
+                assert f.pow(x, e) == _pow_raw(f.p, f.modulus, x, e), (x, e)
             else:
-                assert mul(f.pow(x, e), f._pow_raw(x, -e)) == 1, (x, e)
+                assert mul(f.pow(x, e), _pow_raw(f.p, f.modulus, x, -e)) == 1, (x, e)
         assert f.inv(x) == f.pow(x, -1)
         for y in range(q):
             assert mul(f.div(y, x), x) == y
@@ -214,7 +243,7 @@ def test_table_free_power_rejects_a_negative_exponent(q):
     f = field_of_order(q)
     for e in (-1, -q):
         with pytest.raises(ValueError):
-            f._pow_raw(2, e)
+            _pow_raw(f.p, f.modulus, 2, e)
 
 
 @pytest.mark.parametrize("q", [4, 7, 8, 9, 25, 27, 32])
@@ -444,17 +473,31 @@ def is_irreducible(p, u):
     )
 
 
-def test_embedded_moduli_are_the_least_monic_irreducibles():
+def test_computed_moduli_are_the_least_monic_irreducibles():
     primes = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
     keys = {(p, a) for p in primes for a in range(2, 17) if p**a <= MAX_ORDER}
-    assert set(_IRREDUCIBLE) == keys
-    for (p, a), mod in _IRREDUCIBLE.items():
+    assert len(keys) == 93
+    for p, a in keys:
+        mod = _least_irreducible(p, a)
         assert len(mod) == a + 1 and mod[-1] == 1
         assert all(0 <= c < p for c in mod)
         assert is_irreducible(p, mod)
         # every monic polynomial of degree a with a smaller encoding factors
         low = sum(c * p**i for i, c in enumerate(mod[:-1]))
         assert not any(is_irreducible(p, monic(p, a, code)) for code in range(low))
+
+
+def test_rabin_test_agrees_with_trial_division_up_to_2_8():
+    fields = [(p, a) for p in (2, 3, 5, 7, 11, 13) for a in range(2, 9) if p**a <= 256]
+    for p, a in fields:
+        for code in range(1, p**a):
+            if code % p:
+                mod = monic(p, a, code)
+                assert _is_irreducible(p, mod) == is_irreducible(p, mod), mod
+    # over GF(3), x^2 + 2 = (x - 1)(x - 2) has x^9 = x, and only its unit
+    # condition, on x^3 - x, rejects it
+    assert _pow_raw(3, (2, 0, 1), 3, 9) == 3
+    assert not _is_irreducible(3, (2, 0, 1))
 
 
 def test_field_does_not_read_a_table_file(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,6 +89,26 @@ def _code_file(f: FieldSpec, code: LinearCode, cert: PairCertificate, provenance
     }
 
 
+def _cannot_write(out: str, exc: OSError) -> _CliError:
+    return _CliError(f"cannot write {out}: {exc.strerror}")
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Fail before any work when the file `out` cannot be opened for writing.
+
+    The probe opens it for writing without truncating it, which leaves a
+    file that exists as it is, and removes a file that it created."""
+    if out is None or out == "-":
+        return
+    existed = os.path.lexists(out)
+    try:
+        os.close(os.open(out, os.O_WRONLY | os.O_CREAT))
+    except OSError as exc:
+        raise _cannot_write(out, exc) from exc
+    if not existed:
+        os.remove(out)
+
+
 def _dump(text: str, out: Optional[str]) -> None:
     """Write `text` to the file `out`, or to stdout when `out` is None or "-";
     a file that cannot be written is a usage error."""
@@ -98,10 +119,11 @@ def _dump(text: str, out: Optional[str]) -> None:
             with open(out, "w", encoding="ascii") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
+            raise _cannot_write(out, exc) from exc
 
 
 def cmd_construct(args) -> int:
+    _check_out(args.out)
     f = field_of_order(args.q)
     code, cert, provenance = _construct(f, args.n, args.dpair)
     doc = _code_file(f, code, cert, provenance)
@@ -237,6 +259,7 @@ def _feasible_lengths(f: FieldSpec, d_pair: int) -> List[int]:
 
 
 def cmd_table(args) -> int:
+    _check_out(args.out)
     f = field_of_order(args.q)
     rows = []
     for n in _feasible_lengths(f, args.dpair):

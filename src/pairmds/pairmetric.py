@@ -4,16 +4,20 @@ The checker re-derives everything from the matrix alone: the construction
 modules call it on their own output instead of asserting correctness of their
 case analyses.
 
-Conditions 1 and 2 of the column conditions, and the Reed-Solomon minors,
-share one dependent-set search (``_first_dependent_subset``), which keeps
-every vector in normal form and projects all later columns from a pivot in
-one call: ``FieldSpec.project_codes``, whose images are ints, for the last
-projection before pairs are matched, where the images have 2 or 3
-coordinates, and ``FieldSpec.project`` otherwise.  A certificate
-normalises each column once (a column that starts with 1 is its own normal
-form), and conditions 1 and 2 search the same normal forms.  Condition 3
-takes the determinants of all cyclic windows at once
-(``linalg.window_dets``) for d_H = 3 and 4, the parity checks of pair
+The MDS check first tests whether the columns lie on the normal rational
+curve, as those of a Reed-Solomon parity check do; then every r of them are
+independent by the Vandermonde determinant, and the check needs O(rn) table
+reads and no search.  Conditions 1 and 2 of the column conditions, and the
+MDS check of any other matrix, share one dependent-set search
+(``_first_dependent_subset``), which keeps every vector in normal form and
+projects all later columns from a pivot in one call:
+``FieldSpec.project_codes``, whose images are ints, for the last projection
+before pairs are matched, where the images have 2 or 3 coordinates, and
+``FieldSpec.project`` otherwise.  A certificate normalises each column once
+(a column that starts with 1 is its own normal form), and conditions 1 and 2
+search the same normal forms, as the MDS check's curve test and search read
+the same ones.  Condition 3 takes the determinants of all cyclic windows at
+once (``linalg.window_dets``) for d_H = 3 and 4, the parity checks of pair
 distance 5 and 6 that ``construct`` emits, and eliminates window by window
 at every other row count.  All of them read the field's tables directly
 instead of making one field-method call per element.  A passing check has
@@ -175,8 +179,8 @@ def _first_dependent_subset(f, cols, size, forms=None):
     normal forms are equal, so pairs are matched by hashing; pairs with the
     first vector come first, and the first pivot of a top-level size-3
     search projects doubling prefixes until that vector's partner shows.
-    At the size-3 level on 3- and 4-coordinate vectors (the Reed-Solomon
-    minors' last level, d6 condition 1 and the ovoid's no-three-collinear
+    At the size-3 level on 3- and 4-coordinate vectors (the MDS search's
+    last level, d6 condition 1 and the ovoid's no-three-collinear
     check) the images are ints, not tuples (``FieldSpec.project_codes``), so
     the pairs are matched by hashing ints.
 
@@ -350,19 +354,57 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     )
 
 
+def _on_normal_rational_curve(f, forms, r):
+    """True when the normal forms lie on the normal rational curve: each is
+    (1, x, x^2, ..., x^(r-1)) for pairwise distinct x, but for at most one
+    point at infinity (0, ..., 0, 1).  False at r = 1, where no node is
+    defined (the search then only looks for a zero column).
+
+    Then every r of the columns are independent.  Columns c_i = l_i *
+    (1, x_i, ..., x_i^(r-1)) with l_i != 0 have determinant
+    l_1 ... l_r * prod_{i<j} (x_j - x_i), a Vandermonde determinant, which is
+    nonzero for distinct x_i.  A set that holds the point at infinity expands
+    along that column, whose one nonzero entry is in the last row, to
+    +-(the (r-1)-Vandermonde of the other r - 1 nodes) times its scale,
+    nonzero again.  The test reads each form once and multiplies r - 2 rows
+    of length n, so it costs O(rn) table reads.
+    """
+    if r < 2 or None in forms:
+        return False
+    infinity = (0,) * (r - 1) + (1,)
+    finite = [v for v in forms if v != infinity]
+    if len(forms) - len(finite) > 1 or any(v[0] != 1 for v in finite):
+        return False
+    rows = list(map(list, zip(*finite)))
+    nodes = rows[1]
+    if len(set(nodes)) < len(nodes):
+        return False
+    return all(f.mul_rows(rows[t - 1], nodes) == rows[t] for t in range(2, r))
+
+
 def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
     """Certify a classical MDS parity check (every r columns independent).
 
     An [n, n-r, r+1] MDS code is an MDS symbol-pair code of pair distance
     r + 2: weight-w codewords have pair weight >= w + 1 >= r + 2, and the
     Singleton ceiling forbids anything larger.
+
+    Columns on the normal rational curve, as a (possibly column-scaled)
+    Reed-Solomon parity check is, are certified without a search
+    (``_on_normal_rational_curve``); every other matrix goes to the
+    dependent-set search, which finds the first dependent r-set.
     """
     f = h.field
     r = h.rows
     n = h.cols
     if r > n:
         raise ValueError(f"matrix has {r} rows but only {n} columns")
-    witness = _first_dependent_subset(f, h.columns(), r)
+    cols = h.columns()
+    forms = [c if c[0] == 1 else f.normal_form(c) for c in cols]
+    if _on_normal_rational_curve(f, forms, r):
+        witness = None
+    else:
+        witness = _first_dependent_subset(f, cols, r, forms)
     if witness is not None:
         return PairCertificate(
             q=f.q,

@@ -159,14 +159,34 @@ def test_long_rs_file_verifies(tmp_path, capsys):
 
 
 def test_search_cap_is_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
+    # row 1 of the Reed-Solomon matrix scaled by 2: the same MDS code, but
+    # its columns are off the normal rational curve, so the check searches
     out = tmp_path / "rs.json"
     assert run(["construct", "--q", "9", "--n", "10", "--dpair", "8", "--out", str(out)]) == 0
     capsys.readouterr()
+    doc = json.loads(out.read_text())
+    f = field_of_order(9)
+    doc["parity_check"][1] = [f.mul(2, x) for x in doc["parity_check"][1]]
+    out.write_text(json.dumps(doc))
     monkeypatch.setattr(pairmetric, "_SUBSET_SCAN_CAP", 10)
     assert run(["verify", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("inconclusive: ")
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_rs_file_verifies_without_the_dependent_set_search(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rs.json"
+    assert run(["construct", "--q", "9", "--n", "10", "--dpair", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def search(*args):
+        raise AssertionError("the dependent-set search ran")
+
+    monkeypatch.setattr(pairmetric, "_SUBSET_SCAN_CAP", 10)
+    monkeypatch.setattr(pairmetric, "_first_dependent_subset", search)
+    assert run(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "verified (mds-hamming): (10, 8)_9 MDS symbol-pair code\n"
 
 
 def _set(*path, value):
@@ -416,13 +436,33 @@ def test_parameter_errors_print_one_error_line_and_exit_2(capsys, argv, line):
     (".", "Is a directory"),
 ])
 def test_unwritable_out_prints_one_error_line_and_exit_2(
-    tmp_path, capsys, command, target, reason
+    tmp_path, capsys, monkeypatch, command, target, reason
 ):
+    # the path is checked before any construction starts
+    def construct(*args):
+        raise AssertionError("constructed before the output path was checked")
+
+    monkeypatch.setattr(cli, "_construct", construct)
     out = str(tmp_path / target)
     assert run(command.split() + ["--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["construct --q 7 --n 4 --dpair 5", "table --q 7 --dpair 4"])
+def test_checked_out_path_is_left_absent_when_the_work_fails(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    assert run(command.split() + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_checked_out_path_keeps_an_existing_file_until_written(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    out.write_text("old")
+    assert run(["construct", "--q", "7", "--n", "4", "--dpair", "5", "--out", str(out)]) == 2
+    assert out.read_text() == "old"
 
 
 # one small valid code file per construction route: (q, n, d_pair)
@@ -533,12 +573,14 @@ def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
 
 # one code file per route at full size: (q, n, d_pair); d5 and the ovoid
 # file reach the 3- and 4-row certificate, the elliptic ones have 35 points
-# and 147 points at k = 138
+# and 147 points at k = 138, and the Reed-Solomon one has 257 columns of 5
+# rows, C(257, 4) = 1.8e8 projections for a full dependent-set search
 _LARGE_BASES = {
     "d5": ("25", "651", "5"),
     "ovoid": ("16", "257", "6"),
     "elliptic": ("27", "35", "7"),
     "elliptic-128": ("128", "147", "9"),
+    "rs": ("256", "257", "7"),
 }
 
 # seconds one verify of a mutated full-size file may take: an unmutated one

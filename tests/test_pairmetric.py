@@ -397,6 +397,84 @@ def test_check_mds_conditions():
     assert not cert2.ok and cert2.failing_set is not None
 
 
+# prime, binary and odd-extension fields
+_CURVE_FIELDS = [5, 7, 11, 4, 8, 16, 9, 25, 27]
+_NEAR_MISSES = [
+    "repeated-node", "two-infinities", "zero-column", "scaled-row", "changed-entry"
+]
+
+
+@st.composite
+def curve_matrices(draw):
+    """Columns l * (1, x, ..., x^(r-1)) at distinct nodes x with random
+    scales l != 0, an optional point at infinity at a random position,
+    and, five times in six, one near-miss; returns the field, the columns, r
+    and the near-miss (None for an untouched curve)."""
+    q = draw(st.sampled_from(_CURVE_FIELDS))
+    f = field_of_order(q)
+    infinity = draw(st.booleans())
+    n = draw(st.integers(2, min(q + infinity, 9)))
+    r = draw(st.integers(1, n))
+    nodes = draw(st.lists(st.integers(0, q - 1), min_size=n - infinity,
+                          max_size=n - infinity, unique=True))
+    cols = [[f.pow(x, t) for t in range(r)] for x in nodes]
+    if infinity:
+        cols.insert(draw(st.integers(0, len(cols))), [0] * (r - 1) + [1])
+    scalar = st.integers(1, q - 1)
+    scales = draw(st.lists(scalar, min_size=n, max_size=n))
+    cols = [[f.mul(lam, x) for x in c] for c, lam in zip(cols, scales)]
+    miss = draw(st.sampled_from([None] + _NEAR_MISSES))
+    j, i = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if miss == "repeated-node":
+        # a rescaled copy of another column: a node, or infinity, repeated
+        lam = draw(scalar)
+        cols[j] = [f.mul(lam, x) for x in cols[i]]
+    elif miss == "two-infinities":
+        cols[i] = [0] * (r - 1) + [draw(scalar)]
+        cols[j] = [0] * (r - 1) + [draw(scalar)]
+    elif miss == "zero-column":
+        cols[j] = [0] * r
+    elif miss == "scaled-row":
+        t, c = draw(st.integers(0, r - 1)), draw(st.integers(2, q - 1))
+        for col in cols:
+            col[t] = f.mul(c, col[t])
+    elif miss == "changed-entry":
+        cols[j][draw(st.integers(0, r - 1))] = draw(st.integers(0, q - 1))
+    return f, [tuple(c) for c in cols], r, miss
+
+
+def test_a_column_with_first_entry_zero_is_off_the_curve():
+    # (0, 1, 1) passes the power rows as node 1; with nodes 2 and 4 = 1 - 2
+    # the three columns are dependent over GF(5)
+    f = field(5, 1)
+    cols = [(1, 2, 4), (0, 1, 1), (1, 4, 1)]
+    cert = check_mds_conditions(CodeMatrix.from_rows(f, [list(r) for r in zip(*cols)]))
+    assert not cert.ok and cert.failing_set == (0, 1, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=curve_matrices())
+def test_mds_certificate_matches_the_search_on_and_near_the_curve(drawn):
+    # the curve test certifies only matrices in which the search finds no
+    # dependent r-set, and a failure certificate is the search's
+    f, cols, r, miss = drawn
+    h = CodeMatrix.from_rows(f, [list(row) for row in zip(*cols)])
+    cert = check_mds_conditions(h)
+    want = _first_dependent_subset(f, cols, r)
+    assert cert.ok == (want is None), (f, cols, r)
+    if miss is None:
+        assert cert.ok
+    if not cert.ok:
+        assert cert.failing_set == want
+    k = len(cols) - r
+    if 1 <= k and f.q ** k <= 3000:
+        if rank_of_vectors(f, h.entries) < r:
+            assert not cert.ok
+        else:
+            # MDS: the code's least Hamming weight is r + 1
+            assert cert.ok == (min_hamming_distance_bruteforce(LinearCode(h)) == r + 1)
+
+
 def test_check_mds_conditions_rejects_more_rows_than_columns():
     # no r-set of columns exists, so the search would find no dependent one
     f = field(5, 1)
@@ -724,7 +802,12 @@ def test_checker_makes_no_per_element_field_calls(monkeypatch):
 
     d5_h = construct_d5(field_of_order(25), 651)[0].parity_check
     d6_h = construct_d6(field_of_order(9), 82)[0].parity_check
-    rs_h = rs_parity_check(field_of_order(27), 15, 5)
+    # a Reed-Solomon matrix with one row scaled, off the normal rational
+    # curve, so that the MDS check searches
+    f27 = field_of_order(27)
+    rs_rows = [list(row) for row in rs_parity_check(f27, 15, 5).entries]
+    rs_rows[1] = [f27.mul(2, x) for x in rs_rows[1]]
+    rs_h = CodeMatrix.from_rows(f27, rs_rows)
     calls = dict.fromkeys(["add", "mul", "inv", "neg", "normal_form"], 0)
     for name in calls:
         method = getattr(FieldSpec, name)

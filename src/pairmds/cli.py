@@ -184,13 +184,13 @@ def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
     if doc["dimension"] < 1:
         raise _CliError("a code needs dimension >= 1")
     route = doc["certificate"].get("route")
-    if route == ROUTE_THEOREM:
+    if route in (ROUTE_THEOREM, ROUTE_MDS):
         try:
+            if route == ROUTE_MDS:
+                return h, check_mds_conditions(h)
             return h, check_theorem_conditions(h, h.rows)
-        except ValueError as exc:  # parameters outside the theorem's range
+        except ValueError as exc:  # parameters outside the certificate's range
             raise _CliError(str(exc)) from exc
-    if route == ROUTE_MDS:
-        return h, check_mds_conditions(h)
     if route == ROUTE_EC:
         return h, _reverify_ec(f, doc, h)
     raise _CliError(f"unknown certificate route {route!r}")

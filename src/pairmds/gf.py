@@ -36,10 +36,11 @@ determinants, ``orthogonal`` the vanishing-product kernel (which u . v are
 addition-table rows that codeword enumeration reads whole cosets from, and
 ``normal_form`` and ``project`` the project-and-normalise step of the
 checker's dependent-set search; ``project`` maps every later vector from one
-pivot in one call, the common 4-coordinate case in one comprehension of
-quotient lookups, and reads the logs of the differences from the field's
-rows, so a pivot costs no per-call table building; ``project_codes`` does
-the same for 3- and 4-coordinate vectors and gives their images as ints.
+pivot in one call, and ``project_codes`` does the same for 3- and
+4-coordinate vectors and gives their images as ints, from the pivots
+(1, ...) and (0, 1, b) in one comprehension of table lookups that reads the
+logs of the differences from the field's rows, so a pivot costs no per-call
+table building.
 """
 
 from __future__ import annotations
@@ -460,20 +461,11 @@ class FieldSpec:
         of v - v[p] * pivot with coordinate p (now 0) dropped, its image in
         the quotient by <pivot>; None when that image is zero.
 
-        The common case, a pivot and a vector of length 4 that both start
-        at index 0, is one comprehension: with pivot (1, a, b, c) and
-        v = (1, x, y, z) the image is (1, (y - b)/(x - a), (z - c)/(x - a)),
-        or (0, 1, (z - c)/(y - b)) when x = a.  The logs of y - b are read
-        from the field's row ``_log_diff[b]``, so a pivot costs no set-up,
-        and each ratio is one exp lookup at a difference of logs.  A pivot
-        (0, 1, b), the line at infinity's points of PG(2, q), takes
-        v = (1, x, y) to (1, y - x b), also one comprehension, with x b one
-        exp lookup and the sum one addition-table lookup; a unit vector
-        pivot only drops its coordinate.  Other pivots take one
-        comprehension per vector (``_project_long``); the rare vectors of
-        the fast cases, and every field without an addition table, go
-        through ``_project_one``.  The fast form of a pivot (1, a, b) is
-        ``project_codes``, whose images are ints.
+        A unit vector pivot only drops its coordinate, and rescales the
+        vectors that started there; every other pivot maps one vector at a
+        time (``_project_one``), through the row kernels.  The images of a
+        pivot of length 3 or 4, as the last projection of a dependent-set
+        search makes them, come as ints from ``project_codes``.
         """
         p = pivot.index(1)
         tail = pivot[p + 1:]
@@ -483,35 +475,7 @@ class FieldSpec:
             nf = self.normal_form
             return [nf(v[:p] + v[p + 1:]) if v else None for v in vectors]
         one = self._project_one
-        diff = self._log_diff
-        if diff is None:
-            return [one(p, tail, v) for v in vectors]
-        if (p, len(tail)) not in ((0, 3), (1, 1)):
-            return self._project_long(p, tail, vectors)
-        exp = self._exp
-        if p:
-            # pivot (0, 1, b): v = (1, x, y) maps to (1, y - x b), and
-            # v = (0, 1, y) to (0, 1) unless y = b; the log of -b is the
-            # log of 0 - b
-            b = tail[0]
-            add, q, log = self._add, self.q, self._log
-            lb = diff[b][0]
-            return [
-                (1, add[y * q + exp[log[x] + lb]]) if o
-                else (0, 1) if x and y != b
-                else one(1, tail, v)
-                for v in vectors
-                for o, x, y in (v or (0, 0, 0),)
-            ]
-        a, b, c = tail
-        la, lb, lc = diff[a], diff[b], diff[c]
-        return [
-            (1, exp[lb[y] - (s := la[x])], exp[lc[z] - s]) if o and x != a
-            else (0, 1, exp[lc[z] - lb[y]]) if o and y != b
-            else one(0, tail, v)
-            for v in vectors
-            for o, x, y, z in (v or (0, 0, 0, 0),)
-        ]
+        return [one(p, tail, v) for v in vectors]
 
     def project_codes(
         self, pivot: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
@@ -519,20 +483,35 @@ class FieldSpec:
         """``project`` from a pivot of length 3 or 4, each image given as an
         int, so equal images are equal ints: (1, t) as t and (0, 1) as q;
         (1, s, t) as s q + t, (0, 1, t) as q^2 + t and (0, 0, 1) as q^2 + q;
-        the zero image as None.  A pivot (1, a, b) or (1, a, b, c) in a field
-        with an addition table takes one comprehension, each ratio one exp
+        the zero image as None.  In a field with an addition table, a pivot
+        (1, a, b) or (1, a, b, c) takes one comprehension, each ratio one exp
         lookup at a difference of logs from the rows ``_log_diff``:
         v = (1, x, y) maps to (y - b)/(x - a), or to (0, 1) when x = a, and
         v = (1, x, y, z) to (1, (y - b)/(x - a), (z - c)/(x - a)), or to
-        (0, 1, (z - c)/(y - b)) when x = a.  Other pivots, and the rare
-        vectors of a 4-coordinate pivot (zero, starting with 0, or with
-        x = a and y = b), convert ``project``'s tuples (``_codes``)."""
+        (0, 1, (z - c)/(y - b)) when x = a.  A pivot (0, 1, b) with b != 0, a
+        point of PG(2, q) on the line at infinity, takes v = (1, x, y) to
+        (1, y - x b), with x b one exp lookup and the sum one addition-table
+        lookup, and (0, 1, y) to (0, 1) unless y = b.  Unit pivots, other
+        pivots that start with 0, the rare vectors of a pivot (1, a, b, c)
+        (zero, starting with 0, or with x = a and y = b) and every field
+        without an addition table convert ``project``'s tuples (``_codes``)."""
         diff, q = self._log_diff, self.q
-        if diff is None or not pivot[0]:
+        # every pivot but (1, ...) and (0, 1, b) with b != 0
+        if diff is None or not pivot[0] and (len(pivot) == 4 or not all(pivot[1:])):
             return self._codes(self.project(pivot, vectors), len(pivot) - 1)
         exp = self._exp
         if len(pivot) == 3:
-            _, a, b = pivot
+            lead, a, b = pivot
+            if not lead:
+                # the log of -b is the log of 0 - b
+                add, log, lb = self._add, self._log, diff[b][0]
+                return [
+                    add[y * q + exp[log[x] + lb]] if o
+                    else (q if y != b else None) if x
+                    else q if y else None
+                    for v in vectors
+                    for o, x, y in (v or (0, 0, 0),)
+                ]
             la, lb = diff[a], diff[b]
             return [
                 exp[lb[y] - la[x]] if o and x != a
@@ -587,34 +566,6 @@ class FieldSpec:
             return v[:p] + tuple(self.row_sub_mul(v[p + 1:], a, tail))
         w = self.normal_form(self.sub_rows(v[p + 1:], tail))
         return None if w is None else v[:p] + w
-
-    def _project_long(
-        self, p: int, tail: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
-    ) -> List[Optional[Tuple[int, ...]]]:
-        """``project`` for the other pivots of a field with an addition
-        table.  A vector v that starts at p maps to the differences
-        v[p + 1:] - tail divided by the first nonzero one: their logs are
-        read from the rows ``_log_diff[c]`` of the pivot's entries c, and
-        each quotient is one exp lookup, which reads 0 at the zero sentinel
-        (so the entries before the first nonzero one need no test).  The
-        other vectors go through ``_project_one``."""
-        one = self._project_one
-        exp, zero, getitem = self._exp, self._log[0], operator.getitem
-        rows = [self._log_diff[c] for c in tail]
-        out = []
-        for v in vectors:
-            if v is None or v[p] != 1 or p and v.index(1) < p:
-                out.append(one(p, tail, v))
-                continue
-            logs = list(map(getitem, rows, v[p + 1:]))
-            s = logs[0]
-            if s == zero:
-                s = next((t for t in logs if t != zero), None)
-                if s is None:
-                    out.append(None)
-                    continue
-            out.append(v[:p] + tuple([exp[t - s] for t in logs]))
-        return out
 
     def _add_digits(self, x: int, y: int) -> int:
         """Digit-by-digit sum in an odd-characteristic extension field."""

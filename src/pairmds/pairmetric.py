@@ -13,17 +13,19 @@ MDS check of any other matrix, share one dependent-set search
 projects all later columns from a pivot in one call:
 ``FieldSpec.project_codes``, whose images are ints, for the last projection
 before pairs are matched, where the images have 2 or 3 coordinates, and
-``FieldSpec.project`` otherwise.  A certificate normalises each column once
-(a column that starts with 1 is its own normal form), and conditions 1 and 2
-search the same normal forms, as the MDS check's curve test and search read
-the same ones.  Condition 3 takes the determinants of all cyclic windows at
-once (``linalg.window_dets``) for d_H = 3 and 4, the parity checks of pair
-distance 5 and 6 that ``construct`` emits, and eliminates window by window
-at every other row count.  All of them read the field's tables directly
-instead of making one field-method call per element.  A passing check has
-proven the matrix's first rows-many columns independent (the MDS check
-rejects a matrix with more rows than columns), and records them as its
-column basis, so a ``LinearCode`` on it does not eliminate it again.
+``FieldSpec.project`` above it, which only the ovoid's condition 2 (from a
+unit-vector pivot) and the MDS search of a matrix off the curve reach.  A
+certificate normalises each column once (a column that starts with 1 is its
+own normal form), and conditions 1 and 2 search the same normal forms, as
+the MDS check's curve test and search read the same ones.  Condition 3 takes
+the determinants of all cyclic windows at once (``linalg.window_dets``) for
+d_H = 3 and 4, the parity checks of pair distance 5 and 6 that ``construct``
+emits, and eliminates window by window at every other row count.  All of
+them read the field's tables directly instead of making one field-method
+call per element.  A passing check has proven the matrix's first rows-many
+columns independent (the MDS check rejects a matrix with more than n - 2
+rows), and records them as its column basis, so a ``LinearCode`` on it does
+not eliminate it again.
 """
 
 from __future__ import annotations
@@ -179,10 +181,10 @@ def _first_dependent_subset(f, cols, size, forms=None):
     normal forms are equal, so pairs are matched by hashing; pairs with the
     first vector come first, and the first pivot of a top-level size-3
     search projects doubling prefixes until that vector's partner shows.
-    At the size-3 level on 3- and 4-coordinate vectors (the MDS search's
-    last level, d6 condition 1 and the ovoid's no-three-collinear
-    check) the images are ints, not tuples (``FieldSpec.project_codes``), so
-    the pairs are matched by hashing ints.
+    At the size-3 level on 3- and 4-coordinate vectors (d5 condition 2, d6
+    condition 1, the ovoid's no-three-collinear check and the last level of
+    d6 condition 2 and of an MDS search) the images are ints, not tuples
+    (``FieldSpec.project_codes``), so the pairs are matched by hashing ints.
 
     A full scan projects about C(n, size - 1) columns.  At most
     _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is
@@ -385,9 +387,13 @@ def _on_normal_rational_curve(f, forms, r):
 def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
     """Certify a classical MDS parity check (every r columns independent).
 
-    An [n, n-r, r+1] MDS code is an MDS symbol-pair code of pair distance
-    r + 2: weight-w codewords have pair weight >= w + 1 >= r + 2, and the
-    Singleton ceiling forbids anything larger.
+    An [n, n-r, r+1] MDS code with r <= n - 2 is an MDS symbol-pair code of
+    pair distance r + 2: weight-w codewords with w < n have pair weight
+    >= w + 1 >= r + 2, weight-n ones have pair weight n >= r + 2, and the
+    Singleton ceiling forbids anything larger.  At r = n - 1 (dimension 1)
+    the one weight-n word has pair weight n < r + 2, so, as
+    ``check_theorem_conditions`` does below n = d_H + 2, the check raises
+    ValueError for r > n - 2.
 
     Columns on the normal rational curve, as a (possibly column-scaled)
     Reed-Solomon parity check is, are certified without a search
@@ -397,8 +403,8 @@ def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
     f = h.field
     r = h.rows
     n = h.cols
-    if r > n:
-        raise ValueError(f"matrix has {r} rows but only {n} columns")
+    if r > n - 2:
+        raise ValueError(f"need n >= r + 2, got n={n}, r={r} rows")
     cols = h.columns()
     forms = [c if c[0] == 1 else f.normal_form(c) for c in cols]
     if _on_normal_rational_curve(f, forms, r):

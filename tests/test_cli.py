@@ -158,6 +158,23 @@ def test_long_rs_file_verifies(tmp_path, capsys):
     assert "verified (mds-hamming)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_dimension_one_rs_file_exit_2(tmp_path, capsys, oracle):
+    # r = n - 1: the one word of the code, up to scale, has pair weight
+    # n = 6, short of the r + 2 = 7 that the file and its certificate claim
+    f = field_of_order(7)
+    h = rs_parity_check(f, 6, 5)
+    cert = PairCertificate(
+        q=7, n=6, d_pair=7, dim_exponent=1, route=ROUTE_MDS, ok=True, checks={"d_H": 6}
+    )
+    path = tmp_path / "rs.json"
+    path.write_text(json.dumps(_code_file(f, LinearCode(h), cert, {"construction": "rs"})))
+    assert run(["verify", str(path)] + oracle) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need n >= r + 2, got n=6, r=5 rows\n"
+
+
 def test_search_cap_is_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
     # row 1 of the Reed-Solomon matrix scaled by 2: the same MDS code, but
     # its columns are off the normal rational curve, so the check searches

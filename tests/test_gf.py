@@ -388,7 +388,7 @@ def test_point_codes_number_the_projective_points():
 
 
 # GF(729) has no addition table and converts project's tuples throughout
-@pytest.mark.parametrize("q", [7, 8, 9, 27, 729])
+@pytest.mark.parametrize("q", [4, 7, 8, 9, 27, 729])
 def test_project_codes_are_the_projected_normal_forms(q):
     f = field_of_order(q)
     rng = random.Random(q)
@@ -418,6 +418,12 @@ def test_project_codes_are_the_projected_normal_forms(q):
         vectors += [(1, elem(), elem(), elem()) for _ in range(20)]
         rng.shuffle(vectors)
         check(pivot, vectors)
+    # every pivot (0, 1, b), the line at infinity's points of PG(2, q),
+    # against every normal form of length 3 and the zero vector
+    if q <= 9:
+        forms = {f.normal_form(w) for w in itertools.product(range(q), repeat=3)} - {None}
+        for b in range(q):
+            check((0, 1, b), [None] + sorted(forms))
 
 
 def test_orthogonal_builds_its_tables_on_first_use():

@@ -445,9 +445,10 @@ def curve_matrices(draw):
 
 def test_a_column_with_first_entry_zero_is_off_the_curve():
     # (0, 1, 1) passes the power rows as node 1; with nodes 2 and 4 = 1 - 2
-    # the three columns are dependent over GF(5)
+    # the first three columns are dependent over GF(5), and the nodes 0 and
+    # 3 after them give the n >= r + 2 columns that a certificate needs
     f = field(5, 1)
-    cols = [(1, 2, 4), (0, 1, 1), (1, 4, 1)]
+    cols = [(1, 2, 4), (0, 1, 1), (1, 4, 1), (1, 0, 0), (1, 3, 4)]
     cert = check_mds_conditions(CodeMatrix.from_rows(f, [list(r) for r in zip(*cols)]))
     assert not cert.ok and cert.failing_set == (0, 1, 2)
 
@@ -459,6 +460,11 @@ def test_mds_certificate_matches_the_search_on_and_near_the_curve(drawn):
     # dependent r-set, and a failure certificate is the search's
     f, cols, r, miss = drawn
     h = CodeMatrix.from_rows(f, [list(row) for row in zip(*cols)])
+    if r >= len(cols) - 1:
+        # dimension 1 or less: no pair distance r + 2 to certify
+        with pytest.raises(ValueError):
+            check_mds_conditions(h)
+        return
     cert = check_mds_conditions(h)
     want = _first_dependent_subset(f, cols, r)
     assert cert.ok == (want is None), (f, cols, r)
@@ -483,6 +489,20 @@ def test_check_mds_conditions_rejects_more_rows_than_columns():
         check_mds_conditions(h)
 
 
+def test_check_mds_conditions_rejects_dimension_one():
+    # the one nonzero word of the [6, 1] Reed-Solomon code over GF(7), up to
+    # scale, has weight 6 and so pair weight 6, short of r + 2 = 7; at
+    # r = n - 2 the certified pair distance n is the brute-force one
+    from pairmds.linalg import rs_parity_check
+
+    f = field(7, 1)
+    with pytest.raises(ValueError, match="need n >= r"):
+        check_mds_conditions(rs_parity_check(f, 6, 5))
+    h = rs_parity_check(f, 6, 4)
+    cert = check_mds_conditions(h)
+    assert cert.ok and cert.d_pair == 6 == min_pair_distance_bruteforce(LinearCode(h))
+
+
 @pytest.mark.parametrize("route", ["d5", "ovoid", "rs", "rs-tall"])
 def test_passing_check_records_the_pivot_columns(route):
     # a passing check records its first rows-many columns, and those are
@@ -499,7 +519,7 @@ def test_passing_check_records_the_pivot_columns(route):
         code, cert, _ = construct_d6(f, 20)
         h = code.parity_check
     else:
-        h = rs_parity_check(f, 8, 7 if route == "rs-tall" else 4)
+        h = rs_parity_check(f, 8, 6 if route == "rs-tall" else 4)
         cert = check_mds_conditions(h)
     assert cert.ok
     pivots = gauss_jordan(f, [list(r) for r in h.entries])[1]

@@ -41,7 +41,6 @@ from .ecmds import (
     ec_points,
     find_maximal_curve,
     n_max,
-    rr_basis,
     subset_sum_count,
     window_check,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "ec_points",
     "find_maximal_curve",
     "n_max",
-    "rr_basis",
     "subset_sum_count",
     "window_check",
 ]

@@ -9,10 +9,11 @@ rules, and falls back to bounded local rearrangement.  check_ec_conditions
 certifies the result from the arrangement and the matrices alone; construct_ec
 and `pairmds verify` both call it.
 
-The certificate runs on the field's row kernels.  The generator matrix is
-built from power rows: the row of x^i over the arranged points is the row of
-x^(i-1) times the row of x-coordinates, and x^i y multiplies it by the row of
-y-coordinates, so no element is raised to a power.  h g^T = 0 is checked
+The certificate runs on the field's row kernels.  The generator matrix
+evaluates the staircase x^i y^j (j <= 1) of L(kO) in pole order 0, 2, 3,
+..., k: its rows are 1, x and y over the arranged points, and from order 4
+on the row of order t is the row of order t - 2 times the row of
+x-coordinates, so no element is raised to a power.  h g^T = 0 is checked
 from h and g alone by the field's vanishing-product kernel
 (``FieldSpec.orthogonal``): g's columns are packed once, and each row of h
 is one pass over them.  The certificate never eliminates g: Riemann-Roch
@@ -28,8 +29,11 @@ point is one C-level pass over the group) run on one group table per curve
 point-to-index map, the N x N addition table and the negation table, every
 entry computed once by ``ec_neg`` and by ``ec_add``'s formulas without
 its membership tests, since ``ec_points`` lists only points on the curve.
-Since the table grows as N^2, curves are supported over fields of order at
-most ``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
+The point-to-index map is cached apart from the table (``_point_index``), so
+an arrangement checks its points by one dict lookup each without building
+the table, and the table's indices need no second membership test.  Since
+the table grows as N^2, curves are supported over fields of order at most
+``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
 
 The curve is y^2 + b(x) y = g(x) + a6, and the rows of g(x) = x^3 + a2 x^2 +
 a4 x and b(x) = a1 x + a3 over every x (``_curve_rows``) serve both the
@@ -182,10 +186,7 @@ class _GroupTable:
     neg: List[int]  # neg[i] = index of -points[i]
 
     def indices(self, pts: Sequence[ECPoint]) -> List[int]:
-        try:
-            return [self.index[p] for p in pts]
-        except KeyError as exc:
-            raise ParameterError(f"point {exc.args[0]} is not on the curve") from None
+        return [self.index[p] for p in pts]
 
 
 class _CountTables:
@@ -258,10 +259,16 @@ def _check_curve_order(f: FieldSpec) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _group(c: EllipticCurve) -> _GroupTable:
+def _point_index(c: EllipticCurve) -> Dict[ECPoint, int]:
+    """Each rational point's position in ``ec_points(c)``; O is 0."""
     _check_curve_order(c.field)
-    pts = ec_points(c)
-    index = {p: i for i, p in enumerate(pts)}
+    return {p: i for i, p in enumerate(ec_points(c))}
+
+
+@functools.lru_cache(maxsize=None)
+def _group(c: EllipticCurve) -> _GroupTable:
+    index = _point_index(c)
+    pts = list(index)
     add = [[index[_chord_tangent(c, p, r)] for r in pts] for p in pts]
     neg = [index[ec_neg(c, p)] for p in pts]
     return _GroupTable(pts, index, add, neg)
@@ -407,37 +414,14 @@ def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
     raise ConstructionError(f"no curve over GF({f.q}) attains {target} points")
 
 
-# -- Riemann-Roch basis and evaluation ---------------------------------
-
-
-@dataclass(frozen=True)
-class MonomialFn:
-    """x^i y^j with pole of order 2i + 3j at O (j in {0, 1})."""
-
-    i: int
-    j: int
-
-    @property
-    def pole_order(self) -> int:
-        return 2 * self.i + 3 * self.j
-
-
-def rr_basis(c: EllipticCurve, k: int) -> List[MonomialFn]:
-    """Basis of the functions with pole order <= k at O: the monomial staircase."""
-    if k < 1:
-        raise ParameterError("divisor degree must be >= 1")
-    fns = [MonomialFn(0, 0)]
-    fns.extend(MonomialFn(i, 0) for i in range(1, k // 2 + 1))
-    fns.extend(MonomialFn(i, 1) for i in range((k - 3) // 2 + 1) if 2 * i + 3 <= k)
-    fns.sort(key=lambda m: m.pole_order)
-    if len(fns) != k:  # pragma: no cover - the staircase has one gap, at order 1
-        raise ConstructionError("Riemann-Roch basis has wrong size")
-    return fns
+# -- Riemann-Roch evaluation -------------------------------------------
 
 
 @dataclass(frozen=True)
 class EvalArrangement:
-    """An ordered evaluation set for the divisor G = kO."""
+    """An ordered evaluation set for the divisor G = kO: distinct affine
+    rational points, each checked against the curve's ``_point_index``, so
+    curves over fields above ``MAX_CURVE_ORDER`` are rejected."""
 
     curve: EllipticCurve
     points: Tuple[Tuple[int, int], ...]
@@ -449,10 +433,11 @@ class EvalArrangement:
             raise ParameterError("need 0 < k < n")
         if len(set(self.points)) != n:
             raise ParameterError("evaluation points must be distinct")
+        index = _point_index(self.curve)
         for p in self.points:
             if p is None:
                 raise ParameterError("O cannot be an evaluation point")
-            if not self.curve.is_on_curve(p):
+            if p not in index:
                 raise ParameterError(f"{p} is not on the curve")
 
     @property
@@ -528,18 +513,17 @@ def subset_sum_count(a: EvalArrangement) -> int:
 
 
 def generator_matrix(a: EvalArrangement) -> CodeMatrix:
-    """k x n evaluation matrix of the staircase basis at the arranged points,
-    built from power rows, one ``mul_rows`` pass each."""
-    c = a.curve
-    f = c.field
-    basis = rr_basis(c, a.k)
+    """k x n evaluation matrix of L(kO) at the arranged points.
+
+    The rows are the staircase x^i y^j (j <= 1) in pole order 0, 2, 3, ...,
+    k: 1, x, y, then from order 4 on row t is row t - 2 times the x row, one
+    ``mul_rows`` pass each."""
+    f = a.curve.field
     xs = [p[0] for p in a.points]
-    ys = [p[1] for p in a.points]
-    powers = [[1] * a.n]
-    for _ in range(max(fn.i for fn in basis)):
-        powers.append(f.mul_rows(powers[-1], xs))
-    rows = [f.mul_rows(powers[fn.i], ys) if fn.j else powers[fn.i] for fn in basis]
-    return CodeMatrix.from_rows(f, rows)
+    rows = [[1] * a.n, xs, [p[1] for p in a.points]]
+    while len(rows) < a.k:
+        rows.append(f.mul_rows(rows[-2], xs))
+    return CodeMatrix.from_rows(f, rows[: a.k])
 
 
 # -- arrangement -------------------------------------------------------

@@ -369,17 +369,18 @@ def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterat
 def rs_parity_check(f: FieldSpec, n: int, r: int) -> CodeMatrix:
     """Vandermonde parity check of an [n, n-r, r+1] MDS (extended) RS code.
 
-    Evaluation points are the field elements in canonical order; when
-    n = q+1 the last column is the point at infinity (0,...,0,1).
+    Evaluation points are the field elements in canonical order, row t
+    being row t-1 times the row of points; when n = q+1 the last column is
+    the point at infinity (0,...,0,1).
     """
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
     if n > f.q + 1:
         raise ValueError(f"length {n} exceeds q+1 = {f.q + 1}")
     npoints = min(n, f.q)
-    rows = []
-    for t in range(r):
-        rows.append([f.pow(x, t) for x in range(npoints)])
+    rows = [[1] * npoints]
+    for _ in range(1, r):
+        rows.append(f.mul_rows(rows[-1], range(npoints)))
     if n == f.q + 1:
         for t in range(r):
             rows[t].append(1 if t == r - 1 else 0)

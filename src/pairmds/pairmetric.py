@@ -49,7 +49,6 @@ from .linalg import (
 ROUTE_THEOREM = "column-conditions"
 ROUTE_EC = "ec-algebraic"
 ROUTE_MDS = "mds-hamming"
-ROUTE_BRUTE = "brute-force"
 
 COND_ANY_SMALL_INDEPENDENT = "condition-1"
 COND_DEPENDENT_SET_EXISTS = "condition-2"

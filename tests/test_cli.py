@@ -327,7 +327,11 @@ def test_elliptic_file_above_curve_bound_exit_2(tmp_path, capsys):
     f = field_of_order(2048)
     curve = ecmds.EllipticCurve(f, 1, 0, 0, 0, 1)
     points = ecmds.ec_points(curve)[1:13]
-    h = null_space(ecmds.generator_matrix(ecmds.EvalArrangement(curve, tuple(points), 5)))
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    # the staircase 1, x, y, x^2, xy of L(5O) at the points
+    rows = [[1] * 12, xs, ys, f.mul_rows(xs, xs), f.mul_rows(xs, ys)]
+    h = null_space(linalg.CodeMatrix.from_rows(f, rows))
     cert = PairCertificate(q=2048, n=12, d_pair=9, dim_exponent=5, route=ROUTE_EC, ok=True)
     provenance = {
         "construction": "elliptic",

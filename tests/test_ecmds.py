@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -10,7 +11,6 @@ from pairmds import ecmds
 from pairmds.ecmds import (
     EllipticCurve,
     EvalArrangement,
-    MonomialFn,
     arrange,
     check_ec_conditions,
     construct_ec,
@@ -21,7 +21,6 @@ from pairmds.ecmds import (
     find_maximal_curve,
     generator_matrix,
     n_max,
-    rr_basis,
     subset_sum_count,
     window_check,
 )
@@ -283,16 +282,27 @@ def test_no_supersingular_curve_over_odd_degree_gf3_is_maximal(q):
     assert counts and max(counts) < n_max(f)
 
 
+def staircase(k):
+    """(i, j) of the monomials x^i y^j, j <= 1, of pole order 2i + 3j <= k at
+    O, by ascending pole order: a basis of L(kO)."""
+    fns = [(i, j) for j in (0, 1) for i in range(k // 2 + 1) if 2 * i + 3 * j <= k]
+    return sorted(fns, key=lambda m: 2 * m[0] + 3 * m[1])
+
+
+def monomial_rows(f, pts, k):
+    return [tuple(f.mul(f.pow(x, i), f.pow(y, j)) for x, y in pts) for i, j in staircase(k)]
+
+
 def test_rr_basis_examples():
+    assert staircase(1) == [(0, 0)]
+    assert staircase(5) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
     c = find_maximal_curve(field(11, 1))
-    assert [(m.i, m.j) for m in rr_basis(c, 1)] == [(0, 0)]
-    assert [(m.i, m.j) for m in rr_basis(c, 5)] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+    f = c.field
+    pts = tuple(ec_points(c)[1:15])
     for k in range(1, 12):
-        fns = rr_basis(c, k)
-        assert len(fns) == k
-        orders = [m.pole_order for m in fns]
-        assert orders == sorted(orders)
-        assert 1 not in orders
+        # pole orders 0, 2, 3, ..., k: k functions, none of order 1
+        assert [2 * i + 3 * j for i, j in staircase(k)] == [0] + list(range(2, k + 1))
+        assert list(generator_matrix(EvalArrangement(c, pts, k)).entries) == monomial_rows(f, pts, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
@@ -302,9 +312,9 @@ def test_rr_basis_dimension_via_evaluation_rank(k):
     f = field(13, 1)
     c = find_maximal_curve(f)
     pts = tuple(p for p in ec_points(c) if p is not None)[: k + 3]
-    rows = [[f.mul(f.pow(x, fn.i), f.pow(y, fn.j)) for x, y in pts] for fn in rr_basis(c, k)]
-
-    assert rank(CodeMatrix.from_rows(f, rows)) == k
+    g = generator_matrix(EvalArrangement(c, pts, k))
+    assert list(g.entries) == monomial_rows(f, pts, k)
+    assert rank(g) == k
 
 
 def _test_curve(q):
@@ -327,10 +337,8 @@ def test_generator_matrix_entries_are_monomial_values(q, data):
     k = data.draw(st.integers(1, len(idx) - 1))
     a = EvalArrangement(c, tuple(pts[i] for i in idx), k)
     g = generator_matrix(a)
-    basis = rr_basis(c, k)
     assert g.rows == k and g.cols == a.n
-    for fn, row in zip(basis, g.entries):
-        assert row == tuple(f.mul(f.pow(x, fn.i), f.pow(y, fn.j)) for x, y in a.points)
+    assert list(g.entries) == monomial_rows(f, a.points, k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -459,6 +467,31 @@ def test_eval_arrangement_invariants():
         EvalArrangement(c, pts + (pts[0],), 3)  # duplicate
     with pytest.raises(ParameterError):
         EvalArrangement(c, pts, 0)  # k must be positive
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_eval_arrangement_checks_points_by_the_point_index(q, monkeypatch):
+    def unused(self, pt):
+        raise AssertionError("is_on_curve called")
+
+    monkeypatch.setattr(EllipticCurve, "is_on_curve", unused)
+    c = find_maximal_curve(field_of_order(q))
+    pts = ec_points(c)
+    assert EvalArrangement(c, tuple(pts[1:]), 2).n == len(pts) - 1
+    with pytest.raises(ParameterError, match="^O cannot be an evaluation point$"):
+        EvalArrangement(c, (pts[1], None), 1)
+    off = [p for p in itertools.product(range(q), repeat=2) if p not in pts]
+    assert len(off) == q * q - (len(pts) - 1)
+    for p in off:
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(p))} is not on the curve$"):
+            EvalArrangement(c, (pts[1], p), 1)
+
+
+def test_eval_arrangement_above_the_curve_bound_is_rejected():
+    # y^2 + xy = x^3 + 1 over GF(2^11): beyond the fields of the point index
+    c = EllipticCurve(field_of_order(2048), 1, 0, 0, 0, 1)
+    with pytest.raises(ParameterError, match="1024"):
+        EvalArrangement(c, tuple(ec_points(c)[1:13]), 5)
 
 
 def test_subset_sum_count_properties():

@@ -12,12 +12,18 @@ the finished matrix (conditions 1-3 of
 ``pairmetric.check_theorem_conditions``) is the re-verification, and a
 matrix that fails it is never returned.
 
-The ovoid depends on q alone, so ``elliptic_quadric`` builds (and, for
-q <= 13, verifies) it once per field per process; every later
-``construct_d6`` over the same field reuses it and only re-runs the ordering.
+The ovoid is the standard elliptic quadric x0*x1 + g_c(x2, x3) = 0 whose
+form ``pairmetric`` defines (``_elliptic_form_c``, and the row of -g_c
+that lists the points here).  It depends on q alone, so
+``elliptic_quadric`` builds (and, for q <= 13, verifies) it once per field
+per process; every later ``construct_d6`` over the same field reuses it and
+only re-runs the ordering.  Because the columns lie on that quadric, the
+certificate's condition 1 (no three columns collinear) holds by the quadric
+test, with no search, so a matrix certifies at every length up to q^2 + 1.
 
 q = 3 and q = 4 have too few points per plane for the walk and use fixed
-matrices.
+matrices; the q = 3 one is not on the standard quadric, and its condition 1
+is searched.
 """
 
 from __future__ import annotations
@@ -28,9 +34,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .gf import FieldSpec, absolute_trace
+from .gf import FieldSpec
 from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4, null_space
-from .pairmetric import PairCertificate, _first_dependent_subset, check_theorem_conditions
+from .pairmetric import (
+    _elliptic_form_c,
+    _elliptic_form_negated,
+    _first_dependent_subset,
+    check_theorem_conditions,
+)
 
 Point = Tuple[int, int, int, int]
 
@@ -74,19 +85,14 @@ class Ovoid:
         return [[p for p in plane if p not in ab] for plane in self.planes]
 
 
-def _quadric_points(f: FieldSpec, c: int) -> List[Point]:
-    pts: List[Point] = [(0, 1, 0, 0)]
-    even = f.p == 2
-    for y in f.elements():
-        y2 = f.mul(y, y)
-        for z in f.elements():
-            z2 = f.mul(z, z)
-            if even:
-                g = f.add(f.add(y2, f.mul(y, z)), f.mul(c, z2))
-            else:
-                g = f.sub(y2, f.mul(c, z2))
-            pts.append((1, f.neg(g), y, z))
-    return pts
+def _quadric_points(f: FieldSpec) -> List[Point]:
+    """(0, 1, 0, 0), then (1, -g_c(y, z), y, z) over every (y, z), in
+    ascending order of y, then z."""
+    q = f.q
+    ys = [y for y in f.elements() for _ in range(q)]
+    zs = list(f.elements()) * q
+    x1 = _elliptic_form_negated(f, ys, zs)
+    return [(0, 1, 0, 0)] + list(zip(itertools.repeat(1), x1, ys, zs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,16 +109,11 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     q = f.q
     if q < 3:
         raise ParameterError("ovoids need q >= 3")
-    if f.p == 2:
-        c = next(x for x in f.elements() if absolute_trace(f, x) == 1)
-    else:
-        squares = {f.mul(x, x) for x in f.elements()}
-        c = next(x for x in f.elements() if x not in squares)
-    pts = _quadric_points(f, c)
+    pts = _quadric_points(f)
     A: Point = (0, 1, 0, 0)
     B: Point = (1, 0, 0, 0)
     planes = tuple(tuple(pl) for pl in secant_planes(f, pts, A, B))
-    o = Ovoid(f, tuple(sorted(pts)), A, B, planes, c)
+    o = Ovoid(f, tuple(sorted(pts)), A, B, planes, _elliptic_form_c(f))
     if q <= 13:
         _verify_ovoid(o)
     return o

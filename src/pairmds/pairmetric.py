@@ -4,20 +4,24 @@ The checker re-derives everything from the matrix alone: the construction
 modules call it on their own output instead of asserting correctness of their
 case analyses.
 
-The MDS check first tests whether the columns lie on the normal rational
-curve, as those of a Reed-Solomon parity check do; then every r of them are
-independent by the Vandermonde determinant, and the check needs O(rn) table
-reads and no search.  Conditions 1 and 2 of the column conditions, and the
-MDS check of any other matrix, share one dependent-set search
-(``_first_dependent_subset``), which keeps every vector in normal form and
-projects all later columns from a pivot in one call:
-``FieldSpec.project_codes``, whose images are ints, for the last projection
-before pairs are matched, where the images have 2 or 3 coordinates, and
-``FieldSpec.project`` above it, which only the ovoid's condition 2 (from a
-unit-vector pivot) and the MDS search of a matrix off the curve reach.  A
-certificate normalises each column once (a column that starts with 1 is its
-own normal form), and conditions 1 and 2 search the same normal forms, as
-the MDS check's curve test and search read the same ones.  Condition 3 takes
+Two column tests stand in for a search where the columns' geometry settles
+the question in O(n) row passes.  The MDS check first tests whether the
+columns lie on the normal rational curve, as those of a Reed-Solomon parity
+check do; then every r of them are independent by the Vandermonde
+determinant, and the check needs O(rn) table reads and no search.  At
+d_H = 4, condition 1 first tests whether the columns are distinct points of
+the standard elliptic quadric, the ovoid of ``d6``; then no three are
+collinear, and condition 1 needs no search.  Conditions 1 and 2 of the
+column conditions, for every other matrix, and the MDS check off the curve
+share one dependent-set search (``_first_dependent_subset``), which keeps
+every vector in normal form and projects all later columns from a pivot in
+one call: ``FieldSpec.project_codes``, whose images are ints, for the last
+projection before pairs are matched, where the images have 2 or 3
+coordinates, and ``FieldSpec.project`` above it, which only the ovoid's
+condition 2 (from a unit-vector pivot) and the MDS search of a matrix off
+the curve reach.  A certificate normalises each column once (a column that
+starts with 1 is its own normal form), and the column tests and the search
+read the same normal forms.  Condition 3 takes
 the determinants of all cyclic windows at once (``linalg.window_dets``) for
 d_H = 3 and 4, the parity checks of pair distance 5 and 6 that ``construct``
 emits, and eliminates window by window at every other row count.  All of
@@ -30,12 +34,13 @@ not eliminate it again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import compress, repeat, tee
 from operator import lt
 from typing import Dict, Optional, Sequence, Tuple
 
-from .gf import FieldSpec
+from .gf import FieldSpec, absolute_trace
 from .linalg import (
     CodeMatrix,
     DEFAULT_ENUM_CAP,
@@ -180,10 +185,14 @@ def _first_dependent_subset(f, cols, size, forms=None):
     normal forms are equal, so pairs are matched by hashing; pairs with the
     first vector come first, and the first pivot of a top-level size-3
     search projects doubling prefixes until that vector's partner shows.
-    At the size-3 level on 3- and 4-coordinate vectors (d5 condition 2, d6
-    condition 1, the ovoid's no-three-collinear check and the last level of
-    d6 condition 2 and of an MDS search) the images are ints, not tuples
-    (``FieldSpec.project_codes``), so the pairs are matched by hashing ints.
+    At the size-3 level on 3- and 4-coordinate vectors the images are ints,
+    not tuples (``FieldSpec.project_codes``), so the pairs are matched by
+    hashing ints.  That level is reached by d5 condition 2, by condition 1
+    at d_H = 4 only for a matrix off the standard elliptic quadric (the
+    q = 3 fixed matrix, or a file from elsewhere; ``d6``'s ovoid matrices
+    pass ``_on_elliptic_quadric``), by the ovoid's no-three-collinear check
+    (``d6._verify_ovoid``, q <= 13), and as the last level of d6 condition 2
+    and of an MDS search off the normal rational curve.
 
     A full scan projects about C(n, size - 1) columns.  At most
     _SUBSET_SCAN_CAP are projected; past that EnumerationCapExceeded is
@@ -289,7 +298,10 @@ def _first_dependent_small_subset(f, cols, size, forms):
 def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     """Verify the three sufficient conditions for an MDS pair code.
 
-    1. any d_h - 1 columns are linearly independent;
+    1. any d_h - 1 columns are linearly independent (at d_h = 4, columns
+       that are distinct points of the standard elliptic quadric pass
+       without a search, by ``_on_elliptic_quadric``; every other matrix
+       is searched, so every failure witness is the search's);
     2. some d_h columns are linearly dependent;
     3. every d_h cyclically consecutive columns are independent (for
        d_h = 3 and 4 the determinants of all n windows are computed at once
@@ -322,7 +334,10 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
             failing_set=tuple(witness) if witness is not None else None,
         )
 
-    bad = _first_dependent_small_subset(f, cols, d_h - 1, forms)
+    if d_h == 4 and _on_elliptic_quadric(f, cols, forms):
+        bad = None
+    else:
+        bad = _first_dependent_small_subset(f, cols, d_h - 1, forms)
     if bad is not None:
         return failure(COND_ANY_SMALL_INDEPENDENT, bad)
 
@@ -353,6 +368,49 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
         dependent_set=witness,
         checks={"d_H": d_h},
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _elliptic_form_c(f: FieldSpec) -> int:
+    """The parameter c of the anisotropic binary form g_c of the standard
+    elliptic quadric x0*x1 + g_c(x2, x3) = 0: for odd q, g_c = y^2 - c z^2
+    with c the least non-square (Euler's criterion); for even q,
+    g_c = y^2 + yz + c z^2 with c the least element of absolute trace 1.
+    One int per field."""
+    if f.p == 2:
+        return next(x for x in f.elements() if absolute_trace(f, x) == 1)
+    half = (f.q - 1) // 2
+    return next(x for x in f.elements() if x and f.pow(x, half) != 1)
+
+
+def _elliptic_form_negated(f, ys, zs):
+    """The row -g_c(y, z) over the paired entries of ys and zs, by row
+    passes: x0 * x1 must equal it for (x0, x1, y, z) to lie on the
+    standard elliptic quadric."""
+    cz2 = f.mul_rows(repeat(_elliptic_form_c(f)), f.mul_rows(zs, zs))
+    if f.p == 2:
+        return f.add_rows(f.mul_rows(ys, f.add_rows(ys, zs)), cz2)
+    return f.sub_rows(cz2, f.mul_rows(ys, ys))
+
+
+def _on_elliptic_quadric(f, cols, forms):
+    """True when the 4-coordinate columns are pairwise distinct nonzero
+    points of the standard elliptic quadric Q(x) = x0*x1 + g_c(x2, x3) = 0
+    (``_elliptic_form_c``), the ovoid that ``d6.elliptic_quadric`` lists.
+
+    Then any 3 of the columns are independent.  Q is a hyperbolic plane
+    orthogonal to an anisotropic binary form, so it is an elliptic quadric
+    of PG(3, q): it contains no line, so a line meets it in at most 2
+    points, and three distinct points on it are never collinear
+    (Hirschfeld, Finite Projective Spaces of Three Dimensions, 1985,
+    ch. 15).  Q(l x) = l^2 Q(x), so the columns are tested as they are,
+    and the normal forms only for zero and repeated points.  The test
+    costs a few row passes of length n.
+    """
+    if None in forms or len(set(forms)) < len(forms):
+        return False
+    x0, x1, y, z = zip(*cols)
+    return f.mul_rows(x0, x1) == _elliptic_form_negated(f, y, z)
 
 
 def _on_normal_rational_curve(f, forms, r):

@@ -12,6 +12,13 @@ from pairmds.d5 import _block_columns, location_exclusions
 from pairmds.ecmds import EllipticCurve, _group, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
 from pairmds.linalg import CodeMatrix, enumerate_codewords, rank_of_vectors
+from pairmds.pairmetric import (
+    COND_ANY_SMALL_INDEPENDENT,
+    ROUTE_THEOREM,
+    PairCertificate,
+    _first_dependent_subset,
+    check_theorem_conditions,
+)
 
 
 def pair_read(u):
@@ -235,6 +242,28 @@ def projector(f, pivot):
     return image
 
 
+def theorem_certificate_by_search(h, d_h):
+    """``pairmetric.check_theorem_conditions`` with condition 1 always
+    decided by the dependent-set search, for h with d_h rows and at least
+    d_h + 2 columns: the first dependent (d_h - 1)-set fails condition 1;
+    without one, the checker's conditions 2 and 3 decide, as a column test
+    that skips the search can change only condition 1's outcome."""
+    f = h.field
+    bad = _first_dependent_subset(f, h.columns(), d_h - 1)
+    if bad is None:
+        return check_theorem_conditions(h, d_h)
+    return PairCertificate(
+        q=f.q,
+        n=h.cols,
+        d_pair=d_h + 2,
+        dim_exponent=h.cols - d_h,
+        route=ROUTE_THEOREM,
+        ok=False,
+        failed_condition=COND_ANY_SMALL_INDEPENDENT,
+        failing_set=bad,
+    )
+
+
 def insertion_assignment_recursive(x):
     """The insertion values of ``d5.insertion_scheme_even``, by the
     recursive augmenting-path matching: locations in ascending order,
@@ -257,6 +286,48 @@ def insertion_assignment_recursive(x):
 
     for j in range(q):
         if not augment(j, set()):
+            raise AssertionError(f"no perfect matching for insertions at L_{j}")
+    assignment = [0] * q
+    for y, j in match_of_value.items():
+        assignment[j] = y
+    return tuple(assignment)
+
+
+def insertion_assignment_by_stack(x):
+    """The insertion values of ``d5.insertion_scheme_even``, by the same
+    augmenting-path matching on an explicit stack, each frame scanning the
+    values from 0 and skipping the excluded and the seen ones: O(q) reads
+    per frame, but no recursion depth, so it runs at every even q."""
+    q = x.field.q
+    excl = [set(location_exclusions(x, j)) for j in range(q)]
+    match_of_value = {}
+
+    def augment(root):
+        seen = set()
+        # the open locations, each with its values left to try, and the
+        # value each but the last has taken from the next one's owner
+        stack = [(root, iter(range(q)))]
+        path = []
+        while stack:
+            j, values = stack[-1]
+            y = next((y for y in values if y not in excl[j] and y not in seen), None)
+            if y is None:
+                stack.pop()
+                del path[-1:]
+                continue
+            seen.add(y)
+            owner = match_of_value.get(y)
+            if owner is None:
+                match_of_value[y] = j
+                for (k, _), v in zip(stack, path):
+                    match_of_value[v] = k
+                return True
+            path.append(y)
+            stack.append((owner, iter(range(q))))
+        return False
+
+    for j in range(q):
+        if not augment(j):
             raise AssertionError(f"no perfect matching for insertions at L_{j}")
     assignment = [0] * q
     for y, j in match_of_value.items():

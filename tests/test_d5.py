@@ -19,7 +19,12 @@ from pairmds.linalg import CodeMatrix, rank
 from pairmds.pairmetric import check_theorem_conditions
 
 from goldens import H2_FULL, H2_N5, H2_N6, H4_FULL, H5_FULL, H5_N13, H5_N14
-from reference import block_matrix, columns_independent, insertion_assignment_recursive
+from reference import (
+    block_matrix,
+    columns_independent,
+    insertion_assignment_by_stack,
+    insertion_assignment_recursive,
+)
 
 
 def as_rows(m: CodeMatrix):
@@ -92,6 +97,14 @@ def test_insertion_scheme_is_valid_matching(q):
 def test_insertion_scheme_matches_the_recursive_matching(q):
     x = canonical_xorder(field_of_order(q))
     assert insertion_scheme_even(x).assignment == insertion_assignment_recursive(x)
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_insertion_scheme_matches_the_scanning_stack_matching(q):
+    # the pointer array visits the values in the order of a scan from 0 in
+    # every frame; at q = 1024 the scan takes about 15 s, the pointers 0.5 s
+    x = canonical_xorder(field_of_order(q))
+    assert insertion_scheme_even(x).assignment == insertion_assignment_by_stack(x)
 
 
 def test_insertion_scheme_needs_no_recursion_depth():

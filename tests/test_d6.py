@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pairmds import d6
+from pairmds import d6, pairmetric
 from pairmds.cli import main
 from pairmds.d6 import (
     Ovoid,
@@ -15,7 +15,7 @@ from pairmds.d6 import (
 from pairmds.errors import ParameterError
 from pairmds.gf import field, field_of_order
 from pairmds.linalg import CodeMatrix, rank_of_vectors
-from pairmds.pairmetric import check_theorem_conditions
+from pairmds.pairmetric import _first_dependent_subset, check_theorem_conditions
 
 from goldens import OVOID_Q3, OVOID_Q4, OVOID_Q4_N7
 
@@ -226,6 +226,53 @@ def test_construct_d6_spot_checks(q, n):
     code, cert, _ = construct_d6(f, n)
     assert cert.ok and cert.d_pair == 6 and code.k == n - 4
     assert check_theorem_conditions(code.parity_check, 4).ok
+
+
+def count_size_three_searches(monkeypatch):
+    """The column counts of the size-3 dependent-set searches that
+    ``pairmetric`` runs after this call (condition 1 searches at size 3
+    when d_H = 4)."""
+    searched = []
+    real = pairmetric._first_dependent_subset
+
+    def counted(f, cols, size, forms=None):
+        if size == 3:
+            searched.append(len(cols))
+        return real(f, cols, size, forms)
+
+    monkeypatch.setattr(pairmetric, "_first_dependent_subset", counted)
+    return searched
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13, 16, 25])
+def test_ovoid_matrices_certify_condition_1_without_a_search(q, monkeypatch):
+    f = field_of_order(q)
+    elliptic_quadric(f)
+    searched = count_size_three_searches(monkeypatch)
+    for n in (7, (q * q + 1) // 2, q * q + 1):
+        code, cert, _ = construct_d6(f, n)
+        assert cert.ok
+        assert check_theorem_conditions(code.parity_check, 4) == cert
+    assert searched == []
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16])
+def test_standard_quadric_has_no_collinear_triple(q):
+    f = field_of_order(q)
+    pts = d6._quadric_points(f)
+    assert len(set(pts)) == len(pts) == q * q + 1
+    assert _first_dependent_subset(f, pts, 3) is None
+    # every point is its own normal form
+    assert pairmetric._on_elliptic_quadric(f, pts, pts)
+
+
+def test_q3_fixed_matrix_is_off_the_quadric_and_certified_by_the_search(monkeypatch):
+    f = field(3, 1)
+    cols = d6._Q3_COLUMNS
+    assert not pairmetric._on_elliptic_quadric(f, cols, [f.normal_form(c) for c in cols])
+    searched = count_size_three_searches(monkeypatch)
+    assert construct_d6(f, len(cols))[1].ok
+    assert searched == [len(cols)]
 
 
 def test_ovoid_is_built_and_verified_once_per_field(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pairmds import pairmetric
+from pairmds.d6 import _quadric_points
 from pairmds.gf import field, field_of_order
 from pairmds.linalg import (
     CodeMatrix,
@@ -33,6 +34,7 @@ from reference import (
     hamming_weight,
     min_hamming_distance_bruteforce,
     pair_read,
+    theorem_certificate_by_search,
 )
 
 
@@ -501,6 +503,65 @@ def test_check_mds_conditions_rejects_dimension_one():
     h = rs_parity_check(f, 6, 4)
     cert = check_mds_conditions(h)
     assert cert.ok and cert.d_pair == 6 == min_pair_distance_bruteforce(LinearCode(h))
+
+
+# prime, binary and odd-extension fields, and the two fixed-matrix fields
+_QUADRIC_FIELDS = [3, 4, 5, 7, 8, 9, 16]
+_QUADRIC_MUTATIONS = ["changed-entry", "rescaled", "duplicated", "zeroed"]
+
+
+@st.composite
+def four_row_matrices(draw):
+    """A 4-row matrix of 6 to 16 columns: random entries one time in three;
+    otherwise distinct points of the standard elliptic quadric in random
+    order, each scaled by a random l != 0, and, four times in five, one
+    column mutated.  Returns the field, the columns and the mutation
+    ("random" for random entries, None for an untouched quadric)."""
+    q = draw(st.sampled_from(_QUADRIC_FIELDS))
+    f = field_of_order(q)
+    entry = st.integers(0, q - 1)
+    scalar = st.integers(1, q - 1)
+    n = draw(st.integers(6, min(16, q * q + 1)))
+    if draw(st.integers(0, 2)) == 0:
+        cols = draw(st.lists(st.tuples(entry, entry, entry, entry), min_size=n, max_size=n))
+        return f, cols, "random"
+    pts = _quadric_points(f)
+    picks = draw(st.lists(st.integers(0, len(pts) - 1), min_size=n, max_size=n, unique=True))
+    scales = draw(st.lists(scalar, min_size=n, max_size=n))
+    cols = [[f.mul(lam, x) for x in pts[i]] for i, lam in zip(picks, scales)]
+    miss = draw(st.sampled_from([None] + _QUADRIC_MUTATIONS))
+    j, i = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if miss == "changed-entry":
+        cols[j][draw(st.integers(0, 3))] = draw(entry)
+    elif miss == "rescaled":
+        lam = draw(scalar)
+        cols[j] = [f.mul(lam, x) for x in cols[j]]
+    elif miss == "duplicated":
+        lam = draw(scalar)
+        cols[j] = [f.mul(lam, x) for x in cols[i]]
+    elif miss == "zeroed":
+        cols[j] = [0] * 4
+    return f, [tuple(c) for c in cols], miss
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=four_row_matrices())
+def test_theorem_certificate_matches_the_search_on_and_near_the_quadric(drawn):
+    # the quadric test certifies condition 1 only where the search finds no
+    # dependent triple, and every certificate is the one the search gives
+    f, cols, miss = drawn
+    got = check_theorem_conditions(CodeMatrix.from_columns(f, cols), 4)
+    want = theorem_certificate_by_search(CodeMatrix.from_columns(f, cols), 4)
+    assert (got.ok, got.failed_condition, got.failing_set, got.dependent_set) == (
+        want.ok, want.failed_condition, want.failing_set, want.dependent_set
+    ), (f, cols, miss)
+    forms = [f.normal_form(c) for c in cols]
+    if miss in (None, "rescaled"):
+        assert pairmetric._on_elliptic_quadric(f, cols, forms)
+        assert got.failed_condition != COND_ANY_SMALL_INDEPENDENT
+    elif miss in ("duplicated", "zeroed"):
+        assert not pairmetric._on_elliptic_quadric(f, cols, forms)
+        assert got.failed_condition == COND_ANY_SMALL_INDEPENDENT
 
 
 @pytest.mark.parametrize("route", ["d5", "ovoid", "rs", "rs-tall"])

@@ -6,9 +6,26 @@ ordering walks the pencil of secant planes through two distinguished points
 A, B: planes are consumed in pairs, drawing greedily alternating "proper"
 points (points off the plane of the three predecessors); even q handles the
 odd plane count by interleaving the first three planes with the next two.
-Blocked endgames fall back to bounded backtracking.  The ordering is not
-re-checked on its own: the certificate that ``construct_d6`` computes from
-the finished matrix (conditions 1-3 of
+Blocked endgames fall back to bounded backtracking.
+
+A window whose planes alternate a, b, a, b (a != b) is tested by one integer
+comparison.  A proper point of pencil plane pi_s is (1, -kappa_s alpha^2,
+alpha d_s), with d_s a fixed (y, z) of the plane, kappa_s = g_c(d_s) and
+alpha != 0.  Two points X1, X2 of pi_a span a line that meets AB at
+alpha2 X1 - alpha1 X2 ~ (1, kappa_a alpha1 alpha2, 0, 0).  Lines X1X2 and
+Y1Y2 of the distinct planes pi_a, pi_b can meet only on AB, the planes'
+intersection, so the four points are coplanar exactly when
+kappa_a alpha1 alpha2 = kappa_b beta1 beta2, with beta1, beta2 the alphas
+of Y1, Y2.  With the key h(X) = 2 log(alpha) + log(-kappa_s), which is
+log x1(X) mod q - 1, that is h(X1) + h(X2) = h(Y1) + h(Y2) mod 2(q - 1)
+(each side is twice the log of its -kappa alpha alpha'), so a slot sums its
+three predecessors' keys once and each candidate compares its own key.  Every other window is one
+``coplanar`` determinant: those holding A or B, those across two plane
+pairs, the even-q triple alternation, and the wrap windows of the last
+slot.  The search visits the same states as with determinants only.
+
+The ordering is not re-checked on its own: the certificate that
+``construct_d6`` computes from the finished matrix (conditions 1-3 of
 ``pairmetric.check_theorem_conditions``) is the re-verification, and a
 matrix that fails it is never returned.
 
@@ -17,7 +34,8 @@ form ``pairmetric`` defines (``_elliptic_form_c``, and the row of -g_c
 that lists the points here).  It depends on q alone, so
 ``elliptic_quadric`` builds (and, for q <= 13, verifies) it once per field
 per process; every later ``construct_d6`` over the same field reuses it and
-only re-runs the ordering.  Because the columns lie on that quadric, the
+only re-runs the ordering.  The cached ovoid also holds each plane's proper
+points and their pencil keys.  Because the columns lie on that quadric, the
 certificate's condition 1 (no three columns collinear) holds by the quadric
 test, with no search, so a matrix certifies at every length up to q^2 + 1.
 
@@ -30,8 +48,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec
@@ -79,10 +98,9 @@ class Ovoid:
     B: Point
     planes: Tuple[Tuple[Point, ...], ...]  # each includes A and B
     form_c: int  # parameter of the defining quadratic form
-
-    def proper_plane_points(self) -> List[List[Point]]:
-        ab = {self.A, self.B}
-        return [[p for p in plane if p not in ab] for plane in self.planes]
+    proper: Tuple[Tuple[Point, ...], ...]  # each plane without A and B
+    # each proper point's key h mod 2(q - 1) (``_pencil_keys``)
+    pencil_keys: Mapping[Point, int] = dc_field(hash=False)
 
 
 def _quadric_points(f: FieldSpec) -> List[Point]:
@@ -104,7 +122,8 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     axioms are verified at construction for q <= 13.
 
     Built once per field per process and shared: an ``Ovoid`` is frozen and
-    holds only tuples, so no caller can change the cached instance.
+    holds only tuples and a read-only mapping, so no caller can change the
+    cached instance.
     """
     q = f.q
     if q < 3:
@@ -113,10 +132,28 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     A: Point = (0, 1, 0, 0)
     B: Point = (1, 0, 0, 0)
     planes = tuple(tuple(pl) for pl in secant_planes(f, pts, A, B))
-    o = Ovoid(f, tuple(sorted(pts)), A, B, planes, _elliptic_form_c(f))
+    proper = tuple(tuple(p for p in pl if p != A and p != B) for pl in planes)
+    o = Ovoid(
+        f, tuple(sorted(pts)), A, B, planes, _elliptic_form_c(f), proper, _pencil_keys(f, proper)
+    )
     if q <= 13:
         _verify_ovoid(o)
     return o
+
+
+def _pencil_keys(f: FieldSpec, proper: Sequence[Sequence[Point]]) -> Mapping[Point, int]:
+    """h(X) = 2 log(alpha) + log(-kappa) mod 2(q - 1) for every proper point
+    X = (1, -kappa alpha^2, alpha y0, alpha z0) of each plane, where (y0, z0)
+    is the (y, z) of the plane's first proper point and kappa = g_c(y0, z0),
+    so -kappa is that point's x1.  Read-only."""
+    log, q1 = f._log, f.q - 1
+    keys: Dict[Point, int] = {}
+    for plane in proper:
+        _, x1, y0, z0 = plane[0]
+        i, l0 = (2, log[y0]) if y0 else (3, log[z0])
+        for p in plane:
+            keys[p] = (2 * (log[p[i]] - l0) + log[x1]) % (2 * q1)
+    return MappingProxyType(keys)
 
 
 def secant_planes(f: FieldSpec, pts: Sequence[Point], A: Point, B: Point) -> List[List[Point]]:
@@ -208,7 +245,7 @@ def _try_schedule(
     o: Ovoid, slots: List[object], n: int, budget: _Budget
 ) -> Optional[List[Point]]:
     f = o.field
-    proper = o.proper_plane_points()
+    proper, key, m = o.proper, o.pencil_keys, 2 * (f.q - 1)
     seq: List[Point] = []
     used: set = set()
     iters: List[Iterator[Point]] = []
@@ -221,10 +258,18 @@ def _try_schedule(
         if slot == "B":
             yield o.B
             return
+        # planes a, b, a, b: p is on the plane of its predecessors exactly
+        # when its key is this one
+        pencil = t >= 3 and slots[t - 3] == slots[t - 1] != slot == slots[t - 2]
+        if pencil:
+            coplanar_key = (key[seq[-3]] + key[seq[-1]] - key[seq[-2]]) % m
         for p in proper[slot]:
             if p in used:
                 continue
-            if len(seq) >= 3 and coplanar(f, seq[-3], seq[-2], seq[-1], p):
+            if pencil:
+                if key[p] == coplanar_key:
+                    continue
+            elif t >= 3 and coplanar(f, seq[-3], seq[-2], seq[-1], p):
                 continue
             if t == n - 1:
                 if coplanar(f, seq[n - 3], seq[n - 2], p, seq[0]):

@@ -76,7 +76,7 @@ class CodeMatrix:
 
     @staticmethod
     def from_columns(f: FieldSpec, cols: Sequence[Sequence[int]]) -> "CodeMatrix":
-        return CodeMatrix(f, tuple(tuple(c[i] for c in cols) for i in range(len(cols[0]))))
+        return CodeMatrix(f, tuple(zip(*cols, strict=True)))
 
     def column(self, j: int) -> Tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -107,9 +107,30 @@ def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
 
     The signed sum, over the six column pairs, of the 2x2 minor of rows 0
     and 1 on that pair times the minor of rows 2 and 3 on the other two
-    columns.
+    columns.  Prime fields expand on plain ints and reduce once mod p;
+    binary fields multiply through the exp/log tables and add by XOR, where
+    every sign is +; odd-extension fields use the scalar field methods.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    if f.a == 1:
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        ) % f.p
+    if f.p == 2:
+        exp, log = f._exp, f._log
+        # from here on the names hold the entries' logs
+        a0, a1, a2, a3, b0, b1, b2, b3 = map(log.__getitem__, (a0, a1, a2, a3, b0, b1, b2, b3))
+        c0, c1, c2, c3, d0, d1, d2, d3 = map(log.__getitem__, (c0, c1, c2, c3, d0, d1, d2, d3))
+        return (
+            exp[log[exp[a0 + b1] ^ exp[a1 + b0]] + log[exp[c2 + d3] ^ exp[c3 + d2]]]
+            ^ exp[log[exp[a0 + b2] ^ exp[a2 + b0]] + log[exp[c1 + d3] ^ exp[c3 + d1]]]
+            ^ exp[log[exp[a0 + b3] ^ exp[a3 + b0]] + log[exp[c1 + d2] ^ exp[c2 + d1]]]
+            ^ exp[log[exp[a1 + b2] ^ exp[a2 + b1]] + log[exp[c0 + d3] ^ exp[c3 + d0]]]
+            ^ exp[log[exp[a1 + b3] ^ exp[a3 + b1]] + log[exp[c0 + d2] ^ exp[c2 + d0]]]
+            ^ exp[log[exp[a2 + b3] ^ exp[a3 + b2]] + log[exp[c0 + d1] ^ exp[c1 + d0]]]
+        )
     mul, sub, add = f.mul, f.sub, f.add
     top01 = sub(mul(a0, b1), mul(a1, b0))
     top02 = sub(mul(a0, b2), mul(a2, b0))

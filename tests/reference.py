@@ -9,9 +9,10 @@ import itertools
 import operator
 
 from pairmds.d5 import _block_columns, location_exclusions
+from pairmds.d6 import DEFAULT_MAX_STATES, _schedule
 from pairmds.ecmds import EllipticCurve, _group, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
-from pairmds.linalg import CodeMatrix, enumerate_codewords, rank_of_vectors
+from pairmds.linalg import CodeMatrix, det4, enumerate_codewords, rank_of_vectors
 from pairmds.pairmetric import (
     COND_ANY_SMALL_INDEPENDENT,
     ROUTE_THEOREM,
@@ -333,6 +334,43 @@ def insertion_assignment_by_stack(x):
     for y, j in match_of_value.items():
         assignment[j] = y
     return tuple(assignment)
+
+
+def order_points_by_det4(o, n):
+    """The ovoid ordering with every window tested by one 4x4 determinant:
+    the depth-first walk of ``d6.order_points`` over the same slot schedule
+    and state budget, as a recursion and without pencil keys.  None when the
+    budget runs out or the search tree is exhausted."""
+    f = o.field
+    slots = _schedule(f.q, n, f.p == 2)
+    proper = [[p for p in plane if p not in (o.A, o.B)] for plane in o.planes]
+    seq, used, budget = [], set(), [DEFAULT_MAX_STATES]
+
+    def fits(p):
+        t = len(seq)
+        windows = [seq[-3:] + [p]] if t >= 3 else []
+        if t == n - 1:
+            windows += [seq[-2:] + [p, seq[0]], [seq[-1], p] + seq[:2], [p] + seq[:3]]
+        return all(det4(f, w) != 0 for w in windows)
+
+    def walk():
+        if len(seq) == n:
+            return True
+        slot = slots[len(seq)]
+        for p in [o.A] if slot == "A" else [o.B] if slot == "B" else proper[slot]:
+            if p in used or not fits(p):
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                return False
+            seq.append(p)
+            used.add(p)
+            if walk():
+                return True
+            used.discard(seq.pop())
+        return False
+
+    return seq if walk() else None
 
 
 def min_hamming_distance_bruteforce(code):

@@ -1,6 +1,8 @@
 import itertools
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairmds import d6, pairmetric
 from pairmds.cli import main
@@ -14,10 +16,11 @@ from pairmds.d6 import (
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import field, field_of_order
-from pairmds.linalg import CodeMatrix, rank_of_vectors
+from pairmds.linalg import CodeMatrix, det4, rank_of_vectors
 from pairmds.pairmetric import _first_dependent_subset, check_theorem_conditions
 
 from goldens import OVOID_Q3, OVOID_Q4, OVOID_Q4_N7
+from reference import order_points_by_det4
 
 
 def all_projective_points(f, dim):
@@ -113,7 +116,7 @@ def test_order_points_odd_short_length_starts_at_third_plane():
     # from planes 2 and 3 so the wrap window avoids plane 0
     o = elliptic_quadric(field_of_order(9))
     pts = order_points(o, 7)
-    proper = o.proper_plane_points()
+    proper = o.proper
     assert pts[0] == o.A and pts[1] == o.B
     assert pts[2] in proper[0]
     assert pts[3] in proper[2]
@@ -128,7 +131,7 @@ def test_order_points_even_q_full_interleave():
     o = elliptic_quadric(field(2, 3))
     pts = order_points(o, 65)
     assert len(set(pts)) == 65
-    proper = [set(pl) for pl in o.proper_plane_points()]
+    proper = [set(pl) for pl in o.proper]
 
     def plane_of(p):
         for i, s in enumerate(proper):
@@ -212,7 +215,7 @@ def test_ovoid_axioms(q):
     o = elliptic_quadric(f)  # construction itself verifies for q <= 13
     assert len(o.points) == q * q + 1
     assert len(o.planes) == q + 1
-    proper = o.proper_plane_points()
+    proper = o.proper
     assert all(len(pl) == q - 1 for pl in proper)
     covered = set()
     for pl in proper:
@@ -295,9 +298,55 @@ def test_ovoid_is_built_and_verified_once_per_field(tmp_path, monkeypatch):
 
 
 def test_ordering_leaves_the_cached_ovoid_unchanged():
-    f = field_of_order(9)
+    for q in (8, 9):
+        f = field_of_order(q)
+        o = elliptic_quadric(f)
+        for n in (7, 41, q * q + 1):
+            order_points(o, n)
+            construct_d6(f, n)
+        assert elliptic_quadric(f) is o
+        assert o == elliptic_quadric.__wrapped__(f)
+        assert hash(o) == hash(elliptic_quadric.__wrapped__(f))
+        assert type(o.proper) is tuple and all(type(pl) is tuple for pl in o.proper)
+        assert type(o.pencil_keys) is MappingProxyType
+        with pytest.raises(TypeError):
+            o.pencil_keys[o.proper[0][0]] = 0
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16])
+def test_pencil_keys_keep_the_determinant_orderings(q):
+    o = elliptic_quadric(field_of_order(q))
+    for n in range(6, q * q + 2):
+        assert order_points(o, n) == order_points_by_det4(o, n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64]), data=st.data())
+def test_pencil_comparison_is_the_determinant_test(q, data):
+    # X1, X2 on plane a and Y1, Y2 on plane b, against every Y2
+    o = elliptic_quadric(field_of_order(q))
+    key, m = o.pencil_keys, 2 * (q - 1)
+    a, b = data.draw(st.lists(st.integers(0, q), min_size=2, max_size=2, unique=True))
+    x1, x2 = data.draw(st.lists(st.sampled_from(o.proper[a]), min_size=2, max_size=2, unique=True))
+    y1 = data.draw(st.sampled_from(o.proper[b]))
+    hits = 0
+    for y2 in o.proper[b]:
+        if y2 != y1:
+            pencil = (key[x1] + key[x2] - key[y1] - key[y2]) % m == 0
+            assert pencil == (det4(o.field, (x1, y1, x2, y2)) == 0), y2
+            hits += pencil
+    # the plane X1 X2 Y1 meets plane b in a line through Y1
+    assert hits <= 1
+
+
+@pytest.mark.parametrize(
+    "q", [5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+)
+def test_pencil_key_is_the_log_of_x1(q):
+    f = field_of_order(q)
     o = elliptic_quadric(f)
-    order_points(o, 60)
-    construct_d6(f, 41)
-    assert elliptic_quadric(f) is o
-    assert o == elliptic_quadric.__wrapped__(f)
+    g = f.primitive_element()
+    assert sorted(o.pencil_keys) == sorted(set(o.points) - {o.A, o.B})
+    for p, h in o.pencil_keys.items():
+        assert 0 <= h < 2 * (q - 1)
+        assert f.pow(g, h % (q - 1)) == p[1], p

@@ -79,6 +79,24 @@ def test_matrix_accepts_every_code_and_only_those():
         CodeMatrix.from_rows(f, [[1, 2], [1]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 40), data=st.data())
+def test_from_columns_is_the_transpose(rows, cols, data):
+    f = field_of_order(7)
+    columns = data.draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=rows, max_size=rows), min_size=cols, max_size=cols)
+    )
+    m = CodeMatrix.from_columns(f, columns)
+    assert m.entries == tuple(tuple(c[i] for c in columns) for i in range(rows))
+
+
+def test_from_columns_rejects_ragged_columns():
+    f = field_of_order(7)
+    for columns in ([(1, 2), (3,)], [(1,), (2, 3)]):
+        with pytest.raises(ValueError):
+            CodeMatrix.from_columns(f, columns)
+
+
 def test_rank_examples():
     assert rank(mat(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
     assert rank(mat(5, [[0, 0], [0, 0]])) == 0
@@ -308,7 +326,7 @@ def leibniz_det(f, m):
 # prime, binary and odd-extension fields
 @settings(max_examples=300, deadline=None)
 @given(
-    q=st.sampled_from([2, 3, 7, 13, 4, 8, 16, 9, 25, 27]),
+    q=st.sampled_from([2, 3, 7, 13, 4, 8, 16, 32, 64, 9, 25, 27]),
     size=st.sampled_from([3, 4]),
     plant=st.sampled_from(["random", "zero-row", "combination"]),
     data=st.data(),

@@ -193,23 +193,27 @@ def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
             raise _CliError(str(exc)) from exc
     if route == ROUTE_EC:
         return h, _reverify_ec(f, doc, h)
-    raise _CliError(f"unknown certificate route {route!r}")
+    # a value from the file is named by its type: its repr could be as long as the file
+    raise _CliError(
+        f"certificate route of type {type(route).__name__} is not one of "
+        f"{ROUTE_THEOREM!r}, {ROUTE_MDS!r}, {ROUTE_EC!r}"
+    )
 
 
-def _elements(f: FieldSpec, values: object) -> Tuple[int, ...]:
-    if not (isinstance(values, list) and all(_is_int(x) for x in values)):
-        raise TypeError(f"{values!r} is not a list of integers")
-    return tuple(f.check(x) for x in values)
+def _elements(f: FieldSpec, values: object, size: int, name: str) -> Tuple[int, ...]:
+    if not (isinstance(values, list) and len(values) == size):
+        raise TypeError(f"{name} is not a list of {size} field elements")
+    return tuple(map(f.check, values))
 
 
 def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
     prov = doc.get("provenance", {})
     try:
-        coeffs = _elements(f, prov["curve"])
-        pts = [_elements(f, p) for p in prov["points"]]
+        coeffs = _elements(f, prov["curve"], 5, "curve")
+        pts = [_elements(f, p, 2, "point") for p in prov["points"]]
         k = prov["k"]
         if not _is_int(k):
-            raise TypeError(f"k = {k!r} is not an integer")
+            raise TypeError(f"k of type {type(k).__name__} is not an integer")
         curve = ecmds.EllipticCurve(f, *coeffs)
         arrangement = ecmds.EvalArrangement(curve, tuple(pts), k)
     except (KeyError, TypeError, ValueError) as exc:

@@ -32,12 +32,16 @@ matrix that fails it is never returned.
 The ovoid is the standard elliptic quadric x0*x1 + g_c(x2, x3) = 0 whose
 form ``pairmetric`` defines (``_elliptic_form_c``, and the row of -g_c
 that lists the points here).  It depends on q alone, so
-``elliptic_quadric`` builds (and, for q <= 13, verifies) it once per field
-per process; every later ``construct_d6`` over the same field reuses it and
-only re-runs the ordering.  The cached ovoid also holds each plane's proper
-points and their pencil keys.  Because the columns lie on that quadric, the
-certificate's condition 1 (no three columns collinear) holds by the quadric
-test, with no search, so a matrix certifies at every length up to q^2 + 1.
+``elliptic_quadric`` builds it once per field per process; every later
+``construct_d6`` over the same field reuses it and only re-runs the
+ordering.  The plane through A, B and a point is read from the point's
+(y : z), so one pass over the points sorts them into the q + 1 planes.  The
+cached ovoid also holds each plane's proper points and their pencil keys.
+The ovoid is not checked on its own either: its size and its partition into
+planes hold by construction, and because the columns lie on the quadric,
+the certificate's condition 1 (no three columns collinear) holds by the
+quadric test, with no search, so a matrix certifies at every length up to
+q^2 + 1.
 
 q = 3 and q = 4 have too few points per plane for the walk and use fixed
 matrices; the q = 3 one is not on the standard quadric, and its condition 1
@@ -54,13 +58,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec
-from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4, null_space
-from .pairmetric import (
-    _elliptic_form_c,
-    _elliptic_form_negated,
-    _first_dependent_subset,
-    check_theorem_conditions,
-)
+from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4
+from .pairmetric import _elliptic_form_c, _elliptic_form_negated, check_theorem_conditions
 
 Point = Tuple[int, int, int, int]
 
@@ -118,8 +117,12 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     """The standard ovoid (elliptic quadric) with A = (0,1,0,0), B = (1,0,0,0).
 
     Odd q uses the form y^2 - c z^2 with c the least non-square; even q uses
-    y^2 + yz + c z^2 with c the least element of absolute trace 1.  All ovoid
-    axioms are verified at construction for q <= 13.
+    y^2 + yz + c z^2 with c the least element of absolute trace 1.
+
+    The pencil is read from the coordinates: a plane through A and B is
+    y + c z = 0 (plane c, ascending) or z = 0 (plane q), so the plane of
+    (1, x1, y, z) is c = -y/z when z != 0, and q when z = 0.  Each plane
+    lists A, B, then its q - 1 proper points in ascending order.
 
     Built once per field per process and shared: an ``Ovoid`` is frozen and
     holds only tuples and a read-only mapping, so no caller can change the
@@ -128,17 +131,16 @@ def elliptic_quadric(f: FieldSpec) -> Ovoid:
     q = f.q
     if q < 3:
         raise ParameterError("ovoids need q >= 3")
-    pts = _quadric_points(f)
     A: Point = (0, 1, 0, 0)
     B: Point = (1, 0, 0, 0)
-    planes = tuple(tuple(pl) for pl in secant_planes(f, pts, A, B))
-    proper = tuple(tuple(p for p in pl if p != A and p != B) for pl in planes)
-    o = Ovoid(
-        f, tuple(sorted(pts)), A, B, planes, _elliptic_form_c(f), proper, _pencil_keys(f, proper)
-    )
-    if q <= 13:
-        _verify_ovoid(o)
-    return o
+    points = tuple(sorted(_quadric_points(f)))  # A, B, then the proper points
+    buckets: List[List[Point]] = [[] for _ in range(q + 1)]
+    for p in points[2:]:
+        _, _, y, z = p
+        buckets[f.div(f.neg(y), z) if z else q].append(p)
+    proper = tuple(map(tuple, buckets))
+    planes = tuple((A, B) + pl for pl in proper)
+    return Ovoid(f, points, A, B, planes, _elliptic_form_c(f), proper, _pencil_keys(f, proper))
 
 
 def _pencil_keys(f: FieldSpec, proper: Sequence[Sequence[Point]]) -> Mapping[Point, int]:
@@ -154,48 +156,6 @@ def _pencil_keys(f: FieldSpec, proper: Sequence[Sequence[Point]]) -> Mapping[Poi
         for p in plane:
             keys[p] = (2 * (log[p[i]] - l0) + log[x1]) % (2 * q1)
     return MappingProxyType(keys)
-
-
-def secant_planes(f: FieldSpec, pts: Sequence[Point], A: Point, B: Point) -> List[List[Point]]:
-    """The q+1 planes of the pencil through line AB, with their points from pts."""
-    if A == B:
-        raise ParameterError("A and B must be distinct")
-    ab = CodeMatrix.from_rows(f, [list(A), list(B)])
-    basis = null_space(ab).entries
-    if len(basis) != 2:  # pragma: no cover - A != B guarantees rank 2
-        raise ConstructionError("secant pencil basis has wrong dimension")
-    w1, w2 = basis
-    normals = [
-        tuple(f.add(w1[t], f.mul(c, w2[t])) for t in range(4)) for c in f.elements()
-    ]
-    normals.append(tuple(w2))
-    return [sorted(itertools.compress(pts, on)) for on in f.orthogonal(normals, pts)]
-
-
-def _verify_ovoid(o: Ovoid) -> None:
-    f = o.field
-    q = f.q
-    if len(o.points) != q * q + 1:
-        raise ConstructionError("ovoid size is not q^2 + 1")
-    if len(set(o.points)) != len(o.points):
-        raise ConstructionError("duplicate ovoid points")
-    # no 3 collinear: no three points are linearly dependent in F_q^4
-    triple = _first_dependent_subset(f, o.points, 3)
-    if triple is not None:
-        raise ConstructionError(f"collinear points {[o.points[i] for i in triple]}")
-    # the pencil planes partition the rest into q+1 classes of size q-1
-    seen: set = set()
-    for plane in o.planes:
-        if len(plane) != q + 1:
-            raise ConstructionError("secant plane does not carry q+1 ovoid points")
-        if o.A not in plane or o.B not in plane:
-            raise ConstructionError("secant plane misses A or B")
-        rest = [p for p in plane if p not in (o.A, o.B)]
-        if seen & set(rest):
-            raise ConstructionError("secant planes overlap outside A, B")
-        seen.update(rest)
-    if len(seen) != q * q - 1:
-        raise ConstructionError("secant planes do not cover the ovoid")
 
 
 # -- ordering ----------------------------------------------------------

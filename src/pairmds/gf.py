@@ -32,7 +32,7 @@ Vector kernels run a whole vector through the tables in one pass:
 batched window determinants, the elliptic generator matrix and codeword
 enumeration, ``minor_rows`` the elementwise a*b - c*d of the window
 determinants, ``orthogonal`` the vanishing-product kernel (which u . v are
-0, for h g^T and the ovoid's secant planes), ``addition_rows`` the
+0, for the elliptic h g^T), ``addition_rows`` the
 addition-table rows that codeword enumeration reads whole cosets from, and
 ``normal_form`` and ``project`` the project-and-normalise step of the
 checker's dependent-set search; ``project`` maps every later vector from one

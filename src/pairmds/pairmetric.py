@@ -190,8 +190,7 @@ def _first_dependent_subset(f, cols, size, forms=None):
     hashing ints.  That level is reached by d5 condition 2, by condition 1
     at d_H = 4 only for a matrix off the standard elliptic quadric (the
     q = 3 fixed matrix, or a file from elsewhere; ``d6``'s ovoid matrices
-    pass ``_on_elliptic_quadric``), by the ovoid's no-three-collinear check
-    (``d6._verify_ovoid``, q <= 13), and as the last level of d6 condition 2
+    pass ``_on_elliptic_quadric``), and as the last level of d6 condition 2
     and of an MDS search off the normal rational curve.
 
     A full scan projects about C(n, size - 1) columns.  At most

@@ -12,7 +12,7 @@ from pairmds.d5 import _block_columns, location_exclusions
 from pairmds.d6 import DEFAULT_MAX_STATES, _schedule
 from pairmds.ecmds import EllipticCurve, _group, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
-from pairmds.linalg import CodeMatrix, det4, enumerate_codewords, rank_of_vectors
+from pairmds.linalg import CodeMatrix, det4, enumerate_codewords, null_space, rank_of_vectors
 from pairmds.pairmetric import (
     COND_ANY_SMALL_INDEPENDENT,
     ROUTE_THEOREM,
@@ -334,6 +334,17 @@ def insertion_assignment_by_stack(x):
     for y, j in match_of_value.items():
         assignment[j] = y
     return tuple(assignment)
+
+
+def secant_planes_by_normals(f, pts, A, B):
+    """The q + 1 planes of the pencil through line AB, each with its points
+    from pts in ascending order.  The normals are w1 + c w2 over ascending c,
+    then w2, where w1, w2 is ``null_space``'s basis of the planes through A
+    and B; a point is on a plane when the vanishing-product kernel says so."""
+    w1, w2 = null_space(CodeMatrix.from_rows(f, [list(A), list(B)])).entries
+    normals = [f.add_rows(w1, f.mul_rows([c] * 4, w2)) for c in f.elements()]
+    normals.append(w2)
+    return [sorted(itertools.compress(pts, on)) for on in f.orthogonal(normals, pts)]
 
 
 def order_points_by_det4(o, n):

@@ -511,6 +511,43 @@ def test_file_certificate_equals_reverified(base):
     assert cert.to_json_dict() == doc["certificate"]
 
 
+def _set_route(doc, value):
+    doc["certificate"]["route"] = value
+
+
+def _set_provenance(key, doc, value):
+    doc["provenance"][key] = value
+
+
+def _set_first_point(doc, value):
+    doc["provenance"]["points"][0] = value
+
+
+@pytest.mark.parametrize("mutate, value, message", [
+    (_set_route, "r" * 10**6, "certificate route of type str is not one of "),
+    (functools.partial(_set_provenance, "curve"), ["c" * 100] * 10_000,
+     "curve is not a list of 5 field elements"),
+    (functools.partial(_set_provenance, "k"), ["c" * 100] * 10_000,
+     "k of type list is not an integer"),
+    (_set_first_point, [1] * 100_000, "point is not a list of 2 field elements"),
+    (functools.partial(_set_provenance, "curve"), [1] * 100_000,
+     "curve is not a list of 5 field elements"),
+], ids=["route", "curve-strings", "k", "long-point", "long-curve"])
+def test_hostile_elliptic_file_gets_a_short_error_line(tmp_path, capsys, mutate, value, message):
+    # the message names a bad value by its type or its expected shape, never
+    # by its repr, which would be as long as the file
+    doc = json.loads(_base_text("elliptic"))
+    mutate(doc, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200 and not captured.out
+    assert message in captured.err, captured.err
+
+
 def _duplicate_row(doc):
     doc["parity_check"][1] = list(doc["parity_check"][0])
 

@@ -12,7 +12,6 @@ from pairmds.d6 import (
     coplanar,
     elliptic_quadric,
     order_points,
-    secant_planes,
 )
 from pairmds.errors import ParameterError
 from pairmds.gf import field, field_of_order
@@ -20,7 +19,7 @@ from pairmds.linalg import CodeMatrix, det4, rank_of_vectors
 from pairmds.pairmetric import _first_dependent_subset, check_theorem_conditions
 
 from goldens import OVOID_Q3, OVOID_Q4, OVOID_Q4_N7
-from reference import order_points_by_det4
+from reference import order_points_by_det4, secant_planes_by_normals
 
 
 def all_projective_points(f, dim):
@@ -65,30 +64,44 @@ def test_every_plane_meets_ovoid_in_1_or_q_plus_1_points_q3():
 
 
 def test_secant_planes_q5():
-    f = field(5, 1)
-    o = elliptic_quadric(f)
-    planes = secant_planes(o.field, o.points, o.A, o.B)
-    assert len(planes) == 6
+    o = elliptic_quadric(field(5, 1))
+    assert len(o.planes) == 6
     union = set()
-    for i, pl in enumerate(planes):
+    for i, pl in enumerate(o.planes):
         assert len(pl) == 6
         assert o.A in pl and o.B in pl
         union.update(pl)
-        for pl2 in planes[i + 1 :]:
+        for pl2 in o.planes[i + 1 :]:
             assert set(pl) & set(pl2) == {o.A, o.B}
     assert union == set(o.points)
-    with pytest.raises(ParameterError):
-        secant_planes(o.field, o.points, o.A, o.A)
 
 
 def test_secant_planes_arbitrary_base_points():
     f = field(5, 1)
     o = elliptic_quadric(f)
     A, B = o.points[3], o.points[17]
-    planes = secant_planes(o.field, o.points, A, B)
+    planes = secant_planes_by_normals(o.field, o.points, A, B)
     assert len(planes) == 6
     assert all(len(pl) == 6 for pl in planes)
     assert set().union(*map(set, planes)) == set(o.points)
+
+
+PRIME_POWERS_TO_64 = [
+    3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61,
+    64,
+]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64 + [81, 125, 128])
+def test_pencil_from_the_equation_is_the_pencil_of_normals(q):
+    f = field_of_order(q)
+    o = elliptic_quadric(f)
+    planes = tuple(map(tuple, secant_planes_by_normals(f, o.points, o.A, o.B)))
+    assert o.planes == planes
+    assert all(pl[:2] == (o.A, o.B) for pl in planes)
+    proper = tuple(pl[2:] for pl in planes)
+    want = Ovoid(f, o.points, o.A, o.B, planes, o.form_c, proper, d6._pencil_keys(f, proper))
+    assert o == want and hash(o) == hash(want)
 
 
 def test_coplanar_examples():
@@ -97,8 +110,7 @@ def test_coplanar_examples():
     assert not coplanar(f, *e)
     assert coplanar(f, e[0], e[1], e[2], e[0])
     o = elliptic_quadric(f)
-    plane = secant_planes(o.field, o.points, o.A, o.B)[0]
-    others = [p for p in plane if p not in (o.A, o.B)]
+    others = o.proper[0]
     assert coplanar(f, o.A, o.B, others[0], others[1])
 
 
@@ -212,7 +224,7 @@ def test_construct_d6_range_errors():
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_ovoid_axioms(q):
     f = field_of_order(q)
-    o = elliptic_quadric(f)  # construction itself verifies for q <= 13
+    o = elliptic_quadric(f)
     assert len(o.points) == q * q + 1
     assert len(o.planes) == q + 1
     proper = o.proper
@@ -278,23 +290,22 @@ def test_q3_fixed_matrix_is_off_the_quadric_and_certified_by_the_search(monkeypa
     assert searched == [len(cols)]
 
 
-def test_ovoid_is_built_and_verified_once_per_field(tmp_path, monkeypatch):
-    calls = {"_quadric_points": 0, "_verify_ovoid": 0}
-    for name in calls:
-        real = getattr(d6, name)
+def test_ovoid_is_built_once_per_field(tmp_path, monkeypatch):
+    calls = []
+    real = d6._quadric_points
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(f):
+        calls.append(f.q)
+        return real(f)
 
-        monkeypatch.setattr(d6, name, counted)
+    monkeypatch.setattr(d6, "_quadric_points", counted)
     elliptic_quadric.cache_clear()
     f = field_of_order(7)
     assert construct_d6(f, 20)[1].ok and construct_d6(f, 20)[1].ok
-    assert calls == {"_quadric_points": 1, "_verify_ovoid": 1}
+    assert calls == [7]
     # a sweep over all 21 lengths at q = 5 builds the q = 5 ovoid once
     assert main(["table", "--q", "5", "--dpair", "6", "--out", str(tmp_path / "t.csv")]) == 0
-    assert calls == {"_quadric_points": 2, "_verify_ovoid": 2}
+    assert calls == [7, 5]
 
 
 def test_ordering_leaves_the_cached_ovoid_unchanged():
@@ -339,9 +350,7 @@ def test_pencil_comparison_is_the_determinant_test(q, data):
     assert hits <= 1
 
 
-@pytest.mark.parametrize(
-    "q", [5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
-)
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64[2:])
 def test_pencil_key_is_the_log_of_x1(q):
     f = field_of_order(q)
     o = elliptic_quadric(f)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import d5, d6, ecmds
 from .errors import ConstructionError, ParameterError
-from .gf import FieldError, FieldSpec, field_of_order
+from .gf import FieldError, FieldSpec, _shown, field_of_order
 from .linalg import (
     CodeMatrix,
     DEFAULT_ENUM_CAP,
@@ -171,7 +171,9 @@ def _reverify(doc: Dict) -> Tuple[CodeMatrix, PairCertificate]:
     """The parsed parity-check matrix and the certificate recomputed from it."""
     f = field_of_order(doc["q"])
     if (doc["p"], doc["a"]) != (f.p, f.a):
-        raise _CliError(f"declared p={doc['p']}, a={doc['a']} is not the field of order {f.q}")
+        raise _CliError(
+            f"declared p {_shown(doc['p'])}, a {_shown(doc['a'])} is not the field of order {f.q}"
+        )
     if doc.get("modulus", list(f.modulus)) != list(f.modulus):
         raise _CliError("code file was produced with a different field basis")
     try:
@@ -218,7 +220,9 @@ def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
         arrangement = ecmds.EvalArrangement(curve, tuple(pts), k)
     except (KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"elliptic provenance is unusable: {exc}") from exc
-    return ecmds.check_ec_conditions(arrangement, ecmds.generator_matrix(arrangement), h)
+    # the verdict alone: the subset-sum count and d_H are construct-time
+    # certificate fields that the pair distance does not rest on
+    return ecmds.ec_verdict(arrangement, ecmds._staircase_rows(arrangement), h)
 
 
 def cmd_verify(args) -> int:
@@ -226,7 +230,7 @@ def cmd_verify(args) -> int:
     h, cert = _reverify(doc)
     claimed = doc["d_pair"]
     if cert.ok and cert.d_pair != claimed:
-        print(f"claimed d_pair {claimed} but certificate proves {cert.d_pair}")
+        print(f"claimed d_pair {_shown(claimed)} but certificate proves {cert.d_pair}")
         return EXIT_VERIFY_FAILED
     if not cert.ok:
         print(

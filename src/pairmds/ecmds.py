@@ -5,18 +5,20 @@ ordering the evaluation points so that no k cyclically consecutive points sum
 to the identity promotes them to MDS symbol-pair codes of pair distance
 n - k + 2.  The arrangement pairs each point with its negative, threads the
 pairs so that windows always cut a pair, patches the tail with the two SWITCH
-rules, and falls back to bounded local rearrangement.  check_ec_conditions
-certifies the result from the arrangement and the matrices alone; construct_ec
-and `pairmds verify` both call it.
+rules, and falls back to bounded local rearrangement.  ec_verdict decides the
+result from the arrangement and the matrices alone, and `pairmds verify` runs
+it alone, on g's rows as plain lists.  check_ec_conditions, the certificate
+construct_ec writes, adds the subset-sum count, which settles the Hamming
+distance but not the pair distance.
 
-The certificate runs on the field's row kernels.  The generator matrix
+The verdict runs on the field's row kernels.  The generator matrix
 evaluates the staircase x^i y^j (j <= 1) of L(kO) in pole order 0, 2, 3,
 ..., k: its rows are 1, x and y over the arranged points, and from order 4
 on the row of order t is the row of order t - 2 times the row of
 x-coordinates, so no element is raised to a power.  h g^T = 0 is checked
 from h and g alone by the field's vanishing-product kernel
 (``FieldSpec.orthogonal``): g's columns are packed once, and each row of h
-is one pass over them.  The certificate never eliminates g: Riemann-Roch
+is one pass over them.  The verdict never eliminates g: Riemann-Roch
 gives rank g = k, and columns 0 ... k - 1 as a basis once the window check
 has passed, so rank h = n - k is read from the (n - k) x (n - k) block of h
 on the last n - k columns alone.
@@ -512,18 +514,23 @@ def subset_sum_count(a: EvalArrangement) -> int:
     return counts[0]  # lo = top = k
 
 
-def generator_matrix(a: EvalArrangement) -> CodeMatrix:
-    """k x n evaluation matrix of L(kO) at the arranged points.
-
-    The rows are the staircase x^i y^j (j <= 1) in pole order 0, 2, 3, ...,
-    k: 1, x, y, then from order 4 on row t is row t - 2 times the x row, one
-    ``mul_rows`` pass each."""
+def _staircase_rows(a: EvalArrangement) -> List[List[int]]:
+    """The k rows of g as plain lists: the staircase x^i y^j (j <= 1) in pole
+    order 0, 2, 3, ..., k at the arranged points: 1, x, y, then from order 4
+    on row t is row t - 2 times the x row, one ``mul_rows`` pass each.  Every
+    entry is a product of coordinates of checked points, so a field element."""
     f = a.curve.field
     xs = [p[0] for p in a.points]
     rows = [[1] * a.n, xs, [p[1] for p in a.points]]
     while len(rows) < a.k:
         rows.append(f.mul_rows(rows[-2], xs))
-    return CodeMatrix.from_rows(f, rows[: a.k])
+    return rows[: a.k]
+
+
+def generator_matrix(a: EvalArrangement) -> CodeMatrix:
+    """k x n evaluation matrix of L(kO) at the arranged points, the rows of
+    ``_staircase_rows``."""
+    return CodeMatrix.from_rows(a.curve.field, _staircase_rows(a))
 
 
 # -- arrangement -------------------------------------------------------
@@ -698,15 +705,19 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
     return EvalArrangement(c, tuple(seq), k)
 
 
-def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> PairCertificate:
-    """Certify h, with g = generator_matrix(a), as the parity check of an MDS
-    symbol-pair code of pair distance n - k + 2.
+def ec_verdict(
+    a: EvalArrangement, g_rows: Sequence[Sequence[int]], h: CodeMatrix
+) -> PairCertificate:
+    """Decide whether h, with g's rows g_rows = ``_staircase_rows(a)``, is the
+    parity check of an MDS symbol-pair code of pair distance n - k + 2.
 
     The checks: no k cyclically consecutive points of ``a`` sum to O; h has n
-    columns and h g^T = 0; h has full row rank n - k.  The evaluation code
-    then has minimum Hamming distance n - k when some k-subset of D sums to O
-    (the subset-sum count) and n - k + 1 when none does, and in both cases
-    pair distance n - k + 2 by the run-length bound and the Singleton ceiling.
+    columns and h g^T = 0; h has full row rank n - k.  These decide the pair
+    distance: the evaluation code has minimum Hamming distance n - k or
+    n - k + 1, and in both cases pair distance n - k + 2 by the run-length
+    bound and the Singleton ceiling.  Which of the two Hamming distances
+    holds is the certificate's business (``check_ec_conditions``); the
+    verdict never reads it, so ``pairmds verify`` calls this alone.
 
     g is never eliminated: Riemann-Roch gives what its elimination would.
     The points are distinct and affine, and a nonzero f in L(kO) has at most
@@ -726,13 +737,12 @@ def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> Pai
     f = a.curve.field
     n, k = a.n, a.k
     window_ok = window_check(a)
-    product_zero = h.cols == n and all(map(all, f.orthogonal(h.entries, g.entries)))
+    product_zero = h.cols == n and all(map(all, f.orthogonal(h.entries, g_rows)))
     rank_ok = False
     if window_ok and product_zero and h.rows == n - k:
         rank_ok = rank_of_vectors(f, [row[k:] for row in h.entries]) == n - k
         if rank_ok:
             h.record_column_basis(range(k, n))
-    nsolutions = subset_sum_count(a)
     failed = None
     if not window_ok:
         failed = "window-check"
@@ -748,12 +758,20 @@ def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> Pai
         route=ROUTE_EC,
         ok=failed is None,
         failed_condition=failed,
-        checks={
-            "window_check": window_ok,
-            "subset_sum_count": nsolutions,
-            "d_H": n - k if nsolutions > 0 else n - k + 1,
-        },
+        checks={"window_check": window_ok},
     )
+
+
+def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> PairCertificate:
+    """The certificate that ``construct`` writes: ``ec_verdict`` on
+    g = generator_matrix(a), plus the subset-sum count N(k, O, D) and the
+    minimum Hamming distance it decides, n - k when some k-subset of D sums
+    to O and n - k + 1 when none does."""
+    cert = ec_verdict(a, g.entries, h)
+    nsolutions = subset_sum_count(a)
+    n, k = a.n, a.k
+    cert.checks.update(subset_sum_count=nsolutions, d_H=n - k if nsolutions > 0 else n - k + 1)
+    return cert
 
 
 def construct_ec(f: FieldSpec, n: int, d: int):

@@ -65,6 +65,16 @@ class FieldError(ValueError):
     """Unsupported field parameters or invalid element operation."""
 
 
+def _shown(x: int) -> str:
+    """An int as a message names it: in full up to 30 digits, longer ones by
+    their digit count, since a value read from a file or the command line
+    can run to thousands of digits."""
+    if -10**30 < x < 10**30:
+        return str(x)
+    digits = int(x.bit_length() * math.log10(2))  # the count is this or one more
+    return f"of {digits + (abs(x) >= 10**digits)} digits"
+
+
 def _prime_factors(m: int) -> List[int]:
     """The distinct prime factors of m >= 1, ascending, by trial division.
 
@@ -247,7 +257,7 @@ class FieldSpec:
     def check(self, x: int) -> int:
         if type(x) is not int or not 0 <= x < self.q:
             # a container's repr could be as long and as deep as the input
-            shown = repr(x) if type(x) is int else f"of type {type(x).__name__}"
+            shown = _shown(x) if type(x) is int else f"of type {type(x).__name__}"
             raise FieldError(f"element code {shown} is not an integer in 0..{self.q - 1}")
         return x
 
@@ -715,8 +725,8 @@ def absolute_trace(f: FieldSpec, x: int) -> int:
 
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q = p^a, p its one prime factor."""
-    if q > MAX_ORDER:
-        raise FieldError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
+    if abs(q) > MAX_ORDER:
+        raise FieldError(f"field order {_shown(q)} exceeds supported maximum {MAX_ORDER}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise FieldError(f"{q} is not a prime power")

@@ -508,7 +508,85 @@ def _base_text(base):
 def test_file_certificate_equals_reverified(base):
     doc = json.loads(_base_text(base))
     _h, cert = _reverify(doc)
-    assert cert.to_json_dict() == doc["certificate"]
+    want = doc["certificate"]
+    if base == "elliptic":
+        # verify re-derives the verdict; the subset-sum count and d_H are
+        # construct-time fields, checked here against the provenance
+        f = field_of_order(doc["q"])
+        prov = doc["provenance"]
+        a = ecmds.EvalArrangement(
+            ecmds.EllipticCurve(f, *prov["curve"]), tuple(map(tuple, prov["points"])), prov["k"]
+        )
+        count = want["checks"]["subset_sum_count"]
+        assert count == ecmds.subset_sum_count(a)
+        assert want["checks"]["d_H"] == (a.n - a.k if count > 0 else a.n - a.k + 1)
+        assert set(cert.checks) == {"window_check"}
+        want = dict(want, checks={"window_check": want["checks"]["window_check"]})
+    assert cert.to_json_dict() == want
+
+
+def test_verifying_an_elliptic_file_builds_only_its_parity_check(monkeypatch):
+    # no subset-sum count, and G's rows are not rebuilt as an entry-checked matrix
+    doc = json.loads(_base_text("elliptic"))
+    counts = {"subset_sum_count": 0, "CodeMatrix": 0}
+    count_sums = ecmds.subset_sum_count
+    post_init = linalg.CodeMatrix.__post_init__
+
+    def counted_sums(a):
+        counts["subset_sum_count"] += 1
+        return count_sums(a)
+
+    def counted_post_init(self):
+        counts["CodeMatrix"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ecmds, "subset_sum_count", counted_sums)
+    monkeypatch.setattr(linalg.CodeMatrix, "__post_init__", counted_post_init)
+    _h, cert = _reverify(doc)
+    assert cert.ok
+    assert counts == {"subset_sum_count": 0, "CodeMatrix": 1}
+
+
+@pytest.mark.parametrize("argv, mutate, message", [
+    ("verify", _set("q", value=10**4000),
+     "field order of 4001 digits exceeds supported maximum 65536"),
+    ("verify", _set("parity_check", 0, 0, value=10**4000),
+     "element code of 4001 digits is not an integer in 0..4"),
+    ("verify", _set("p", value=10**4000),
+     "declared p of 4001 digits, a 1 is not the field of order 5"),
+    ("construct --n 13 --dpair 5 --q", None, "field order of 4001 digits exceeds"),
+    ("table --dpair 5 --q", None, "field order of 4001 digits exceeds"),
+    ("ec-search --q", None, "field order of 4001 digits exceeds"),
+], ids=["verify-q", "verify-entry", "verify-p", "construct", "table", "ec-search"])
+def test_long_integer_is_named_by_its_digit_count(tmp_path, capsys, argv, mutate, message):
+    # a 4,001-digit order or p from the command line or a code file, or a
+    # 4,001-digit matrix entry, would otherwise fill a 4 kB error line
+    if mutate is None:
+        args = argv.split() + [str(10**4000)]
+    else:
+        doc = json.loads(_base_text("d5"))
+        mutate(doc)
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc))
+        args = [argv, str(bad)]
+    capsys.readouterr()
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200 and not captured.out
+    assert message in captured.err, captured.err
+
+
+def test_long_claimed_pair_distance_is_named_by_its_digit_count(tmp_path, capsys):
+    doc = json.loads(_base_text("d5"))
+    doc["d_pair"] = 10**4000
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "claimed d_pair of 4001 digits but certificate proves 5\n"
+    assert not captured.err
 
 
 def _set_route(doc, value):

@@ -18,6 +18,7 @@ from pairmds.ecmds import (
     ec_neg,
     ec_point_count,
     ec_points,
+    ec_verdict,
     find_maximal_curve,
     generator_matrix,
     n_max,
@@ -808,6 +809,9 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
     mutated = CodeMatrix.from_rows(f, rows)
     cert = check_ec_conditions(a, generator_matrix(a), mutated)
     assert (cert.ok, cert.failed_condition) == want
+    # the verdict that verify runs, on G's plain rows, decides the same
+    verdict = ec_verdict(a, ecmds._staircase_rows(a), CodeMatrix.from_rows(f, rows))
+    assert (verdict.ok, verdict.failed_condition) == want
     event(f"{mutation}: {cert.failed_condition or 'ok'}")
     if mutation == "none":
         assert cert.ok

@@ -55,8 +55,8 @@ BAD_ENTRIES = [
 @pytest.mark.parametrize("bad, shown", BAD_ENTRIES, ids=[repr(b) for b, _ in BAD_ENTRIES])
 @pytest.mark.parametrize("slot", [0, 3, 6])
 def test_matrix_names_the_first_bad_entry(bad, shown, slot):
-    # a row that fails the C-level test is checked entry by entry, so the
-    # message names the first bad entry, wherever it sits in the row
+    # every entry is checked in turn, row by row, so the message names the
+    # first bad entry, wherever it sits in the row
     f = field_of_order(5)
     row = [1, 2, 3, 4, 0, 1, 2]
     row[slot] = bad

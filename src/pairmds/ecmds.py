@@ -5,11 +5,13 @@ ordering the evaluation points so that no k cyclically consecutive points sum
 to the identity promotes them to MDS symbol-pair codes of pair distance
 n - k + 2.  The arrangement pairs each point with its negative, threads the
 pairs so that windows always cut a pair, patches the tail with the two SWITCH
-rules, and falls back to bounded local rearrangement.  ec_verdict decides the
-result from the arrangement and the matrices alone, and `pairmds verify` runs
-it alone, on g's rows as plain lists.  check_ec_conditions, the certificate
-construct_ec writes, adds the subset-sum count, which settles the Hamming
-distance but not the pair distance.
+rules, and clears any window still summing to O by a greedy descent over
+adjacent transpositions, each step lowering the count of such windows.
+ec_verdict decides the result from the arrangement and the matrices alone,
+and `pairmds verify` runs it alone, on g's rows as plain lists.
+check_ec_conditions, the certificate construct_ec writes, adds the
+subset-sum count, which settles the Hamming distance but not the pair
+distance.
 
 The verdict runs on the field's row kernels.  The generator matrix
 evaluates the staircase x^i y^j (j <= 1) of L(kO) in pole order 0, 2, 3,
@@ -57,7 +59,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -67,8 +68,6 @@ from .linalg import CodeMatrix, LinearCode, null_space, rank_of_vectors
 from .pairmetric import ROUTE_EC, PairCertificate
 
 ECPoint = Optional[Tuple[int, int]]  # None is the identity O at infinity
-
-REARRANGE_ATTEMPTS = 10_000
 
 MAX_CURVE_ORDER = 1 << 10
 
@@ -622,33 +621,33 @@ def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
         idx[i], idx[j] = idx[j], idx[i]
 
 
-def _local_rearrange(
-    c: EllipticCurve, seq: List[Tuple[int, int]], k: int, attempts: int
-) -> Optional[List[Tuple[int, int]]]:
-    """Bounded breadth-first search over adjacent transpositions."""
+def _local_rearrange(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> bool:
+    """Clear the windows summing to O by a greedy descent over adjacent
+    transpositions, in place.  A step tries the first such window's k + 1
+    transpositions, (first + t) % n with its successor for t = -1 ... k - 1,
+    in order, and takes the first that clears every window, else the first
+    that leaves fewer.  Every step lowers the count of windows summing to O,
+    so the loop ends within n steps; False means no transposition lowered it.
+    """
     n = len(seq)
-    start = tuple(seq)
-    seen = {start}
-    queue = deque([start])
-    spent = 0
-    while queue and spent < attempts:
-        cur = queue.popleft()
-        lst = list(cur)
-        violations = _window_violations(c, lst, k)
-        if not violations:
-            return lst
-        first = violations[0]
-        touched = [(first + t) % n for t in range(-1, k)]
-        for i in touched:
+    violations = _window_violations(c, seq, k)
+    while violations:
+        first, best = violations[0], None
+        for i in ((first + t) % n for t in range(-1, k)):
             j = (i + 1) % n
-            lst[i], lst[j] = lst[j], lst[i]
-            nxt = tuple(lst)
-            lst[i], lst[j] = lst[j], lst[i]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                spent += 1
-    return None
+            seq[i], seq[j] = seq[j], seq[i]
+            after = _window_violations(c, seq, k)
+            seq[i], seq[j] = seq[j], seq[i]
+            if not after:
+                best = i, j, after
+                break
+            if best is None and len(after) < len(violations):
+                best = i, j, after
+        if best is None:
+            return False
+        i, j, violations = best
+        seq[i], seq[j] = seq[j], seq[i]
+    return True
 
 
 def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
@@ -695,13 +694,10 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
     seq = build()
     if _window_violations(c, seq, k):
         _switch_pass(c, seq, k)
-    if _window_violations(c, seq, k):
-        repaired = _local_rearrange(c, seq, k, REARRANGE_ATTEMPTS)
-        if repaired is None:
+        if not _local_rearrange(c, seq, k):  # pragma: no cover - a bug guard
             raise ConstructionError(
                 f"no valid arrangement found for n={n}, k={k} over GF({f.q})"
             )
-        seq = repaired
     return EvalArrangement(c, tuple(seq), k)
 
 

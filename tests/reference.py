@@ -7,10 +7,11 @@ faster or more indirectly, kept here so that tests can compare the two.
 import functools
 import itertools
 import operator
+from collections import deque
 
 from pairmds.d5 import _block_columns, location_exclusions
 from pairmds.d6 import DEFAULT_MAX_STATES, _schedule
-from pairmds.ecmds import EllipticCurve, _group, ec_add, ec_points, n_max
+from pairmds.ecmds import EllipticCurve, _group, _window_violations, ec_add, ec_points, n_max
 from pairmds.errors import ParameterError
 from pairmds.linalg import CodeMatrix, det4, enumerate_codewords, null_space, rank_of_vectors
 from pairmds.pairmetric import (
@@ -431,3 +432,33 @@ def subset_sum_count_by_size(a):
                 if cnt:
                     cur[row[h]] += cnt
     return counts[k][0]
+
+
+def local_rearrange_by_bfs(c, seq, k, attempts=10_000):
+    """The breadth-first search over adjacent transpositions that the greedy
+    descent replaced, as it stood: it charges its budget when it queues a
+    state, so at large k it can stop before checking all of its own
+    depth-1 states, and returns None then."""
+    n = len(seq)
+    start = tuple(seq)
+    seen = {start}
+    queue = deque([start])
+    spent = 0
+    while queue and spent < attempts:
+        cur = queue.popleft()
+        lst = list(cur)
+        violations = _window_violations(c, lst, k)
+        if not violations:
+            return lst
+        first = violations[0]
+        touched = [(first + t) % n for t in range(-1, k)]
+        for i in touched:
+            j = (i + 1) % n
+            lst[i], lst[j] = lst[j], lst[i]
+            nxt = tuple(lst)
+            lst[i], lst[j] = lst[j], lst[i]
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                spent += 1
+    return None

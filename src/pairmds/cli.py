@@ -222,7 +222,7 @@ def _reverify_ec(f: FieldSpec, doc: Dict, h: CodeMatrix) -> PairCertificate:
         raise _CliError(f"elliptic provenance is unusable: {exc}") from exc
     # the verdict alone: the subset-sum count and d_H are construct-time
     # certificate fields that the pair distance does not rest on
-    return ecmds.ec_verdict(arrangement, ecmds._staircase_rows(arrangement), h)
+    return ecmds.ec_verdict(arrangement, h)
 
 
 def cmd_verify(args) -> int:

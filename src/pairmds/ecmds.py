@@ -7,23 +7,26 @@ n - k + 2.  The arrangement pairs each point with its negative, threads the
 pairs so that windows always cut a pair, patches the tail with the two SWITCH
 rules, and clears any window still summing to O by a greedy descent over
 adjacent transpositions, each step lowering the count of such windows.
-ec_verdict decides the result from the arrangement and the matrices alone,
-and `pairmds verify` runs it alone, on g's rows as plain lists.
-check_ec_conditions, the certificate construct_ec writes, adds the
-subset-sum count, which settles the Hamming distance but not the pair
-distance.
+ec_verdict decides the result from the arrangement and h alone, and
+`pairmds verify` runs it alone.  check_ec_conditions, the certificate
+construct_ec writes, adds the subset-sum count, which settles the Hamming
+distance but not the pair distance.
 
 The verdict runs on the field's row kernels.  The generator matrix
 evaluates the staircase x^i y^j (j <= 1) of L(kO) in pole order 0, 2, 3,
 ..., k: its rows are 1, x and y over the arranged points, and from order 4
 on the row of order t is the row of order t - 2 times the row of
 x-coordinates, so no element is raised to a power.  h g^T = 0 is checked
-from h and g alone by the field's vanishing-product kernel
-(``FieldSpec.orthogonal``): g's columns are packed once, and each row of h
-is one pass over them.  The verdict never eliminates g: Riemann-Roch
-gives rank g = k, and columns 0 ... k - 1 as a basis once the window check
-has passed, so rank h = n - k is read from the (n - k) x (n - k) block of h
-on the last n - k columns alone.
+by the field's vanishing-product kernel (``FieldSpec.vanishing``), each row
+of h one pass over g's packed columns.  The column of g at a point P is
+P's staircase values, and at k they are the first k of its values at any
+larger k.  So the columns of every affine point of a curve are packed once
+(``_PackedStaircase``, cached per curve per process) at the largest k asked
+so far, and a verdict gathers its points' columns and keeps the first k
+slots of each.  The verdict never eliminates g: Riemann-Roch gives rank
+g = k, and columns 0 ... k - 1 as a basis once the window check has passed,
+so rank h = n - k is read from the (n - k) x (n - k) block of h on the last
+n - k columns alone.
 
 The pairing of each point with its negative, window sums, the SWITCH
 windows (read from one index list per pass) and the subset-sum count (the
@@ -59,6 +62,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -513,23 +517,64 @@ def subset_sum_count(a: EvalArrangement) -> int:
     return counts[0]  # lo = top = k
 
 
-def _staircase_rows(a: EvalArrangement) -> List[List[int]]:
-    """The k rows of g as plain lists: the staircase x^i y^j (j <= 1) in pole
-    order 0, 2, 3, ..., k at the arranged points: 1, x, y, then from order 4
-    on row t is row t - 2 times the x row, one ``mul_rows`` pass each.  Every
-    entry is a product of coordinates of checked points, so a field element."""
-    f = a.curve.field
-    xs = [p[0] for p in a.points]
-    rows = [[1] * a.n, xs, [p[1] for p in a.points]]
-    while len(rows) < a.k:
+def _staircase_rows(f: FieldSpec, pts: Sequence[Tuple[int, int]], k: int) -> List[List[int]]:
+    """The k rows of g at the points pts as plain lists: the staircase
+    x^i y^j (j <= 1) in pole order 0, 2, 3, ..., k: 1, x, y, then from order
+    4 on row t is row t - 2 times the x row, one ``mul_rows`` pass each.
+    Every entry is a product of coordinates of curve points, so a field
+    element."""
+    xs = [p[0] for p in pts]
+    rows = [[1] * len(pts), xs, [p[1] for p in pts]]
+    while len(rows) < k:
         rows.append(f.mul_rows(rows[-2], xs))
-    return rows[: a.k]
+    return rows[:k]
 
 
 def generator_matrix(a: EvalArrangement) -> CodeMatrix:
     """k x n evaluation matrix of L(kO) at the arranged points, the rows of
     ``_staircase_rows``."""
-    return CodeMatrix.from_rows(a.curve.field, _staircase_rows(a))
+    f = a.curve.field
+    return CodeMatrix(f, tuple(map(tuple, _staircase_rows(f, a.points, a.k))))
+
+
+class _PackedStaircase:
+    """g's columns at every affine point of one curve, packed for the
+    vanishing-product kernel (``FieldSpec.pack_columns``) at the largest k
+    asked so far: ``tables[b][i]`` is the packed column of point i of
+    ``_point_index`` (entry 0, for O, is never read).
+
+    The slot width for the curve's N - 1 affine points serves every
+    arrangement on it.  A smaller k keeps the first k slots of each column,
+    which a little-endian host holds in the low bits and a big-endian one in
+    the high bits; a larger k packs the staircase again at that k.
+    """
+
+    def __init__(self, c: EllipticCurve):
+        self.curve = c
+        self.k = 0
+        self.stride = 0
+        self.tables: List[List[int]] = []
+
+    def columns(self, a: EvalArrangement) -> List[List[int]]:
+        """The packed columns of the k rows of g at a's points, in a's order,
+        a list per digit table, at ``stride``."""
+        f, k = self.curve.field, a.k
+        index = _point_index(self.curve)
+        if k > self.k:
+            tables, self.stride = f.pack_columns(_staircase_rows(f, list(index)[1:], k))
+            self.tables = [[0, *table] for table in tables]
+            self.k = k
+        idx = list(map(index.__getitem__, a.points))
+        if sys.byteorder == "little":
+            mask = (1 << 8 * self.stride * k) - 1
+            return [[table[i] & mask for i in idx] for table in self.tables]
+        drop = 8 * self.stride * (self.k - k)  # the bits of the slots past k
+        return [[table[i] >> drop for i in idx] for table in self.tables]
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_staircase(c: EllipticCurve) -> _PackedStaircase:
+    return _PackedStaircase(c)
 
 
 # -- arrangement -------------------------------------------------------
@@ -601,16 +646,22 @@ def _step1_sequence(
 def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
     """One pass of the SWITCH repairs: a window summing to O swaps its first
     element with the predecessor (or its last with the successor when the
-    window wraps past the seam), in place."""
+    window wraps past the seam), in place.  One running sum slides along
+    the windows, as in ``_window_violations``, and is summed afresh after
+    each swap, since a swap can move a point into or out of the next
+    window."""
     g = _group(c)
-    add = g.add
+    add, neg = g.add, g.neg
     idx = g.indices(seq)
     n = len(seq)
+    s = None  # the sum of the window at start, summed afresh after a swap
     for start in range(n):
-        s = 0
-        for t in range(start, start + k):
-            s = add[s][idx[t % n]]
+        if s is None:
+            s = 0
+            for t in range(start, start + k):
+                s = add[s][idx[t % n]]
         if s != 0:
+            s = add[add[s][neg[idx[start]]]][idx[(start + k) % n]]
             continue
         last = (start + k - 1) % n
         if last < start:  # wrapped window: push its tail forward
@@ -619,6 +670,7 @@ def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
             i, j = (start - 1) % n, start
         seq[i], seq[j] = seq[j], seq[i]
         idx[i], idx[j] = idx[j], idx[i]
+        s = None
 
 
 def _local_rearrange(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> bool:
@@ -701,11 +753,10 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
     return EvalArrangement(c, tuple(seq), k)
 
 
-def ec_verdict(
-    a: EvalArrangement, g_rows: Sequence[Sequence[int]], h: CodeMatrix
-) -> PairCertificate:
-    """Decide whether h, with g's rows g_rows = ``_staircase_rows(a)``, is the
-    parity check of an MDS symbol-pair code of pair distance n - k + 2.
+def ec_verdict(a: EvalArrangement, h: CodeMatrix) -> PairCertificate:
+    """Decide whether h is the parity check of an MDS symbol-pair code of
+    pair distance n - k + 2 on the arrangement a, whose generator matrix g is
+    a's staircase (``_staircase_rows``).
 
     The checks: no k cyclically consecutive points of ``a`` sum to O; h has n
     columns and h g^T = 0; h has full row rank n - k.  These decide the pair
@@ -714,6 +765,11 @@ def ec_verdict(
     bound and the Singleton ceiling.  Which of the two Hamming distances
     holds is the certificate's business (``check_ec_conditions``); the
     verdict never reads it, so ``pairmds verify`` calls this alone.
+
+    h g^T = 0 is read from g's columns as the curve's ``_PackedStaircase``
+    holds them, packed once per curve and k: the verdict gathers a's
+    columns and keeps their first k slots, and each row of h is one pass of
+    the vanishing-product kernel over them.
 
     g is never eliminated: Riemann-Roch gives what its elimination would.
     The points are distinct and affine, and a nonzero f in L(kO) has at most
@@ -733,7 +789,11 @@ def ec_verdict(
     f = a.curve.field
     n, k = a.n, a.k
     window_ok = window_check(a)
-    product_zero = h.cols == n and all(map(all, f.orthogonal(h.entries, g_rows)))
+    product_zero = False
+    if h.cols == n:
+        staircase = _packed_staircase(a.curve)
+        columns = staircase.columns(a)
+        product_zero = all(map(all, f.vanishing(h.entries, columns, k, staircase.stride)))
     rank_ok = False
     if window_ok and product_zero and h.rows == n - k:
         rank_ok = rank_of_vectors(f, [row[k:] for row in h.entries]) == n - k
@@ -758,12 +818,11 @@ def ec_verdict(
     )
 
 
-def check_ec_conditions(a: EvalArrangement, g: CodeMatrix, h: CodeMatrix) -> PairCertificate:
-    """The certificate that ``construct`` writes: ``ec_verdict`` on
-    g = generator_matrix(a), plus the subset-sum count N(k, O, D) and the
-    minimum Hamming distance it decides, n - k when some k-subset of D sums
-    to O and n - k + 1 when none does."""
-    cert = ec_verdict(a, g.entries, h)
+def check_ec_conditions(a: EvalArrangement, h: CodeMatrix) -> PairCertificate:
+    """The certificate that ``construct`` writes: ``ec_verdict``, plus the
+    subset-sum count N(k, O, D) and the minimum Hamming distance it decides,
+    n - k when some k-subset of D sums to O and n - k + 1 when none does."""
+    cert = ec_verdict(a, h)
     nsolutions = subset_sum_count(a)
     n, k = a.n, a.k
     cert.checks.update(subset_sum_count=nsolutions, d_H=n - k if nsolutions > 0 else n - k + 1)
@@ -781,9 +840,8 @@ def construct_ec(f: FieldSpec, n: int, d: int):
         raise ParameterError(f"n exceeds N(q) - 3 = {limit}")
     curve = find_maximal_curve(f)
     arrangement = arrange(curve, n, k)
-    g = generator_matrix(arrangement)
-    h = null_space(g)
-    cert = check_ec_conditions(arrangement, g, h)
+    h = null_space(generator_matrix(arrangement))
+    cert = check_ec_conditions(arrangement, h)
     if not cert.ok:
         raise ConstructionError(
             f"elliptic construction failed verification at q={f.q}, n={n}: {cert.failed_condition}"

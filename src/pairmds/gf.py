@@ -31,8 +31,9 @@ Vector kernels run a whole vector through the tables in one pass:
 ``mul_rows``, ``add_rows`` and ``sub_rows`` the elementwise steps of the
 batched window determinants, the elliptic generator matrix and codeword
 enumeration, ``minor_rows`` the elementwise a*b - c*d of the window
-determinants, ``orthogonal`` the vanishing-product kernel (which u . v are
-0, for the elliptic h g^T), ``addition_rows`` the
+determinants, ``pack_columns`` and ``vanishing`` the vanishing-product
+kernel (which u . v are 0, for the elliptic h g^T: the vectors' columns
+packed once, then one pass over them per u), ``addition_rows`` the
 addition-table rows that codeword enumeration reads whole cosets from, and
 ``normal_form`` and ``project`` the project-and-normalise step of the
 checker's dependent-set search; ``project`` maps every later vector from one
@@ -177,9 +178,10 @@ def _least_irreducible(p: int, a: int) -> Tuple[int, ...]:
 class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
-    Immutable after construction but for the digit tables of
-    ``orthogonal``, built on first use (a race builds the same table twice);
-    the other lookup tables are built eagerly.  Every field has one
+    Immutable after construction but for the digit tables of the
+    vanishing-product kernel (``pack_columns``, ``vanishing``), built on
+    first use (a race builds the same table twice); the other lookup tables
+    are built eagerly.  Every field has one
     exp/log pair that is safe at 0.  With q1 = q - 1 and the sentinel
     z = 3*q1 - 1, ``_log[x]`` is the logarithm of x != 0 to the generator g
     and ``_log[0] = z``; ``_exp`` holds g^0 .. g^(2*q1 - 1) (offsets
@@ -217,8 +219,9 @@ class FieldSpec:
         self._neg: List[int] | None = None
         if p != 2 and a > 1:
             self._neg = [exp[i + q1 // 2] for i in log]
-        # tables of ``orthogonal``, built on first use; set here, so that
-        # filling them adds no attribute (a new one slows every attribute read)
+        # tables of the vanishing-product kernel, built on first use; set
+        # here, so that filling them adds no attribute (a new one slows every
+        # attribute read)
         self._packed: Dict[int, List[List[bytes]]] = {}
         self._digit_rows: Optional[List[Tuple[int, ...]]] = None
         self._add: List[int] | None = None
@@ -365,24 +368,20 @@ class FieldSpec:
             return [add[x * q + neg[y]] for x, y in zip(u, v)]
         return [self._add_digits(x, neg[y]) for x, y in zip(u, v)]
 
-    def orthogonal(
-        self, us: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]]
-    ) -> Iterator[List[bool]]:
-        """The vanishing-product kernel: for each u in `us`, in turn, the
-        list over `vectors` of whether the dot product u . v is 0.  Every u
-        is as long as the vectors.
+    def pack_columns(self, vectors: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+        """The packed columns of the vanishing-product kernel (``vanishing``)
+        and the bytes each vector takes in them, its stride.
 
         A product is linear in u over GF(p): with e_b the element of code p^b
         and d_b(x) digit b of x, x y = sum over b of d_b(x) (e_b y).  So each
         column t of the vectors is packed once per b into one int,
         ``T[b][t]``, whose slots hold the digits of e_b v_t for every v in
-        turn (``_digit_bytes``), and the slots of
-        S = sum over t and b of d_b(u_t) T[b][t] hold the digits of u . v for
-        every v: one C-level pass over the columns per digit of u.  Binary
-        fields XOR the columns at the set bits of u, so the slots of S are
-        the products themselves.  Other fields add: a slot sums at most
-        n a (p - 1)^2 for rows of length n, which sets its width, so no slot
-        carries, and u . v is 0 when every slot of v is 0 mod p.
+        turn, the first v at the lowest address in the machine's byte order
+        (``_digit_bytes``).  A binary field's slot holds a whole code, so its
+        stride is the slot width; other fields have a slots per vector.  A
+        slot of ``vanishing`` sums at most n a (p - 1)^2 for rows of length
+        n, which sets the width, so no slot carries; columns packed for n
+        serve any u that reads at most n of them.
         """
         columns = list(zip(*vectors))
         p, a, n = self.p, self.a, len(columns)
@@ -391,14 +390,34 @@ class FieldSpec:
         else:
             bound = max(n, 1) * a * (p - 1) ** 2
             width = next(w for w in (1, 2, 4, 8) if bound >> 8 * w == 0)
-        order = sys.byteorder
-        size = len(vectors) * width * (1 if p == 2 else a)  # bytes per column
+        stride = width if p == 2 else width * a
+        size = len(vectors) * stride  # bytes per column
         flat = list(itertools.chain.from_iterable(columns))
         tables = []
         for row in self._digit_bytes(width):
             packed = b"".join(map(row.__getitem__, flat))
             starts = range(0, len(packed), size or 1)
-            tables.append([int.from_bytes(packed[i:i + size], order) for i in starts])
+            tables.append([int.from_bytes(packed[i:i + size], sys.byteorder) for i in starts])
+        return tables, stride
+
+    def vanishing(
+        self, us: Iterable[Sequence[int]], tables: Sequence[Sequence[int]], count: int, stride: int
+    ) -> Iterator[List[bool]]:
+        """The vanishing-product kernel: for each u in `us`, in turn, the
+        list over the `count` vectors packed in `tables` at `stride`
+        (``pack_columns``) of whether the dot product u . v is 0.  Every u
+        is as long as each table, whose int t is column t of the vectors.
+
+        The slots of S = sum over t and b of d_b(u_t) T[b][t] hold the
+        digits of u . v for every v: one C-level pass over the columns per
+        digit of u.  Binary fields XOR the columns at the set bits of u, so
+        the slots of S are the products themselves.  Other fields add, and
+        u . v is 0 when every slot of v is 0 mod p.
+        """
+        p, a = self.p, self.a
+        order = sys.byteorder
+        size = count * stride
+        width = stride if p == 2 else stride // a
         digit_rows = self._digit_rows
         if digit_rows is None and p != 2 and a > 1:
             # row b maps each element code to its base-p digit b

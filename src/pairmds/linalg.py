@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf import ADD_TABLE_MAX_ORDER, FieldSpec
 
@@ -40,7 +40,13 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """A rows x cols matrix of field element codes."""
+    """A rows x cols matrix of field element codes.
+
+    Construction checks only the shape.  ``from_rows`` is the constructor
+    for data from outside the package, and checks every entry too; the
+    package's own matrices (products and sums of field elements, and points
+    it listed) are built directly or by ``from_columns``.
+    """
 
     field: FieldSpec
     entries: Tuple[Tuple[int, ...], ...]
@@ -52,15 +58,7 @@ class CodeMatrix:
         # set on the instance now, so that filling it in later adds no
         # attribute: CPython then keeps the attributes out of a dict
         object.__setattr__(self, "_column_basis", None)
-        rows = len(self.entries)
-        if rows:
-            cols = len(self.entries[0])
-            check = self.field.check
-            for row in self.entries:
-                if len(row) != cols:
-                    raise ValueError("ragged matrix")
-                for x in row:
-                    check(x)
+        _check_rows(self.entries)
 
     @property
     def rows(self) -> int:
@@ -72,7 +70,11 @@ class CodeMatrix:
 
     @staticmethod
     def from_rows(f: FieldSpec, rows: Sequence[Sequence[int]]) -> "CodeMatrix":
-        return CodeMatrix(f, tuple(tuple(r) for r in rows))
+        """The matrix of `rows`, each entry checked to be an element code of
+        f, in turn, row by row, so an error names the first bad entry."""
+        entries = tuple(tuple(r) for r in rows)
+        _check_rows(entries, f.check)
+        return CodeMatrix(f, entries)
 
     @staticmethod
     def from_columns(f: FieldSpec, cols: Sequence[Sequence[int]]) -> "CodeMatrix":
@@ -100,6 +102,22 @@ class CodeMatrix:
         """Keep `cols`, columns a caller has proven to be a basis of the
         column space, as ``column_basis``."""
         object.__setattr__(self, "_column_basis", tuple(cols))
+
+
+def _check_rows(
+    entries: Sequence[Sequence[int]], check: Optional[Callable[[int], int]] = None
+) -> None:
+    """Raise ValueError if the rows differ in length and, with `check`,
+    call it on every entry of each row in turn before the next row's length
+    is compared."""
+    if entries:
+        cols = len(entries[0])
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError("ragged matrix")
+            if check is not None:
+                for x in row:
+                    check(x)
 
 
 def det4(f: FieldSpec, m: Sequence[Sequence[int]]) -> int:
@@ -405,4 +423,4 @@ def rs_parity_check(f: FieldSpec, n: int, r: int) -> CodeMatrix:
     if n == f.q + 1:
         for t in range(r):
             rows[t].append(1 if t == r - 1 else 0)
-    return CodeMatrix.from_rows(f, rows)
+    return CodeMatrix(f, tuple(map(tuple, rows)))

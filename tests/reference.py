@@ -337,6 +337,14 @@ def insertion_assignment_by_stack(x):
     return tuple(assignment)
 
 
+def orthogonal(f, us, vectors):
+    """For each u in `us`, the list over `vectors` of whether u . v is 0, by
+    the field's vanishing-product kernel in one call: the vectors' columns
+    packed once, then one pass over them per u."""
+    tables, stride = f.pack_columns(vectors)
+    return list(f.vanishing(us, tables, len(vectors), stride))
+
+
 def secant_planes_by_normals(f, pts, A, B):
     """The q + 1 planes of the pencil through line AB, each with its points
     from pts in ascending order.  The normals are w1 + c w2 over ascending c,
@@ -345,7 +353,7 @@ def secant_planes_by_normals(f, pts, A, B):
     w1, w2 = null_space(CodeMatrix.from_rows(f, [list(A), list(B)])).entries
     normals = [f.add_rows(w1, f.mul_rows([c] * 4, w2)) for c in f.elements()]
     normals.append(w2)
-    return [sorted(itertools.compress(pts, on)) for on in f.orthogonal(normals, pts)]
+    return [sorted(itertools.compress(pts, on)) for on in orthogonal(f, normals, pts)]
 
 
 def order_points_by_det4(o, n):
@@ -462,3 +470,26 @@ def local_rearrange_by_bfs(c, seq, k, attempts=10_000):
                 queue.append(nxt)
                 spent += 1
     return None
+
+
+def switch_pass_by_resumming(c, seq, k):
+    """One SWITCH pass as it stood before its window sum slid: every
+    k-window summed from scratch, O(n k) per pass, on the sequence as the
+    earlier swaps left it; in place."""
+    g = _group(c)
+    add = g.add
+    idx = g.indices(seq)
+    n = len(seq)
+    for start in range(n):
+        s = 0
+        for t in range(start, start + k):
+            s = add[s][idx[t % n]]
+        if s != 0:
+            continue
+        last = (start + k - 1) % n
+        if last < start:  # wrapped window: push its tail forward
+            i, j = last, (last + 1) % n
+        else:
+            i, j = (start - 1) % n, start
+        seq[i], seq[j] = seq[j], seq[i]
+        idx[i], idx[j] = idx[j], idx[i]

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -26,7 +27,7 @@ from pairmds.ecmds import (
     window_check,
 )
 from pairmds.errors import ParameterError
-from pairmds.gf import FieldError, field, field_of_order
+from pairmds.gf import FieldError, FieldSpec, field, field_of_order
 from pairmds.linalg import CodeMatrix, LinearCode, null_space, rank, rank_of_vectors
 from pairmds.pairmetric import min_pair_distance_bruteforce
 
@@ -38,6 +39,7 @@ from reference import (
     first_maximal_curve,
     independent_points,
     min_hamming_distance_bruteforce,
+    orthogonal,
     subset_sum_count_by_size,
 )
 
@@ -370,9 +372,10 @@ def test_generator_matrix_rank_and_first_columns_follow_riemann_roch(q, closed, 
 
 
 def test_elliptic_certificate_makes_no_per_element_field_calls(monkeypatch):
-    # h g^T runs on FieldSpec.orthogonal and the generator matrix on mul_rows; what
-    # is left is forward elimination, one inv per pivot and one mul per
-    # cleared row
+    # h g^T reads g's columns packed once per curve by mul_rows and runs on
+    # FieldSpec.vanishing, and the generator matrix is built by mul_rows;
+    # what is left is forward elimination, one inv per pivot and one mul
+    # per cleared row
     from pairmds.gf import FieldSpec
 
     f = field_of_order(27)
@@ -389,7 +392,7 @@ def test_elliptic_certificate_makes_no_per_element_field_calls(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(FieldSpec, name, counted)
-    cert = check_ec_conditions(a, g, h)
+    cert = check_ec_conditions(a, h)
     assert cert.ok and cert.d_pair == 7
     assert sum(calls.values()) <= 2 * n, calls
     calls.update(add=0, mul=0, inv=0, pow=0)
@@ -807,10 +810,10 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
         rows = [row + [rng.randrange(q)] for row in rows]
     want = _ec_verdict_by_full_rank(a, generator_matrix(a), CodeMatrix.from_rows(f, rows))
     mutated = CodeMatrix.from_rows(f, rows)
-    cert = check_ec_conditions(a, generator_matrix(a), mutated)
+    cert = check_ec_conditions(a, mutated)
     assert (cert.ok, cert.failed_condition) == want
-    # the verdict that verify runs, on G's plain rows, decides the same
-    verdict = ec_verdict(a, ecmds._staircase_rows(a), CodeMatrix.from_rows(f, rows))
+    # the verdict that verify runs decides the same
+    verdict = ec_verdict(a, CodeMatrix.from_rows(f, rows))
     assert (verdict.ok, verdict.failed_condition) == want
     event(f"{mutation}: {cert.failed_condition or 'ok'}")
     if mutation == "none":
@@ -819,3 +822,111 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
         # the columns the certificate recorded really are a basis
         assert len(mutated.column_basis) == mutated.rows
         assert columns_independent(mutated, mutated.column_basis)
+
+
+def _decoded_column(f, packed, k, stride):
+    """The k field elements that one digit table's packed column holds: a
+    slot of `stride` bytes per vector, the first vector at the lowest
+    address, in a binary field one code and elsewhere the a base-p digits
+    of the code."""
+    order = sys.byteorder
+    raw = packed.to_bytes(k * stride, order)
+    width = stride if f.p == 2 else stride // f.a
+    slots = [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+    if f.p == 2:
+        return slots
+    digits = [slots[i:i + f.a] for i in range(0, len(slots), f.a)]
+    return [sum(d * f.p**j for j, d in enumerate(ds)) for ds in digits]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+    + [128, 243],
+)
+def test_packed_staircase_columns_are_the_staircase_at_every_k(q):
+    c = find_maximal_curve(field_of_order(q))
+    f = c.field
+    pts = tuple(ec_points(c)[1:])  # every affine point, in point-index order
+    big = len(pts) - 1
+    staircase = ecmds._PackedStaircase(c)
+    top = staircase.columns(EvalArrangement(c, pts, big))
+    stride = staircase.stride
+    rows = ecmds._staircase_rows(f, pts, big)
+    # digit table b holds e_b g, e_b the element of code p^b
+    for b, table in enumerate(top):
+        scaled = [f.mul_rows(itertools.repeat(f.p**b), row) for row in rows]
+        for t, packed in enumerate(table):
+            assert _decoded_column(f, packed, big, stride) == [row[t] for row in scaled], (b, t)
+    for k in (1, 2, 3, 4, big // 2, big - 1):
+        assert ecmds._staircase_rows(f, pts, k) == rows[:k]
+    # every smaller k keeps the first k slots of each column, with no repacking
+    whole = [[x.to_bytes(big * stride, sys.byteorder) for x in table] for table in top]
+    for k in range(1, big):
+        cols = staircase.columns(EvalArrangement(c, pts, k))
+        for table, full in zip(cols, whole):
+            assert [x.to_bytes(k * stride, sys.byteorder) for x in table] == [
+                x[: k * stride] for x in full
+            ], k
+    assert staircase.k == big and staircase.stride == stride
+    # gathered in an arrangement's order, by point index
+    order = random.Random(q).sample(range(len(pts)), len(pts))
+    mixed = EvalArrangement(c, tuple(pts[i] for i in order), 5)
+    want = staircase.columns(EvalArrangement(c, pts, 5))
+    assert staircase.columns(mixed) == [[table[i] for i in order] for table in want]
+
+
+# prime, binary and odd-extension fields: 2,583 cases in all
+_PRODUCT_FIELDS = [7, 8, 9, 11, 13, 16, 19, 25, 27, 31, 32, 49, 64, 81]
+
+
+@pytest.mark.parametrize("q", _PRODUCT_FIELDS)
+def test_verdict_product_decision_is_the_orthogonal_kernel_on_the_staircase(q):
+    # h g^T = 0 as the verdict reads it from the curve's packed columns, and
+    # as the kernel decides it on the staircase rows packed afresh at n
+    # points, for h as built and with one entry changed; k rises and falls,
+    # so the cache both repacks and truncates
+    c = find_maximal_curve(field_of_order(q))
+    f = c.field
+    rng = random.Random(q)
+    cases = 0
+    for n in range(q + 2, n_max(f) - 2):
+        for k in sorted({1, 2, (n - 5) // 2, n - 5}, key=lambda k: rng.random()):
+            a = arrange(c, n, k)
+            h = [list(row) for row in null_space(generator_matrix(a)).entries]
+            variants = [h]
+            for _ in range(6):
+                changed = [list(row) for row in h]
+                i, j = rng.randrange(len(h)), rng.randrange(n)
+                changed[i][j] = f.add(changed[i][j], rng.randrange(1, q))
+                variants.append(changed)
+            for rows in variants:
+                want = all(map(all, orthogonal(f, rows, ecmds._staircase_rows(f, a.points, k))))
+                verdict = ec_verdict(a, CodeMatrix.from_rows(f, rows))
+                assert (verdict.failed_condition != "parity-generator-product") == want, (n, k)
+                assert verdict.ok == want
+                cases += 1
+    assert cases >= 42
+
+
+def test_packed_staircase_is_built_once_per_curve_and_k(monkeypatch):
+    f = field_of_order(13)
+    c = find_maximal_curve(f)
+    packs = []
+    pack_columns = FieldSpec.pack_columns
+
+    def counted(self, vectors):
+        packs.append(len(vectors))
+        return pack_columns(self, vectors)
+
+    monkeypatch.setattr(FieldSpec, "pack_columns", counted)
+    ecmds._packed_staircase.cache_clear()
+    n = n_max(f) - 3
+    for k in (5, 3, 5, 8, 8, 2, 8):
+        a = arrange(c, n, k)
+        assert ec_verdict(a, null_space(generator_matrix(a))).ok
+    # packed at k = 5 and again at k = 8; the smaller k after each read it
+    assert packs == [5, 8]
+    _, cert, _ = construct_ec(f, n, n - 8)
+    assert cert.ok and packs == [5, 8]
+    ecmds._packed_staircase.cache_clear()

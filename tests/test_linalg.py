@@ -566,3 +566,33 @@ def test_rank_of_vectors_finds_dependencies_below_the_first_pivot(as_row):
     assert r([[3, 1, 4], [1, 5, 2], [6, 5, 3], [5, 0, 1]]) == 3
     m = CodeMatrix.from_rows(f, [[1, 0, 0], [1, 1, 1], [0, 1, 1]])
     assert rank(m) == 2 and rank(transpose(m)) == 2
+
+
+@pytest.mark.parametrize(
+    "route, q, n",
+    [("d5", 7, 30), ("d5", 9, 91), ("d6", 8, 40), ("d6", 9, 82), ("ec", 16, 22), ("ec", 27, 35)],
+)
+def test_constructions_check_no_matrix_entry(route, q, n, monkeypatch):
+    # a matrix the package builds from its own points is checked for its
+    # shape only; entries are checked where file data enters (from_rows)
+    from pairmds.d5 import construct_d5
+    from pairmds.d6 import construct_d6
+    from pairmds.ecmds import construct_ec
+    from pairmds.gf import FieldSpec
+
+    calls = [0]
+    check = FieldSpec.check
+
+    def counted(self, x):
+        calls[0] += 1
+        return check(self, x)
+
+    monkeypatch.setattr(FieldSpec, "check", counted)
+    f = field_of_order(q)
+    if route == "ec":
+        code, cert, _ = construct_ec(f, n, n - 5)
+    else:
+        code, cert = (construct_d5 if route == "d5" else construct_d6)(f, n)[:2]
+    assert cert.ok and code.n == n
+    # at most the five coefficients of a newly built curve
+    assert calls[0] <= 5, calls

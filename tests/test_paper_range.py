@@ -16,7 +16,7 @@ from pairmds.d6 import coplanar, elliptic_quadric, order_points
 from pairmds.ecmds import arrange, find_maximal_curve, n_max, window_check
 from pairmds.gf import field_of_order
 
-from reference import local_rearrange_by_bfs
+from reference import local_rearrange_by_bfs, switch_pass_by_resumming
 
 PRIME_POWERS_TO_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59,
@@ -84,3 +84,21 @@ def test_greedy_repair_is_the_bfs_arrangement_wherever_the_bfs_finds_one(q, monk
     if q == 193:
         ((_, seq, bfs, out),) = repairs
         assert sum(map(operator.ne, seq, bfs)) > 2  # more than one transposition
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q >= 7])
+def test_sliding_switch_pass_is_the_resumming_pass(q, monkeypatch):
+    c, lengths = _elliptic_lengths(q)
+    passes = []
+    sliding = ecmds._switch_pass
+
+    def both(c, seq, k):
+        want = list(seq)
+        switch_pass_by_resumming(c, want, k)
+        sliding(c, seq, k)
+        passes.append(seq == want)
+
+    monkeypatch.setattr(ecmds, "_switch_pass", both)
+    for n, k in lengths:
+        arrange(c, n, k)
+    assert passes and all(passes)

@@ -62,7 +62,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -544,9 +543,9 @@ class _PackedStaircase:
     ``_point_index`` (entry 0, for O, is never read).
 
     The slot width for the curve's N - 1 affine points serves every
-    arrangement on it.  A smaller k keeps the first k slots of each column,
-    which a little-endian host holds in the low bits and a big-endian one in
-    the high bits; a larger k packs the staircase again at that k.
+    arrangement on it.  The columns are packed little-endian on every host,
+    so a smaller k keeps the first k slots of each column, its low bits; a
+    larger k packs the staircase again at that k.
     """
 
     def __init__(self, c: EllipticCurve):
@@ -565,11 +564,8 @@ class _PackedStaircase:
             self.tables = [[0, *table] for table in tables]
             self.k = k
         idx = list(map(index.__getitem__, a.points))
-        if sys.byteorder == "little":
-            mask = (1 << 8 * self.stride * k) - 1
-            return [[table[i] & mask for i in idx] for table in self.tables]
-        drop = 8 * self.stride * (self.k - k)  # the bits of the slots past k
-        return [[table[i] >> drop for i in idx] for table in self.tables]
+        mask = (1 << 8 * self.stride * k) - 1  # the low bits hold the first k slots
+        return [[table[i] & mask for i in idx] for table in self.tables]
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,15 +11,17 @@ smallest, by Rabin's irreducibility test on the table-free product.  So the
 field, and every code file built over it, is a function of (p, a) alone.
 
 Arithmetic is table-driven, and every table but the digit tables of the
-vanishing-product kernel is built eagerly when a field is constructed: one
-exp/log pair in every field, safe at 0 (O(q) each; see ``FieldSpec``), a
-flat q x q addition table in every field with q <= 2^8 (at most 65,536
-small ints) and beside it q rows of the logs of differences (at most
-65,536 pointers to the log table's ints, 0.5 MB), and, in odd-characteristic
-extension fields, a q-entry negation table read from the exp table.  Prime
-fields multiply mod p; every other product, and every quotient, inverse,
-power and negation, is one exp lookup at a sum, difference or multiple of
-logs, with no test for zero.
+vanishing-product kernel is built eagerly when a field is constructed; those
+are module caches, built once per field (``_digit_rows``) and per field and
+slot width (``_digit_bytes``), so a field sets nothing after construction.
+The eager tables are one exp/log pair in every field, safe at 0 (O(q) each;
+see ``FieldSpec``), a flat q x q addition table in every field with
+q <= 2^8 (at most 65,536 small ints) and beside it q rows of the logs of
+differences (at most 65,536 pointers to the log table's ints, 0.5 MB), and,
+in odd-characteristic extension fields, a q-entry negation table read from
+the exp table.  Prime fields multiply mod p; every other product, and every
+quotient, inverse, power and negation, is one exp lookup at a sum,
+difference or multiple of logs, with no test for zero.
 Scalar addition computes mod p in prime fields and XOR in binary fields;
 larger odd-extension fields add digit by digit.  The exp table is filled by
 the table-free multiply-by-x step (a shift and one reduction), one coset of
@@ -33,15 +35,15 @@ batched window determinants, the elliptic generator matrix and codeword
 enumeration, ``minor_rows`` the elementwise a*b - c*d of the window
 determinants, ``pack_columns`` and ``vanishing`` the vanishing-product
 kernel (which u . v are 0, for the elliptic h g^T: the vectors' columns
-packed once, then one pass over them per u), ``addition_rows`` the
-addition-table rows that codeword enumeration reads whole cosets from, and
-``normal_form`` and ``project`` the project-and-normalise step of the
-checker's dependent-set search; ``project`` maps every later vector from one
-pivot in one call, and ``project_codes`` does the same for 3- and
-4-coordinate vectors and gives their images as ints, from the pivots
-(1, ...) and (0, 1, b) in one comprehension of table lookups that reads the
-logs of the differences from the field's rows, so a pivot costs no per-call
-table building.
+packed once into ints, little-endian on every host, then one pass over them
+per u), ``addition_rows`` the addition-table rows that codeword enumeration
+reads whole cosets from, and ``normal_form`` and ``project`` the
+project-and-normalise step of the checker's dependent-set search;
+``project`` maps every later vector from one pivot in one call, and
+``project_codes`` does the same for 3- and 4-coordinate vectors and gives
+their images as ints, from the pivots (1, ...) and (0, 1, b) in one
+comprehension of table lookups that reads the logs of the differences from
+the field's rows, so a pivot costs no per-call table building.
 """
 
 from __future__ import annotations
@@ -50,15 +52,15 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import struct
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
 # odd-extension fields up to this order get a flat q x q addition table
 ADD_TABLE_MAX_ORDER = 1 << 8
 
-# the memoryview format of an unsigned slot of 1, 2, 4 or 8 bytes
+# the struct format of an unsigned slot of 1, 2, 4 or 8 bytes
 _SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -178,11 +180,11 @@ def _least_irreducible(p: int, a: int) -> Tuple[int, ...]:
 class FieldSpec:
     """A finite field GF(p^a) with a fixed polynomial basis.
 
-    Immutable after construction but for the digit tables of the
-    vanishing-product kernel (``pack_columns``, ``vanishing``), built on
-    first use (a race builds the same table twice); the other lookup tables
-    are built eagerly.  Every field has one
-    exp/log pair that is safe at 0.  With q1 = q - 1 and the sentinel
+    Immutable after construction: every lookup table is built eagerly, and
+    the digit tables of the vanishing-product kernel (``pack_columns``,
+    ``vanishing``, which pack and read little-endian on every host) are
+    module caches keyed by the field.  Every field has one exp/log pair
+    that is safe at 0.  With q1 = q - 1 and the sentinel
     z = 3*q1 - 1, ``_log[x]`` is the logarithm of x != 0 to the generator g
     and ``_log[0] = z``; ``_exp`` holds g^0 .. g^(2*q1 - 1) (offsets
     0 .. 2q - 3), then 4*q1 zeros (offsets 2*q1 .. 6*q1 - 1, which cover
@@ -219,11 +221,6 @@ class FieldSpec:
         self._neg: List[int] | None = None
         if p != 2 and a > 1:
             self._neg = [exp[i + q1 // 2] for i in log]
-        # tables of the vanishing-product kernel, built on first use; set
-        # here, so that filling them adds no attribute (a new one slows every
-        # attribute read)
-        self._packed: Dict[int, List[List[bytes]]] = {}
-        self._digit_rows: Optional[List[Tuple[int, ...]]] = None
         self._add: List[int] | None = None
         self._log_diff: List[List[int]] | None = None
         if q <= ADD_TABLE_MAX_ORDER:
@@ -376,7 +373,7 @@ class FieldSpec:
         and d_b(x) digit b of x, x y = sum over b of d_b(x) (e_b y).  So each
         column t of the vectors is packed once per b into one int,
         ``T[b][t]``, whose slots hold the digits of e_b v_t for every v in
-        turn, the first v at the lowest address in the machine's byte order
+        turn, little-endian on every host: the first v in the lowest bits
         (``_digit_bytes``).  A binary field's slot holds a whole code, so its
         stride is the slot width; other fields have a slots per vector.  A
         slot of ``vanishing`` sums at most n a (p - 1)^2 for rows of length
@@ -394,10 +391,10 @@ class FieldSpec:
         size = len(vectors) * stride  # bytes per column
         flat = list(itertools.chain.from_iterable(columns))
         tables = []
-        for row in self._digit_bytes(width):
+        for row in _digit_bytes(self, width):
             packed = b"".join(map(row.__getitem__, flat))
             starts = range(0, len(packed), size or 1)
-            tables.append([int.from_bytes(packed[i:i + size], sys.byteorder) for i in starts])
+            tables.append([int.from_bytes(packed[i:i + size], "little") for i in starts])
         return tables, stride
 
     def vanishing(
@@ -410,18 +407,16 @@ class FieldSpec:
 
         The slots of S = sum over t and b of d_b(u_t) T[b][t] hold the
         digits of u . v for every v: one C-level pass over the columns per
-        digit of u.  Binary fields XOR the columns at the set bits of u, so
-        the slots of S are the products themselves.  Other fields add, and
-        u . v is 0 when every slot of v is 0 mod p.
+        digit of u.  S is read back little-endian, as it was packed, one
+        unsigned slot at a time.  Binary fields XOR the columns at the set
+        bits of u, so the slots of S are the products themselves.  Other
+        fields add, and u . v is 0 when every slot of v is 0 mod p.
         """
         p, a = self.p, self.a
-        order = sys.byteorder
         size = count * stride
         width = stride if p == 2 else stride // a
-        digit_rows = self._digit_rows
-        if digit_rows is None and p != 2 and a > 1:
-            # row b maps each element code to its base-p digit b
-            digit_rows = self._digit_rows = list(zip(*map(self.digits, range(self.q))))
+        slots = struct.Struct(f"<{size // width}{_SLOT_FORMAT[width]}").unpack
+        digit_rows = _digit_rows(self) if p != 2 and a > 1 else None
         rep, compress, mul, not_ = itertools.repeat, itertools.compress, operator.mul, operator.not_
         for u in us:
             if p == 2:
@@ -429,8 +424,7 @@ class FieldSpec:
                 for b, table in enumerate(tables):
                     bits = map(operator.and_, u, rep(1 << b))
                     s = functools.reduce(operator.xor, compress(table, bits), s)
-                raw = s.to_bytes(size, order)
-                yield list(map(not_, raw if width == 1 else map(operator.or_, raw[::2], raw[1::2])))
+                yield list(map(not_, slots(s.to_bytes(size, "little"))))
                 continue
             if a == 1:
                 # a prime field's one digit is the element itself; reading
@@ -442,27 +436,8 @@ class FieldSpec:
                     sum(map(mul, compress(table, u), map(row.__getitem__, nonzero)))
                     for table, row in zip(tables, digit_rows)
                 ])
-            slots = memoryview(s.to_bytes(size, order)).cast(_SLOT_FORMAT[width])
-            rests = map(operator.mod, slots, rep(p))
+            rests = map(operator.mod, slots(s.to_bytes(size, "little")), rep(p))
             yield list(map(not_, rests if a == 1 else map(any, zip(*[rests] * a))))
-
-    def _digit_bytes(self, width: int) -> List[List[bytes]]:
-        """Row b, for b < a, maps each element y to the digits of e_b y
-        (e_b the element of code p^b), each digit `width` bytes in the
-        machine's byte order; a binary field's code is kept whole.  Built on
-        first use, once per width."""
-        rows = self._packed.get(width)
-        if rows is None:
-            order, q = sys.byteorder, self.q
-            if self.p == 2:
-                enc = [y.to_bytes(width, order) for y in range(q)]
-            else:
-                enc = [b"".join(d.to_bytes(width, order) for d in self.digits(y)) for y in range(q)]
-            rows = self._packed[width] = [
-                list(map(enc.__getitem__, self.mul_rows(itertools.repeat(self.p**b), range(q))))
-                for b in range(self.a)
-            ]
-        return rows
 
     def normal_form(self, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """v scaled so its first nonzero entry is 1; None for the zero vector.
@@ -491,20 +466,21 @@ class FieldSpec:
         the quotient by <pivot>; None when that image is zero.
 
         A unit vector pivot only drops its coordinate, and rescales the
-        vectors that started there; every other pivot maps one vector at a
-        time (``_project_one``), through the row kernels.  The images of a
-        pivot of length 3 or 4, as the last projection of a dependent-set
-        search makes them, come as ints from ``project_codes``.
+        vectors that started there.  Every other pivot maps v to the normal
+        form of v[:p] followed by v[p+1:] - v[p] * (pivot after p), one row
+        kernel pass per vector.  The images of a pivot of length 3 or 4, as
+        the last projection of a dependent-set search makes them, come as
+        ints from ``project_codes``.
         """
         p = pivot.index(1)
         tail = pivot[p + 1:]
+        nf = self.normal_form
         if not any(tail):
             # a unit vector: drop coordinate p, and rescale only the vectors
             # that started there
-            nf = self.normal_form
             return [nf(v[:p] + v[p + 1:]) if v else None for v in vectors]
-        one = self._project_one
-        return [one(p, tail, v) for v in vectors]
+        sub_mul = self.row_sub_mul
+        return [nf(v[:p] + tuple(sub_mul(v[p + 1:], v[p], tail))) if v else None for v in vectors]
 
     def project_codes(
         self, pivot: Tuple[int, ...], vectors: Sequence[Optional[Tuple[int, ...]]]
@@ -551,11 +527,11 @@ class FieldSpec:
             ]
         _, a, b, c = pivot
         la, lb, lc = diff[a], diff[b], diff[c]
-        codes, one, tail, qq = self._codes, self._project_one, pivot[1:], q * q
+        codes, project, qq = self._codes, self.project, q * q
         return [
             exp[lb[y] - (s := la[x])] * q + exp[lc[z] - s] if o and x != a
             else qq + exp[lc[z] - lb[y]] if o and y != b
-            else codes((one(0, tail, v),), 3)[0]
+            else codes(project(pivot, (v,)), 3)[0]
             for v in vectors
             for o, x, y, z in (v or (0, 0, 0, 0),)
         ]
@@ -573,28 +549,6 @@ class FieldSpec:
             w if w is None else w[1] * q + w[2] if w[0] else qq + w[2] if w[1] else qq + q
             for w in images
         ]
-
-    def _project_one(
-        self, p: int, tail: Tuple[int, ...], v: Optional[Tuple[int, ...]]
-    ) -> Optional[Tuple[int, ...]]:
-        """The image of one normal form v from the pivot with its leading 1
-        at index p and entries `tail` after it (see ``project``).
-
-        If v[p] = 0 (v starts after p, or before p with a 0 there), the
-        image is v without coordinate p.  If v starts before p, its leading 1
-        survives, so the image needs no rescaling.  If v starts at p, then
-        v[p] = 1, v[:p] is zero, and the image is the normal form of the
-        difference of v and the pivot after p.
-        """
-        if v is None:
-            return None
-        a = v[p]
-        if not a:
-            return v[:p] + v[p + 1:]
-        if a != 1 or v.index(1) < p:
-            return v[:p] + tuple(self.row_sub_mul(v[p + 1:], a, tail))
-        w = self.normal_form(self.sub_rows(v[p + 1:], tail))
-        return None if w is None else v[:p] + w
 
     def _add_digits(self, x: int, y: int) -> int:
         """Digit-by-digit sum in an odd-characteristic extension field."""
@@ -731,6 +685,29 @@ class FieldSpec:
 def field(p: int, a: int) -> FieldSpec:
     """Cached field constructor; one shared immutable instance per (p, a)."""
     return FieldSpec(p, a)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_bytes(f: FieldSpec, width: int) -> Tuple[Tuple[bytes, ...], ...]:
+    """Row b, for b < a, maps each element y to the digits of e_b y (e_b
+    the element of code p^b), each digit `width` bytes, little-endian; a
+    binary field's code is kept whole.  Built once per field and width."""
+    q = f.q
+    if f.p == 2:
+        enc = [y.to_bytes(width, "little") for y in range(q)]
+    else:
+        enc = [b"".join(d.to_bytes(width, "little") for d in f.digits(y)) for y in range(q)]
+    return tuple(
+        tuple(map(enc.__getitem__, f.mul_rows(itertools.repeat(f.p**b), range(q))))
+        for b in range(f.a)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_rows(f: FieldSpec) -> Tuple[Tuple[int, ...], ...]:
+    """Row b maps each element code to its base-p digit b, built once per
+    field."""
+    return tuple(zip(*map(f.digits, range(f.q))))
 
 
 def absolute_trace(f: FieldSpec, x: int) -> int:

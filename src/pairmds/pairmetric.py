@@ -162,6 +162,13 @@ class PairCertificate:
         }
 
 
+def _normal_forms(f, cols):
+    """The normal form of each column, a tuple, as the dependent-set search
+    and the column tests read them; a column that starts with 1 is its own,
+    which saves a method call per column."""
+    return [c if c[0] == 1 else f.normal_form(c) for c in cols]
+
+
 def _first_dependent_subset(f, cols, size, forms=None):
     """Lexicographically first set of `size` linearly dependent columns, or None.
 
@@ -284,7 +291,7 @@ def _first_dependent_subset(f, cols, size, forms=None):
     if size < 1:  # the empty set is independent
         return None
     if forms is None:
-        forms = [f.normal_form(c) for c in cols]
+        forms = _normal_forms(f, cols)
     return search(forms, size, top=True)
 
 
@@ -317,9 +324,8 @@ def check_theorem_conditions(h: CodeMatrix, d_h: int) -> PairCertificate:
     if not n >= d_h + 2 >= 4:
         raise ValueError(f"need n >= d_H + 2 >= 4, got n={n}, d_H={d_h}")
     cols = h.columns()
-    # conditions 1 and 2 search the same normal forms; a column that starts
-    # with 1 is its own
-    forms = [c if c[0] == 1 else f.normal_form(c) for c in cols]
+    # conditions 1 and 2 search the same normal forms
+    forms = _normal_forms(f, cols)
 
     def failure(cond, witness):
         return PairCertificate(
@@ -462,7 +468,7 @@ def check_mds_conditions(h: CodeMatrix) -> PairCertificate:
     if r > n - 2:
         raise ValueError(f"need n >= r + 2, got n={n}, r={r} rows")
     cols = h.columns()
-    forms = [c if c[0] == 1 else f.normal_form(c) for c in cols]
+    forms = _normal_forms(f, cols)
     if _on_normal_rational_curve(f, forms, r):
         witness = None
     else:

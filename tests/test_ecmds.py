@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from pairmds import ecmds
+from pairmds import ecmds, gf
 from pairmds.ecmds import (
     EllipticCurve,
     EvalArrangement,
@@ -826,13 +826,12 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
 
 def _decoded_column(f, packed, k, stride):
     """The k field elements that one digit table's packed column holds: a
-    slot of `stride` bytes per vector, the first vector at the lowest
-    address, in a binary field one code and elsewhere the a base-p digits
-    of the code."""
-    order = sys.byteorder
-    raw = packed.to_bytes(k * stride, order)
+    slot of `stride` bytes per vector, little-endian with the first vector
+    in the lowest bits, in a binary field one code and elsewhere the a
+    base-p digits of the code."""
+    raw = packed.to_bytes(k * stride, "little")
     width = stride if f.p == 2 else stride // f.a
-    slots = [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+    slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
     if f.p == 2:
         return slots
     digits = [slots[i:i + f.a] for i in range(0, len(slots), f.a)]
@@ -861,11 +860,11 @@ def test_packed_staircase_columns_are_the_staircase_at_every_k(q):
     for k in (1, 2, 3, 4, big // 2, big - 1):
         assert ecmds._staircase_rows(f, pts, k) == rows[:k]
     # every smaller k keeps the first k slots of each column, with no repacking
-    whole = [[x.to_bytes(big * stride, sys.byteorder) for x in table] for table in top]
+    whole = [[x.to_bytes(big * stride, "little") for x in table] for table in top]
     for k in range(1, big):
         cols = staircase.columns(EvalArrangement(c, pts, k))
         for table, full in zip(cols, whole):
-            assert [x.to_bytes(k * stride, sys.byteorder) for x in table] == [
+            assert [x.to_bytes(k * stride, "little") for x in table] == [
                 x[: k * stride] for x in full
             ], k
     assert staircase.k == big and staircase.stride == stride
@@ -907,6 +906,37 @@ def test_verdict_product_decision_is_the_orthogonal_kernel_on_the_staircase(q):
                 assert verdict.ok == want
                 cases += 1
     assert cases >= 42
+
+
+@pytest.mark.parametrize("q", [13, 16, 25, 243])
+def test_packing_and_verdict_ignore_the_host_byte_order(q, monkeypatch):
+    # the packed ints and the slots read back from them are little-endian
+    # whatever the host's order; a kernel that follows sys.byteorder on one
+    # side and the native order on the other rejects valid codes
+    c = find_maximal_curve(field_of_order(q))
+    f = c.field
+    n = n_max(f) - 3
+    cases = []
+    for k in (2, 5, n - 5):
+        a = arrange(c, n, k)
+        cases.append((a, null_space(generator_matrix(a)), ecmds._staircase_rows(f, a.points, k)))
+
+    def clear_caches():
+        gf._digit_bytes.cache_clear()
+        gf._digit_rows.cache_clear()
+        ecmds._packed_staircase.cache_clear()
+
+    def packed_and_verdicts():
+        clear_caches()
+        return [(f.pack_columns(rows), ec_verdict(a, h)) for a, h, rows in cases]
+
+    native = packed_and_verdicts()
+    assert all(cert.ok for _, cert in native)
+    with monkeypatch.context() as m:
+        m.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+        assert packed_and_verdicts() == native
+    # no table built under the other order outlives the test
+    clear_caches()
 
 
 def test_packed_staircase_is_built_once_per_curve_and_k(monkeypatch):

@@ -428,12 +428,22 @@ def test_project_codes_are_the_projected_normal_forms(q):
 
 def test_orthogonal_builds_its_tables_on_first_use():
     f = FieldSpec(3, 3)
-    attributes = set(vars(f))
-    assert not f._packed and f._digit_rows is None
-    orthogonal(f, [[1, 2, 0]], [[2, 1, 5]])
-    assert f._packed and f._digit_rows is not None
-    # filling them adds no attribute, which would slow every attribute read
-    assert set(vars(f)) == attributes
+    attributes = dict(vars(f))
+    gf._digit_bytes.cache_clear()
+    gf._digit_rows.cache_clear()
+    # rows of 3 and 30 entries take 1- and 2-byte slots (30 * 3 * 2^2 > 255)
+    for n in (3, 3, 30, 3, 30):
+        orthogonal(f, [[1] * n], [[2] * n, [5] * n])
+    # each digit table is built once per (field, width), the digit rows once
+    # per field
+    assert gf._digit_bytes.cache_info().misses == 2
+    assert gf._digit_bytes.cache_info().currsize == 2
+    assert gf._digit_rows.cache_info().misses == 1
+    # the tables live in the caches: the field sets no attribute after
+    # construction, which would slow every attribute read
+    assert vars(f) == attributes
+    gf._digit_bytes.cache_clear()
+    gf._digit_rows.cache_clear()
 
 
 @settings(max_examples=300, deadline=None)

@@ -28,19 +28,26 @@ g = k, and columns 0 ... k - 1 as a basis once the window check has passed,
 so rank h = n - k is read from the (n - k) x (n - k) block of h on the last
 n - k columns alone.
 
-The pairing of each point with its negative, window sums, the SWITCH
-windows (read from one index list per pass) and the subset-sum count (the
-counts of every subset size packed into one int per group element, so a
-point is one C-level pass over the group) run on one group table per curve
-(``_group``, cached per process): the point list with O first, the
-point-to-index map, the N x N addition table and the negation table, every
-entry computed once by ``ec_neg`` and by ``ec_add``'s formulas without
-its membership tests, since ``ec_points`` lists only points on the curve.
-The point-to-index map is cached apart from the table (``_point_index``), so
-an arrangement checks its points by one dict lookup each without building
-the table, and the table's indices need no second membership test.  Since
-the table grows as N^2, curves are supported over fields of order at most
-``MAX_CURVE_ORDER`` = 2^10, the fields the maximal-curve search covers.
+The pairing of each point with its negative, the window sums and the
+subset-sum count (the counts of every subset size packed into one int per
+group element, so a point is one C-level pass over the group) run on one
+group table per curve (``_group``, cached per process): the N x N addition
+table and the negation table over the curve's one point list, O first, each
+point named by its index in ``_point_index``.  Every entry is computed once
+by ``ec_neg`` and by ``ec_add``'s formulas without its membership tests,
+since ``ec_points`` lists only points on the curve.  The point index is
+cached apart from the table, so an arrangement checks its points by one
+dict lookup each without building the table.  Since the table grows as
+N^2, curves are supported over fields of order at most ``MAX_CURVE_ORDER``
+= 2^10, the fields the maximal-curve search covers.
+
+The window sums of a sequence are one array (``_window_sums``: one running
+sum slides once along it), and the repairs keep that array current.  A
+transposition of neighbours (``_swap``) changes only the two windows that
+hold one of the two points, so it updates two sums.  SWITCH reads each
+window's sum from the array as the earlier swaps left it, and the descent
+tries a transposition by a swap, a count of the zero sums, and the swap
+back.
 
 The curve is y^2 + b(x) y = g(x) + a6, and the rows of g(x) = x^3 + a2 x^2 +
 a4 x and b(x) = a1 x + a3 over every x (``_curve_rows``) serve both the
@@ -182,15 +189,11 @@ def _chord_tangent(c: EllipticCurve, p: ECPoint, q: ECPoint) -> ECPoint:
 
 @dataclass(frozen=True)
 class _GroupTable:
-    """The rational points of a curve as indices; index 0 is O."""
+    """The group law on a curve's rational points, each point named by its
+    index in ``_point_index``; index 0 is O."""
 
-    points: List[ECPoint]
-    index: Dict[ECPoint, int]
-    add: List[List[int]]  # add[i][j] = index of points[i] + points[j]
-    neg: List[int]  # neg[i] = index of -points[i]
-
-    def indices(self, pts: Sequence[ECPoint]) -> List[int]:
-        return [self.index[p] for p in pts]
+    add: List[List[int]]  # add[i][j] = index of P_i + P_j
+    neg: List[int]  # neg[i] = index of -P_i
 
 
 class _CountTables:
@@ -269,23 +272,27 @@ def _point_index(c: EllipticCurve) -> Dict[ECPoint, int]:
     return {p: i for i, p in enumerate(ec_points(c))}
 
 
+def _indices(c: EllipticCurve, pts: Sequence[ECPoint]) -> List[int]:
+    return list(map(_point_index(c).__getitem__, pts))
+
+
 @functools.lru_cache(maxsize=None)
 def _group(c: EllipticCurve) -> _GroupTable:
     index = _point_index(c)
-    pts = list(index)
-    add = [[index[_chord_tangent(c, p, r)] for r in pts] for p in pts]
-    neg = [index[ec_neg(c, p)] for p in pts]
-    return _GroupTable(pts, index, add, neg)
+    add = [[index[_chord_tangent(c, p, r)] for r in index] for p in index]
+    neg = [index[ec_neg(c, p)] for p in index]
+    return _GroupTable(add, neg)
 
 
 def ec_point_count(c: EllipticCurve) -> int:
-    """The number of rational points, O included: ``_point_counts`` at c's a6.
+    """The number of rational points, O included: c's a6 read from one
+    ``_point_counts`` pass over every a6 of its prefix.
 
     Limited to the fields of the curve search, since in characteristic 2 it
     builds q trace masks of q bits each.
     """
     _check_curve_order(c.field)
-    return next(_point_counts(c.field, c.a1, c.a2, c.a3, c.a4, c.a6))[1]
+    return dict(_point_counts(c.field, c.a1, c.a2, c.a3, c.a4))[c.a6]
 
 
 @functools.lru_cache(maxsize=1)
@@ -315,11 +322,9 @@ def _trace_mask(tab: _CountTables, row: Sequence[int]) -> int:
     return int("".join(map(tab.trace_bit.__getitem__, row)), 2)
 
 
-def _point_counts(
-    f: FieldSpec, a1: int, a2: int, a3: int, a4: int, start: int = 0
-) -> Iterator[Tuple[int, int]]:
-    """(a6, number of rational points) for every a6 >= start, ascending, that
-    makes y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 nonsingular.
+def _point_counts(f: FieldSpec, a1: int, a2: int, a3: int, a4: int) -> Iterator[Tuple[int, int]]:
+    """(a6, number of rational points) for every a6, ascending, that makes
+    y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 nonsingular.
 
     The discriminant c2 a6^2 + c1 a6 + c0 is evaluated over every a6 as one
     row, and an a6 where it is 0 is never counted; a prefix singular for
@@ -352,7 +357,7 @@ def _point_counts(
         w, masks = _trace_masks(f, a1, a3)
         gm = _trace_mask(tab, f.mul_rows(g, w))
         base = 2 * f.q + 1 - w.count(0)
-        for a6 in range(start, f.q):
+        for a6 in range(f.q):
             if disc[a6]:
                 yield a6, base - 2 * (gm ^ masks[a6]).bit_count()
         return
@@ -360,9 +365,9 @@ def _point_counts(
     if a1 or a3:
         g = f.add_rows(g, f.mul_rows(f.mul_rows(b, b), rep(f.inv(f.scalar(4)))))
     gather = operator.itemgetter(*g)
-    window = operator.itemgetter(*f.add_rows(xs, rep(start)))(tab.roots) if start else tab.roots
-    for a6 in range(start, f.q):
-        if a6 > start:
+    window = tab.roots
+    for a6 in range(f.q):
+        if a6:
             window = tab.step[a6](window)
         if disc[a6]:
             yield a6, 1 + sum(gather(window))
@@ -455,24 +460,43 @@ def window_check(a: EvalArrangement) -> bool:
 
 
 def _window_violations(c: EllipticCurve, pts: List[Tuple[int, int]], k: int) -> List[int]:
-    """Starts i of the cyclic k-windows pts[i], ..., pts[i+k-1] that sum to O.
+    """Starts i of the cyclic k-windows pts[i], ..., pts[i+k-1] that sum to O."""
+    return [i for i, s in enumerate(_window_sums(_group(c), _indices(c, pts), k)) if s == 0]
+
+
+def _window_sums(g: _GroupTable, idx: Sequence[int], k: int) -> List[int]:
+    """The sums of the n cyclic k-windows of the points idx (as indices),
+    entry i the sum of idx[i], ..., idx[i+k-1] (mod n).
 
     One running sum slides along the sequence: each step adds the negative
     of the point leaving the window and the point entering it.
     """
-    g = _group(c)
     add, neg = g.add, g.neg
-    idx = g.indices(pts)
     n = len(idx)
     s = 0
     for t in range(k):
         s = add[s][idx[t % n]]
-    out = []
+    sums = []
     for i in range(n):
-        if s == 0:
-            out.append(i)
+        sums.append(s)
         s = add[add[s][neg[idx[i]]]][idx[(i + k) % n]]
-    return out
+    return sums
+
+
+def _swap(g: _GroupTable, seq: List, idx: List[int], sums: List[int], i: int, k: int) -> None:
+    """Transpose positions i and j = i + 1 (mod n) of seq and of its indices
+    idx, in place, keeping sums the ``_window_sums`` of idx.  Only two
+    windows hold one of the two points: the window ending at i, which
+    trades idx[i] for idx[j], and the window starting at j, which trades
+    idx[j] for idx[i]; every other window holds both or neither.  A swap is
+    its own inverse."""
+    j = (i + 1) % len(idx)
+    a, b = idx[i], idx[j]
+    end = (i - k + 1) % len(idx)
+    sums[end] = g.add[g.add[sums[end]][b]][g.neg[a]]
+    sums[j] = g.add[g.add[sums[j]][a]][g.neg[b]]
+    seq[i], seq[j] = seq[j], seq[i]
+    idx[i], idx[j] = b, a
 
 
 def subset_sum_count(a: EvalArrangement) -> int:
@@ -498,10 +522,10 @@ def subset_sum_count(a: EvalArrangement) -> int:
     n, k = a.n, a.k
     width = math.comb(n, min(k, n - k)).bit_length()
     rep = itertools.repeat
-    counts = [0] * len(g.points)
+    counts = [0] * len(g.neg)
     counts[0] = 1  # the empty subset; index 0 is O
     lo = top = 0
-    for i, pi in enumerate(g.indices(a.points)):
+    for i, pi in enumerate(_indices(a.curve, a.points)):
         moved = operator.itemgetter(*g.add[g.neg[pi]])(counts)
         if lo < k - (n - 1 - i):
             lo += 1
@@ -558,12 +582,12 @@ class _PackedStaircase:
         """The packed columns of the k rows of g at a's points, in a's order,
         a list per digit table, at ``stride``."""
         f, k = self.curve.field, a.k
-        index = _point_index(self.curve)
         if k > self.k:
-            tables, self.stride = f.pack_columns(_staircase_rows(f, list(index)[1:], k))
+            affine = list(_point_index(self.curve))[1:]
+            tables, self.stride = f.pack_columns(_staircase_rows(f, affine, k))
             self.tables = [[0, *table] for table in tables]
             self.k = k
-        idx = list(map(index.__getitem__, a.points))
+        idx = _indices(self.curve, a.points)
         mask = (1 << 8 * self.stride * k) - 1  # the low bits hold the first k slots
         return [[table[i] & mask for i in idx] for table in self.tables]
 
@@ -582,8 +606,7 @@ def _paired_points(c: EllipticCurve) -> Tuple[List[Tuple[int, int]], List[Tuple[
     The paired list P_1, P_2, ... places each point's negative adjacently,
     taking points in ascending coordinate order; P_{2i-1} + P_{2i} = O.
     """
-    g = _group(c)
-    pts, neg = g.points, g.neg
+    pts, neg = list(_point_index(c)), _group(c).neg
     flat: List[Tuple[int, int]] = []
     torsion: List[Tuple[int, int]] = []
     for i in range(1, len(pts)):
@@ -642,31 +665,18 @@ def _step1_sequence(
 def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
     """One pass of the SWITCH repairs: a window summing to O swaps its first
     element with the predecessor (or its last with the successor when the
-    window wraps past the seam), in place.  One running sum slides along
-    the windows, as in ``_window_violations``, and is summed afresh after
-    each swap, since a swap can move a point into or out of the next
-    window."""
+    window wraps past the seam), in place.  The windows are read in order
+    from one ``_window_sums`` array that each ``_swap`` keeps current, so a
+    window reads the sequence as the earlier swaps left it."""
     g = _group(c)
-    add, neg = g.add, g.neg
-    idx = g.indices(seq)
+    idx = _indices(c, seq)
+    sums = _window_sums(g, idx, k)
     n = len(seq)
-    s = None  # the sum of the window at start, summed afresh after a swap
     for start in range(n):
-        if s is None:
-            s = 0
-            for t in range(start, start + k):
-                s = add[s][idx[t % n]]
-        if s != 0:
-            s = add[add[s][neg[idx[start]]]][idx[(start + k) % n]]
-            continue
-        last = (start + k - 1) % n
-        if last < start:  # wrapped window: push its tail forward
-            i, j = last, (last + 1) % n
-        else:
-            i, j = (start - 1) % n, start
-        seq[i], seq[j] = seq[j], seq[i]
-        idx[i], idx[j] = idx[j], idx[i]
-        s = None
+        if not sums[start]:
+            last = (start + k - 1) % n
+            # a wrapped window pushes its tail forward
+            _swap(g, seq, idx, sums, last if last < start else (start - 1) % n, k)
 
 
 def _local_rearrange(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> bool:
@@ -677,24 +687,24 @@ def _local_rearrange(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> bo
     that leaves fewer.  Every step lowers the count of windows summing to O,
     so the loop ends within n steps; False means no transposition lowered it.
     """
+    g = _group(c)
+    idx = _indices(c, seq)
+    sums = _window_sums(g, idx, k)
     n = len(seq)
-    violations = _window_violations(c, seq, k)
-    while violations:
-        first, best = violations[0], None
+    while 0 in sums:
+        count, first, best = sums.count(0), sums.index(0), None
         for i in ((first + t) % n for t in range(-1, k)):
-            j = (i + 1) % n
-            seq[i], seq[j] = seq[j], seq[i]
-            after = _window_violations(c, seq, k)
-            seq[i], seq[j] = seq[j], seq[i]
+            _swap(g, seq, idx, sums, i, k)
+            after = sums.count(0)
+            _swap(g, seq, idx, sums, i, k)
             if not after:
-                best = i, j, after
+                best = i
                 break
-            if best is None and len(after) < len(violations):
-                best = i, j, after
+            if best is None and after < count:
+                best = i
         if best is None:
             return False
-        i, j, violations = best
-        seq[i], seq[j] = seq[j], seq[i]
+        _swap(g, seq, idx, sums, best, k)
     return True
 
 
@@ -781,9 +791,15 @@ def ec_verdict(a: EvalArrangement, h: CodeMatrix) -> PairCertificate:
     span.  So rank h is taken only when the window check passed and h g^T =
     0, by eliminating h_F; when it is n - k, F is recorded as h's column
     basis.
+
+    At k = 1 the code is the constant words, and the nonzero ones have pair
+    weight n < n - k + 2, so, as ``check_mds_conditions`` does for
+    r > n - 2, the verdict raises ParameterError for k < 2.
     """
     f = a.curve.field
     n, k = a.n, a.k
+    if k < 2:
+        raise ParameterError(f"the elliptic verdict needs k >= 2, got k={k}")
     window_ok = window_check(a)
     product_zero = False
     if h.cols == n:

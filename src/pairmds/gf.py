@@ -29,17 +29,18 @@ the subgroup generated by x at a time, so a general product is needed only
 once per coset.
 
 Vector kernels run a whole vector through the tables in one pass:
-``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination,
-``mul_rows``, ``add_rows`` and ``sub_rows`` the elementwise steps of the
-batched window determinants, the elliptic generator matrix and codeword
-enumeration, ``minor_rows`` the elementwise a*b - c*d of the window
-determinants, ``pack_columns`` and ``vanishing`` the vanishing-product
-kernel (which u . v are 0, for the elliptic h g^T: the vectors' columns
-packed once into ints, little-endian on every host, then one pass over them
-per u), ``addition_rows`` the addition-table rows that codeword enumeration
-reads whole cosets from, and ``normal_form`` and ``project`` the
-project-and-normalise step of the checker's dependent-set search;
-``project`` maps every later vector from one pivot in one call, and
+``FieldSpec.row_sub_mul`` is the row step of Gaussian elimination and,
+at c = 1, every elementwise difference of rows (codeword enumeration's steps,
+the null-space basis, pair distances), ``mul_rows`` and ``add_rows`` the
+elementwise steps of the batched window determinants, the elliptic
+generator matrix and codeword enumeration, ``minor_rows`` the elementwise
+a*b - c*d of the window determinants, ``pack_columns`` and ``vanishing``
+the vanishing-product kernel (which u . v are 0, for the elliptic h g^T:
+the vectors' columns packed once into ints, little-endian on every host,
+then one pass over them per u), ``addition_rows`` the addition-table rows
+that codeword enumeration reads whole cosets from, and ``normal_form`` and
+``project`` the project-and-normalise step of the checker's dependent-set
+search; ``project`` maps every later vector from one pivot in one call, and
 ``project_codes`` does the same for 3- and 4-coordinate vectors and gives
 their images as ints, from the pivots (1, ...) and (0, 1, b) in one
 comprehension of table lookups that reads the logs of the differences from
@@ -351,19 +352,6 @@ class FieldSpec:
             x *= q
             out += add[x:x + q]
         return out
-
-    def sub_rows(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
-        """The elementwise difference u - v of two rows (as long as the shorter)."""
-        if self.a == 1:
-            p = self.p
-            return [(x - y) % p for x, y in zip(u, v)]
-        if self.p == 2:
-            return [x ^ y for x, y in zip(u, v)]
-        neg, add = self._neg, self._add
-        if add is not None:
-            q = self.q
-            return [add[x * q + neg[y]] for x, y in zip(u, v)]
-        return [self._add_digits(x, neg[y]) for x, y in zip(u, v)]
 
     def pack_columns(self, vectors: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
         """The packed columns of the vanishing-product kernel (``vanishing``)

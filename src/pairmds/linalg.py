@@ -288,7 +288,7 @@ def null_space(m: CodeMatrix) -> CodeMatrix:
                 row = f.row_sub_mul(row, x, rref[j])
         rref[i] = row
     zero = [0] * len(free)
-    minus = [f.sub_rows(zero, row) for row in rref]
+    minus = [f.row_sub_mul(zero, 1, row) for row in rref]
     basis = []
     for c, column in zip(free, zip(*minus) if minus else itertools.repeat(())):
         v = [0] * n
@@ -387,7 +387,7 @@ def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterat
     # deltas[d][v]: row to add to the base when digit m + d steps from code v
     # to v + 1 (mod q); stepping by integer code is not a field increment, so
     # each step carries its own row
-    deltas = [[f.sub_rows(rows[(v + 1) % q], rows[v]) for v in range(q)] for rows in multiples[m:]]
+    deltas = [[f.row_sub_mul(r[(v + 1) % q], 1, r[v]) for v in range(q)] for r in multiples[m:]]
     base = [0] * n
     digits = [0] * (k - m)
     yield from coset(base)

@@ -87,7 +87,7 @@ def pair_distance(f: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     """d_p(u, v) = pair weight of u - v."""
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    return pair_weight(f.sub_rows(u, v))
+    return pair_weight(f.row_sub_mul(u, 1, v))
 
 
 def min_pair_distance_bruteforce(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -395,7 +395,7 @@ def _elliptic_form_negated(f, ys, zs):
     cz2 = f.mul_rows(repeat(_elliptic_form_c(f)), f.mul_rows(zs, zs))
     if f.p == 2:
         return f.add_rows(f.mul_rows(ys, f.add_rows(ys, zs)), cz2)
-    return f.sub_rows(cz2, f.mul_rows(ys, ys))
+    return f.row_sub_mul(cz2, 1, f.mul_rows(ys, ys))
 
 
 def _on_elliptic_quadric(f, cols, forms):

@@ -11,7 +11,15 @@ from collections import deque
 
 from pairmds.d5 import _block_columns, location_exclusions
 from pairmds.d6 import DEFAULT_MAX_STATES, _schedule
-from pairmds.ecmds import EllipticCurve, _group, _window_violations, ec_add, ec_points, n_max
+from pairmds.ecmds import (
+    EllipticCurve,
+    _group,
+    _point_index,
+    _window_violations,
+    ec_add,
+    ec_points,
+    n_max,
+)
 from pairmds.errors import ParameterError
 from pairmds.linalg import CodeMatrix, det4, enumerate_codewords, null_space, rank_of_vectors
 from pairmds.pairmetric import (
@@ -170,7 +178,11 @@ def window_dets3(f, rows):
     per product or sum.
     """
     r0, r1, r2 = (list(r) + list(r[:2]) for r in rows)
-    mul, sub = f.mul_rows, f.sub_rows
+    mul = f.mul_rows
+
+    def sub(u, v):
+        return f.row_sub_mul(u, 1, v)
+
     m1 = sub(mul(r1, r2[1:]), mul(r1[1:], r2))
     m2 = sub(mul(r1, r2[2:]), mul(r1[2:], r2))
     return sub(mul(r0, m1[1:]), sub(mul(r0[1:], m2), mul(r0[2:], m1)))
@@ -425,12 +437,13 @@ def subset_sum_count_by_size(a):
     longer reach k.
     """
     g = _group(a.curve)
-    ng = len(g.points)
+    index = _point_index(a.curve)
+    ng = len(index)
     k = a.k
     n = len(a.points)
     counts = [[0] * ng for _ in range(k + 1)]
     counts[0][0] = 1  # index 0 is O
-    for i, pi in enumerate(g.indices(a.points)):
+    for i, pi in enumerate(index[p] for p in a.points):
         row = g.add[pi]
         for size in range(min(k, i + 1), max(0, k - (n - i)), -1):
             prev = counts[size - 1]
@@ -478,7 +491,7 @@ def switch_pass_by_resumming(c, seq, k):
     earlier swaps left it; in place."""
     g = _group(c)
     add = g.add
-    idx = g.indices(seq)
+    idx = [_point_index(c)[p] for p in seq]
     n = len(seq)
     for start in range(n):
         s = 0

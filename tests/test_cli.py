@@ -175,6 +175,31 @@ def test_dimension_one_rs_file_exit_2(tmp_path, capsys, oracle):
     assert captured.err == "error: need n >= r + 2, got n=6, r=5 rows\n"
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_dimension_one_elliptic_file_exit_2(tmp_path, capsys, oracle):
+    # k = 1 on five points of the maximal curve over GF(7): the constant
+    # words have pair weight n = 5, short of the n - k + 2 = 6 that the file
+    # claims, and the verdict refuses the claim before it decides anything
+    f = field_of_order(7)
+    curve = ecmds.find_maximal_curve(f)
+    points = ecmds.ec_points(curve)[1:6]
+    h = null_space(ecmds.generator_matrix(ecmds.EvalArrangement(curve, tuple(points), 1)))
+    assert pairmetric.min_pair_distance_bruteforce(LinearCode(h)) == 5
+    cert = PairCertificate(q=7, n=5, d_pair=6, dim_exponent=1, route=ROUTE_EC, ok=True)
+    provenance = {
+        "construction": "elliptic",
+        "curve": list(curve.coefficients()),
+        "points": [list(p) for p in points],
+        "k": 1,
+    }
+    path = tmp_path / "ec.json"
+    path.write_text(json.dumps(_code_file(f, LinearCode(h), cert, provenance)))
+    assert run(["verify", str(path)] + oracle) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the elliptic verdict needs k >= 2, got k=1\n"
+
+
 def test_search_cap_is_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
     # row 1 of the Reed-Solomon matrix scaled by 2: the same MDS code, but
     # its columns are off the normal rational curve, so the check searches

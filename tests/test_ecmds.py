@@ -634,14 +634,14 @@ def test_float_curve_coefficient_rejected():
 
 @pytest.mark.parametrize("q", [13, 16])
 def test_group_table_matches_group_law(q):
+    # the table names each point by its index in the curve's one point list
     c = find_maximal_curve(field_of_order(q))
     g = ecmds._group(c)
-    assert g.points == ec_points(c)
-    assert [g.index[p] for p in g.points] == list(range(len(g.points)))
-    for i, p in enumerate(g.points):
-        assert g.neg[i] == g.index[ec_neg(c, p)]
-        for j, r in enumerate(g.points):
-            assert g.add[i][j] == g.index[ec_add(c, p, r)]
+    index = ecmds._point_index(c)
+    pts = ec_points(c)
+    assert list(index.items()) == list(zip(pts, range(len(pts))))
+    assert g.neg == [index[ec_neg(c, p)] for p in pts]
+    assert g.add == [[index[ec_add(c, p, r)] for r in pts] for p in pts]
 
 
 @pytest.mark.parametrize("q", [13, 16])
@@ -684,8 +684,34 @@ def _window_case(draw):
 def test_sliding_window_violations_match_definition(case):
     c, pts, k = case
     n = len(pts)
-    want = [i for i in range(n) if ec_sum(c, [pts[(i + t) % n] for t in range(k)]) is None]
-    assert ecmds._window_violations(c, pts, k) == want
+    index = ecmds._point_index(c)
+    sums = [ec_sum(c, [pts[(i + t) % n] for t in range(k)]) for i in range(n)]
+    assert ecmds._window_sums(ecmds._group(c), [index[p] for p in pts], k) == [
+        index[s] for s in sums
+    ]
+    assert ecmds._window_violations(c, pts, k) == [i for i, s in enumerate(sums) if s is None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_window_case(), data=st.data())
+def test_swaps_keep_the_window_sums_current(case, data):
+    # after any run of swaps the maintained sums are the sums of the
+    # sequence as it stands, and a swap done twice restores every list
+    c, pts, k = case
+    n = len(pts)
+    g, index = ecmds._group(c), ecmds._point_index(c)
+    seq = list(pts)
+    idx = [index[p] for p in seq]
+    sums = ecmds._window_sums(g, idx, k)
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
+        before = (list(seq), list(idx), list(sums))
+        ecmds._swap(g, seq, idx, sums, i, k)
+        assert (seq[i], seq[(i + 1) % n]) == (before[0][(i + 1) % n], before[0][i])
+        assert idx == [index[p] for p in seq]
+        assert sums == ecmds._window_sums(g, idx, k)
+        ecmds._swap(g, seq, idx, sums, i, k)
+        assert (seq, idx, sums) == before
+        ecmds._swap(g, seq, idx, sums, i, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -808,6 +834,13 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
         rows = [row[:c] + row[c + 1:] for row in rows]
     elif mutation == "extra-column":
         rows = [row + [rng.randrange(q)] for row in rows]
+    if a.k == 1:
+        # the constant words weigh n < n - k + 2: no claim to decide
+        for check in (check_ec_conditions, ec_verdict):
+            with pytest.raises(ParameterError, match="needs k >= 2"):
+                check(a, CodeMatrix.from_rows(f, rows))
+        event(f"{mutation}: k = 1 refused")
+        return
     want = _ec_verdict_by_full_rank(a, generator_matrix(a), CodeMatrix.from_rows(f, rows))
     mutated = CodeMatrix.from_rows(f, rows)
     cert = check_ec_conditions(a, mutated)
@@ -901,11 +934,47 @@ def test_verdict_product_decision_is_the_orthogonal_kernel_on_the_staircase(q):
                 variants.append(changed)
             for rows in variants:
                 want = all(map(all, orthogonal(f, rows, ecmds._staircase_rows(f, a.points, k))))
-                verdict = ec_verdict(a, CodeMatrix.from_rows(f, rows))
+                h = CodeMatrix.from_rows(f, rows)
+                cases += 1
+                if k == 1:
+                    # the constant words weigh n < n - k + 2: no claim to decide
+                    with pytest.raises(ParameterError, match="needs k >= 2"):
+                        ec_verdict(a, h)
+                    continue
+                verdict = ec_verdict(a, h)
                 assert (verdict.failed_condition != "parity-generator-product") == want, (n, k)
                 assert verdict.ok == want
-                cases += 1
     assert cases >= 42
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_every_passing_verdict_is_the_brute_force_pair_distance(q):
+    # the verdict on three shuffles of the affine points cut to each n, at
+    # k <= 3, with h the null space of g: each passing verdict at k >= 2 is
+    # the pair distance by enumeration, and each other one fails the window
+    # check; at k = 1 the constant words weigh n < n - k + 2, and the
+    # verdict refuses the claim
+    c = find_maximal_curve(field_of_order(q))
+    rng = random.Random(q)
+    affine = ec_points(c)[1:]
+    passed = 0
+    for k in (1, 2, 3):
+        for n in range(k + 2, len(affine) + 1):
+            for _ in range(3):
+                a = EvalArrangement(c, tuple(rng.sample(affine, n)), k)
+                h = null_space(generator_matrix(a))
+                pair_distance = min_pair_distance_bruteforce(LinearCode(h))
+                if k == 1:
+                    assert pair_distance == n
+                    with pytest.raises(ParameterError, match="needs k >= 2"):
+                        ec_verdict(a, h)
+                    continue
+                verdict = ec_verdict(a, h)
+                assert verdict.failed_condition in (None, "window-check")
+                if verdict.ok:
+                    passed += 1
+                    assert pair_distance == n - k + 2, (n, k, a.points)
+    assert passed >= 15
 
 
 @pytest.mark.parametrize("q", [13, 16, 25, 243])

@@ -58,7 +58,7 @@ def _construct(f: FieldSpec, n: int, d_pair: int):
     if d_pair < 3:
         raise ParameterError("pair distance must be at least 3")
     if n < d_pair:
-        raise ParameterError(f"n must be at least d_pair = {d_pair}")
+        raise ParameterError(f"n must be at least d_pair {_shown(d_pair)}")
     if n <= f.q + 1:
         h = rs_parity_check(f, n, d_pair - 2)
         cert = check_mds_conditions(h)
@@ -263,7 +263,7 @@ def _feasible_lengths(f: FieldSpec, d_pair: int) -> List[int]:
         return list(range(6, q * q + 2))
     if d_pair >= 7:
         return list(range(d_pair, ecmds.n_max(f) - 2))
-    raise ParameterError(f"no length sweep for d_pair={d_pair}")
+    raise ParameterError(f"no length sweep for d_pair={_shown(d_pair)}")
 
 
 def cmd_table(args) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .gf import FieldSpec
+from .gf import FieldSpec, _shown
 from .linalg import CodeMatrix, LinearCode
 from .pairmetric import (
     COND_DEPENDENT_SET_EXISTS,
@@ -219,7 +219,7 @@ def build_h(f: FieldSpec, n: int) -> Tuple[CodeMatrix, PairCertificate]:
     q = f.q
     n_max = q * q + q + 1
     if not 5 <= n <= n_max:
-        raise ParameterError(f"n must lie in [5, q^2+q+1] = [5, {n_max}], got {n}")
+        raise ParameterError(f"n must lie in [5, q^2+q+1] = [5, {n_max}], got {_shown(n)}")
     full = _full_columns(f)
     e3: Column = (0, 0, 1)
     if q == 2:

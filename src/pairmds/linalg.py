@@ -13,9 +13,11 @@ matrix is eliminated twice.  Also: small determinants (a 4x4 determinant by
 window of a d-row matrix at once, for the 3 and 4 rows of the pair-distance
 5 and 6 parity checks, by cofactor expansion on the field's row kernels,
 each a*b - c*d one ``minor_rows`` pass, for the checker's condition 3);
-codeword enumeration for brute-force oracles (a block of low-digit words
-built once, and each coset of it read from the field's addition table in
-C); and the Reed-Solomon parity check used for short lengths.
+codeword enumeration for brute-force oracles (one generator lists the sums
+of basis-row multiples in word order, both a block of low-digit words,
+built once, and the coset bases; each coset of the block is read from the
+field's addition table in C); and the Reed-Solomon parity check used for
+short lengths.
 """
 
 from __future__ import annotations
@@ -330,6 +332,19 @@ class LinearCode:
         return null_space(self.parity_check)
 
 
+def _sums(f: FieldSpec, multiples: Sequence[Sequence[List[int]]], n: int) -> Iterator[List[int]]:
+    """Every sum of one row from each list of `multiples`, the first list's
+    row varying fastest: sum i takes row c_d of list d, c_d base-q digit d
+    of i.  Each sum is one ``FieldSpec.add_rows`` pass onto a sum of the
+    later lists; with no lists, the one sum is the zero row of length n."""
+    if not multiples:
+        yield [0] * n
+        return
+    for rest in _sums(f, multiples[1:], n):
+        for row in multiples[0]:
+            yield f.add_rows(row, rest)
+
+
 def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Tuple[int, ...]]:
     """Yield all q^k codewords exactly once, as tuples, starting with the zero word.
 
@@ -337,15 +352,14 @@ def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterat
     b_d, where c_d is base-q digit d of i (digit 0 the least significant)
     read as an element code.
 
-    The words of the low m digits (the fewest with q^m >= _BLOCK_WORDS) form
-    a block, built once.  Every word is a coset base, the sum over the other
-    digits, plus a block word; an odometer over those digits moves the base
-    by one delta row per digit step, through ``FieldSpec.add_rows``.  Block
-    word w is kept as the itemgetter of positions j * q + w_j, so applied to
-    the addition-table rows of the base, concatenated
-    (``FieldSpec.addition_rows``), it returns the tuple base + w in C, with
-    no field call per element.  Fields without an addition table take
-    m = 0: each word is one odometer step.
+    One generator, ``_sums``, lists the sums of basis-row multiples in word
+    order.  The words of the low m digits (the fewest with q^m >=
+    _BLOCK_WORDS) form a block: word w is kept only as the itemgetter of
+    positions j * q + w_j, so applied to the addition-table rows of a base,
+    concatenated (``FieldSpec.addition_rows``), it returns the tuple
+    base + w in C, with no field call per element.  The bases are the sums
+    over the other digits, and every word is a base plus a block word.
+    Fields without an addition table take m = 0: every word is a base.
     """
     f = code.field
     q = f.q
@@ -361,48 +375,17 @@ def enumerate_codewords(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterat
     if q <= ADD_TABLE_MAX_ORDER:
         while m < k and q**m < _BLOCK_WORDS:
             m += 1
-    if m:
-        block = [[0] * n]
-        for rows in multiples[:m - 1]:
-            block = [f.add_rows(row, w) for row in rows for w in block]
-        # the last digit's words go straight into their getters, so the
-        # whole block never exists as lists; n >= 2 (k >= 1 and H has a
-        # row), so every getter returns a tuple
-        offsets = range(0, n * q, q)
-        getters = [
-            operator.itemgetter(*map(operator.add, offsets, f.add_rows(row, w)))
-            for row in multiples[m - 1]
-            for w in block
-        ]
-        call = operator.itemgetter.__call__
-
-        def coset(base):
-            return map(call, getters, itertools.repeat(f.addition_rows(base)))
-
-    else:
-
-        def coset(base):
-            return (tuple(base),)
-
-    # deltas[d][v]: row to add to the base when digit m + d steps from code v
-    # to v + 1 (mod q); stepping by integer code is not a field increment, so
-    # each step carries its own row
-    deltas = [[f.row_sub_mul(r[(v + 1) % q], 1, r[v]) for v in range(q)] for r in multiples[m:]]
-    base = [0] * n
-    digits = [0] * (k - m)
-    yield from coset(base)
-    for _ in range(q ** (k - m) - 1):
-        d = 0
-        while True:
-            v = digits[d]
-            base = f.add_rows(base, deltas[d][v])
-            if v == q - 1:
-                digits[d] = 0
-                d += 1
-            else:
-                digits[d] = v + 1
-                break
-        yield from coset(base)
+    bases = _sums(f, multiples[m:], n)
+    if not m:
+        yield from map(tuple, bases)
+        return
+    # n >= 2 (k >= 1 and H has a row), so every getter returns a tuple
+    offsets = range(0, n * q, q)
+    block = _sums(f, multiples[:m], n)
+    getters = [operator.itemgetter(*map(operator.add, offsets, w)) for w in block]
+    call = operator.itemgetter.__call__
+    for base in bases:
+        yield from map(call, getters, itertools.repeat(f.addition_rows(base)))
 
 
 def rs_parity_check(f: FieldSpec, n: int, r: int) -> CodeMatrix:

@@ -485,6 +485,49 @@ def local_rearrange_by_bfs(c, seq, k, attempts=10_000):
     return None
 
 
+def local_rearrange_by_resumming(c, seq, k):
+    """The greedy descent of ``_local_rearrange``, with every k-window summed
+    from scratch through the group table for each candidate transposition;
+    in place.  A step tries the first zero window's k + 1 transpositions,
+    (first + t) % n with its successor for t = -1 ... k - 1, in order, and
+    takes the first that clears every window, else the first that leaves
+    fewer; False when none leaves fewer."""
+    add = _group(c).add
+    index = _point_index(c)
+    n = len(seq)
+
+    def zero_windows():
+        idx = [index[p] for p in seq]
+        starts = []
+        for start in range(n):
+            s = 0
+            for t in range(start, start + k):
+                s = add[s][idx[t % n]]
+            if s == 0:
+                starts.append(start)
+        return starts
+
+    def swap(i):
+        j = (i + 1) % n
+        seq[i], seq[j] = seq[j], seq[i]
+
+    while zeros := zero_windows():
+        best = None
+        for i in ((zeros[0] + t) % n for t in range(-1, k)):
+            swap(i)
+            after = len(zero_windows())
+            swap(i)
+            if not after:
+                best = i
+                break
+            if best is None and after < len(zeros):
+                best = i
+        if best is None:
+            return False
+        swap(best)
+    return True
+
+
 def switch_pass_by_resumming(c, seq, k):
     """One SWITCH pass as it stood before its window sum slid: every
     k-window summed from scratch, O(n k) per pass, on the sequence as the

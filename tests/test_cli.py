@@ -579,15 +579,21 @@ def test_verifying_an_elliptic_file_builds_only_its_parity_check(monkeypatch):
      "element code of 4001 digits is not an integer in 0..4"),
     ("verify", _set("p", value=10**4000),
      "declared p of 4001 digits, a 1 is not the field of order 5"),
-    ("construct --n 13 --dpair 5 --q", None, "field order of 4001 digits exceeds"),
-    ("table --dpair 5 --q", None, "field order of 4001 digits exceeds"),
-    ("ec-search --q", None, "field order of 4001 digits exceeds"),
-], ids=["verify-q", "verify-entry", "verify-p", "construct", "table", "ec-search"])
+    ("construct --n 13 --dpair 5 --q {big}", None, "field order of 4001 digits exceeds"),
+    ("table --dpair 5 --q {big}", None, "field order of 4001 digits exceeds"),
+    ("ec-search --q {big}", None, "field order of 4001 digits exceeds"),
+    ("construct --q 5 --dpair 5 --n {big}", None, "= [5, 31], got of 4001 digits"),
+    ("construct --q 9 --dpair 6 --n {big}", None, "= [6, 82], got of 4001 digits"),
+    ("construct --q 7 --n 10 --dpair {big}", None, "n must be at least d_pair of 4001 digits"),
+    ("table --q 7 --dpair -{big}", None, "no length sweep for d_pair=of 4001 digits"),
+], ids=["verify-q", "verify-entry", "verify-p", "construct", "table", "ec-search",
+        "construct-n-d5", "construct-n-d6", "construct-dpair", "table-dpair"])
 def test_long_integer_is_named_by_its_digit_count(tmp_path, capsys, argv, mutate, message):
-    # a 4,001-digit order or p from the command line or a code file, or a
-    # 4,001-digit matrix entry, would otherwise fill a 4 kB error line
+    # a 4,001-digit order, p, length or pair distance from the command line
+    # or a code file, or a 4,001-digit matrix entry, would otherwise fill a
+    # 4 kB error line
     if mutate is None:
-        args = argv.split() + [str(10**4000)]
+        args = argv.format(big=10**4000).split()
     else:
         doc = json.loads(_base_text("d5"))
         mutate(doc)

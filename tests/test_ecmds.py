@@ -38,6 +38,7 @@ from reference import (
     ec_sum,
     first_maximal_curve,
     independent_points,
+    local_rearrange_by_resumming,
     min_hamming_distance_bruteforce,
     orthogonal,
     subset_sum_count_by_size,
@@ -712,6 +713,22 @@ def test_swaps_keep_the_window_sums_current(case, data):
         ecmds._swap(g, seq, idx, sums, i, k)
         assert (seq, idx, sums) == before
         ecmds._swap(g, seq, idx, sums, i, k)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_local_rearrange_is_the_resumming_descent(q):
+    # random shuffles, unlike arrange's paired layouts, can leave the descent
+    # no clearing transposition and several that leave fewer windows summing
+    # to O (11 of these 300), so its tie rule, the first of those, decides
+    c = find_maximal_curve(field_of_order(q))
+    pool = ec_points(c)[1:]
+    rng = random.Random(q)
+    for _ in range(50):
+        seq = rng.sample(pool, rng.randint(3, len(pool)))
+        k = rng.randint(1, len(seq) - 1)
+        want = list(seq)
+        assert ecmds._local_rearrange(c, seq, k) == local_rearrange_by_resumming(c, want, k)
+        assert seq == want, (len(seq), k)
 
 
 @functools.lru_cache(maxsize=None)

@@ -235,10 +235,10 @@ def random_code(q, n, k, seed):
 
 # (q, n, k): prime, binary, odd extensions with an addition table and (729)
 # without one; the block is the whole code (m = k) or leaves cosets, whose
-# odometer carries across more than one digit
+# bases run over one, two or (at q = 3, k = 7: m = 4) three digits
 ENUM_CASES = [
     (5, 6, 2), (5, 7, 4), (13, 5, 3), (2, 12, 8), (4, 5, 2), (8, 6, 3),
-    (9, 5, 3), (27, 4, 2), (25, 5, 3), (729, 3, 1), (729, 2, 1),
+    (9, 5, 3), (27, 4, 2), (25, 5, 3), (729, 3, 1), (729, 2, 1), (3, 10, 7),
 ]
 
 

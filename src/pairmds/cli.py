@@ -255,15 +255,19 @@ def cmd_verify(args) -> int:
 
 def _feasible_lengths(f: FieldSpec, d_pair: int) -> List[int]:
     q = f.q
+    lengths = []
     if d_pair == 5:
-        return list(range(5, q * q + q + 2))
-    if d_pair == 6:
+        lengths = list(range(5, q * q + q + 2))
+    elif d_pair == 6:
         if q < 3:
             raise ParameterError("pair distance 6 needs q >= 3")
-        return list(range(6, q * q + 2))
-    if d_pair >= 7:
-        return list(range(d_pair, ecmds.n_max(f) - 2))
-    raise ParameterError(f"no length sweep for d_pair={_shown(d_pair)}")
+        lengths = list(range(6, q * q + 2))
+    elif d_pair >= 7:
+        # empty when d_pair exceeds every length the curve allows
+        lengths = list(range(d_pair, ecmds.n_max(f) - 2))
+    if not lengths:
+        raise ParameterError(f"no length sweep for d_pair {_shown(d_pair)}")
+    return lengths
 
 
 def cmd_table(args) -> int:

@@ -57,7 +57,7 @@ from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .gf import FieldSpec, _shown
+from .gf import FieldSpec, _named
 from .linalg import CodeMatrix, EnumerationCapExceeded, LinearCode, det4
 from .pairmetric import _elliptic_form_c, _elliptic_form_negated, check_theorem_conditions
 
@@ -271,7 +271,7 @@ def order_points(o: Ovoid, n: int) -> List[Point]:
     f = o.field
     q = f.q
     if not 6 <= n <= q * q + 1:
-        raise ParameterError(f"n must lie in [6, q^2+1] = [6, {q * q + 1}], got {_shown(n)}")
+        raise ParameterError(f"n must lie in [6, q^2+1] = [6, {q * q + 1}], got {_named('n', n)}")
     even = f.p == 2
     if (even and q < 8) or (not even and q < 5):
         raise ParameterError(f"plane walk needs q >= 5 odd or q >= 8 even, got q={q}")
@@ -292,7 +292,7 @@ def construct_d6(f: FieldSpec, n: int):
     if q < 3:
         raise ParameterError("pair distance 6 needs q >= 3")
     if not 6 <= n <= q * q + 1:
-        raise ParameterError(f"n must lie in [6, q^2+1] = [6, {q * q + 1}], got {_shown(n)}")
+        raise ParameterError(f"n must lie in [6, q^2+1] = [6, {q * q + 1}], got {_named('n', n)}")
     provenance: Dict[str, object] = {"construction": "ovoid"}
     if q == 3:
         cols = _Q3_COLUMNS[:n]

@@ -37,11 +37,16 @@ point named by its index in ``_point_index``.  Every entry is computed once
 by ``ec_neg`` and by ``ec_add``'s formulas without its membership tests,
 since ``ec_points`` lists only points on the curve.  The point index is
 cached apart from the table, so an arrangement checks its points by one
-dict lookup each without building the table.  Since the table grows as
+dict lookup each without building the table.  ``EvalArrangement`` keeps
+those indices, and the window check, the packed columns of the verdict and
+the subset-sum count read them.  Since the table grows as
 N^2, curves are supported over fields of order at most ``MAX_CURVE_ORDER``
 = 2^10, the fields the maximal-curve search covers.
 
-The window sums of a sequence are one array (``_window_sums``: one running
+``arrange`` works on point indices throughout: the paired list, the Step-1
+threading, SWITCH and the descent all move indices, and the points are
+read from the point list once, when the ``EvalArrangement`` is built.  The
+window sums of a sequence are one array (``_window_sums``: one running
 sum slides once along it), and the repairs keep that array current.  A
 transposition of neighbours (``_swap``) changes only the two windows that
 hold one of the two points, so it updates two sums.  SWITCH reads each
@@ -69,7 +74,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
@@ -272,10 +277,6 @@ def _point_index(c: EllipticCurve) -> Dict[ECPoint, int]:
     return {p: i for i, p in enumerate(ec_points(c))}
 
 
-def _indices(c: EllipticCurve, pts: Sequence[ECPoint]) -> List[int]:
-    return list(map(_point_index(c).__getitem__, pts))
-
-
 @functools.lru_cache(maxsize=None)
 def _group(c: EllipticCurve) -> _GroupTable:
     index = _point_index(c)
@@ -430,11 +431,13 @@ def find_maximal_curve(f: FieldSpec) -> EllipticCurve:
 class EvalArrangement:
     """An ordered evaluation set for the divisor G = kO: distinct affine
     rational points, each checked against the curve's ``_point_index``, so
-    curves over fields above ``MAX_CURVE_ORDER`` are rejected."""
+    curves over fields above ``MAX_CURVE_ORDER`` are rejected.  ``indices``
+    keeps each point's index from that check."""
 
     curve: EllipticCurve
     points: Tuple[Tuple[int, int], ...]
     k: int
+    indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.points)
@@ -443,11 +446,15 @@ class EvalArrangement:
         if len(set(self.points)) != n:
             raise ParameterError("evaluation points must be distinct")
         index = _point_index(self.curve)
+        indices = []
         for p in self.points:
-            if p is None:
+            i = index.get(p)
+            if i == 0:
                 raise ParameterError("O cannot be an evaluation point")
-            if p not in index:
+            if i is None:
                 raise ParameterError(f"{p} is not on the curve")
+            indices.append(i)
+        object.__setattr__(self, "indices", tuple(indices))
 
     @property
     def n(self) -> int:
@@ -456,12 +463,7 @@ class EvalArrangement:
 
 def window_check(a: EvalArrangement) -> bool:
     """True iff no k cyclically consecutive points sum to O."""
-    return _window_violations(a.curve, list(a.points), a.k) == []
-
-
-def _window_violations(c: EllipticCurve, pts: List[Tuple[int, int]], k: int) -> List[int]:
-    """Starts i of the cyclic k-windows pts[i], ..., pts[i+k-1] that sum to O."""
-    return [i for i, s in enumerate(_window_sums(_group(c), _indices(c, pts), k)) if s == 0]
+    return 0 not in _window_sums(_group(a.curve), a.indices, a.k)
 
 
 def _window_sums(g: _GroupTable, idx: Sequence[int], k: int) -> List[int]:
@@ -483,9 +485,9 @@ def _window_sums(g: _GroupTable, idx: Sequence[int], k: int) -> List[int]:
     return sums
 
 
-def _swap(g: _GroupTable, seq: List, idx: List[int], sums: List[int], i: int, k: int) -> None:
-    """Transpose positions i and j = i + 1 (mod n) of seq and of its indices
-    idx, in place, keeping sums the ``_window_sums`` of idx.  Only two
+def _swap(g: _GroupTable, idx: List[int], sums: List[int], i: int, k: int) -> None:
+    """Transpose positions i and j = i + 1 (mod n) of the points idx (as
+    indices), in place, keeping sums the ``_window_sums`` of idx.  Only two
     windows hold one of the two points: the window ending at i, which
     trades idx[i] for idx[j], and the window starting at j, which trades
     idx[j] for idx[i]; every other window holds both or neither.  A swap is
@@ -495,7 +497,6 @@ def _swap(g: _GroupTable, seq: List, idx: List[int], sums: List[int], i: int, k:
     end = (i - k + 1) % len(idx)
     sums[end] = g.add[g.add[sums[end]][b]][g.neg[a]]
     sums[j] = g.add[g.add[sums[j]][a]][g.neg[b]]
-    seq[i], seq[j] = seq[j], seq[i]
     idx[i], idx[j] = b, a
 
 
@@ -525,7 +526,7 @@ def subset_sum_count(a: EvalArrangement) -> int:
     counts = [0] * len(g.neg)
     counts[0] = 1  # the empty subset; index 0 is O
     lo = top = 0
-    for i, pi in enumerate(_indices(a.curve, a.points)):
+    for i, pi in enumerate(a.indices):
         moved = operator.itemgetter(*g.add[g.neg[pi]])(counts)
         if lo < k - (n - 1 - i):
             lo += 1
@@ -587,9 +588,8 @@ class _PackedStaircase:
             tables, self.stride = f.pack_columns(_staircase_rows(f, affine, k))
             self.tables = [[0, *table] for table in tables]
             self.k = k
-        idx = _indices(self.curve, a.points)
         mask = (1 << 8 * self.stride * k) - 1  # the low bits hold the first k slots
-        return [[table[i] & mask for i in idx] for table in self.tables]
+        return [[table[i] & mask for i in a.indices] for table in self.tables]
 
 
 @functools.lru_cache(maxsize=None)
@@ -600,103 +600,77 @@ def _packed_staircase(c: EllipticCurve) -> _PackedStaircase:
 # -- arrangement -------------------------------------------------------
 
 
-def _paired_points(c: EllipticCurve) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Non-identity points as (paired list, 2-torsion list).
+def _paired_points(c: EllipticCurve) -> Tuple[List[int], List[int]]:
+    """Non-identity points by their ``_point_index`` indices, as (paired
+    list, 2-torsion list).
 
     The paired list P_1, P_2, ... places each point's negative adjacently,
     taking points in ascending coordinate order; P_{2i-1} + P_{2i} = O.
     """
-    pts, neg = list(_point_index(c)), _group(c).neg
-    flat: List[Tuple[int, int]] = []
-    torsion: List[Tuple[int, int]] = []
-    for i in range(1, len(pts)):
+    neg = _group(c).neg
+    flat: List[int] = []
+    torsion: List[int] = []
+    for i in range(1, len(neg)):
         j = neg[i]
         if j == i:
-            torsion.append(pts[i])
+            torsion.append(i)
         elif j > i:  # a smaller j placed point i as its partner already
-            flat.extend((pts[i], pts[j]))
+            flat.extend((i, j))
     return flat, torsion
 
 
-def _step1_sequence(
-    run: List[Tuple[int, int]],
-    specials: List[Tuple[int, int]],
-    k: int,
-) -> List[Tuple[int, int]]:
+def _step1_sequence(run: List[int], specials: List[int], k: int) -> List[int]:
     """Thread a perfectly paired run so every k-window cuts a pair.
 
     ``run`` is pair-tiled (run[2i] + run[2i+1] = O); ``specials`` are the one
-    or two unpaired points.  Layout: k-1 run points, then after every further
-    k run points one landmark (drawn from the top of the run, then the
-    specials), with the leftover run points and the last special at the end.
+    or two unpaired points, and there are n >= k + 1 points in all.  With
+    s = n // (k + 1), the last s - 1 run points, from the top down, are
+    landmarks and the rest is the body.  Layout: k - 1 body points, then
+    each landmark followed by the next k body points, then the first
+    special, the body's tail and the second special (a single special
+    comes before the tail).
     """
-    n = len(run) + len(specials)
-    s, r = divmod(n, k + 1)
-    if s < 1:
-        raise ConstructionError("window length exceeds arrangement length")
-    sp1 = specials[0] if len(specials) == 2 else None
-    sp2 = specials[-1]
-    need = s - 1
-    # regular landmarks come from the high end of the run
-    landmarks = [run[len(run) - 1 - t] for t in range(need)]
-    body = run[: len(run) - need]
-    seq: List[Tuple[int, int]] = []
-    seq.extend(body[: k - 1])
-    pos = k - 1
-    for j in range(need):
-        seq.append(landmarks[j])
-        seq.extend(body[pos : pos + k])
-        pos += k
-    if sp1 is not None:
-        seq.append(sp1)
-        seq.extend(body[pos : pos + r])
-        pos += r
-        seq.append(sp2)
-    else:
-        # with a single unpaired point the tail behind it is one longer
-        seq.append(sp2)
-        seq.extend(body[pos : pos + r + 1])
-        pos += r + 1
-    if pos != len(body) or len(seq) != n:  # pragma: no cover - accounting guard
-        raise ConstructionError("step-1 arrangement miscount")
-    return seq
+    s = (len(run) + len(specials)) // (k + 1)
+    body = run[: len(run) - s + 1]
+    seq = body[: k - 1]
+    for j, landmark in enumerate(run[: len(run) - s : -1], 1):
+        seq += [landmark, *body[j * k - 1 : (j + 1) * k - 1]]
+    return seq + specials[:1] + body[s * k - 1 :] + specials[1:]
 
 
-def _switch_pass(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> None:
-    """One pass of the SWITCH repairs: a window summing to O swaps its first
-    element with the predecessor (or its last with the successor when the
-    window wraps past the seam), in place.  The windows are read in order
-    from one ``_window_sums`` array that each ``_swap`` keeps current, so a
-    window reads the sequence as the earlier swaps left it."""
-    g = _group(c)
-    idx = _indices(c, seq)
+def _switch_pass(g: _GroupTable, idx: List[int], k: int) -> None:
+    """One pass of the SWITCH repairs on the points idx (as indices): a
+    window summing to O swaps its first element with the predecessor (or
+    its last with the successor when the window wraps past the seam), in
+    place.  The windows are read in order from one ``_window_sums`` array
+    that each ``_swap`` keeps current, so a window reads the sequence as
+    the earlier swaps left it."""
     sums = _window_sums(g, idx, k)
-    n = len(seq)
+    n = len(idx)
     for start in range(n):
         if not sums[start]:
             last = (start + k - 1) % n
             # a wrapped window pushes its tail forward
-            _swap(g, seq, idx, sums, last if last < start else (start - 1) % n, k)
+            _swap(g, idx, sums, last if last < start else (start - 1) % n, k)
 
 
-def _local_rearrange(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> bool:
-    """Clear the windows summing to O by a greedy descent over adjacent
-    transpositions, in place.  A step tries the first such window's k + 1
-    transpositions, (first + t) % n with its successor for t = -1 ... k - 1,
-    in order, and takes the first that clears every window, else the first
-    that leaves fewer.  Every step lowers the count of windows summing to O,
-    so the loop ends within n steps; False means no transposition lowered it.
+def _local_rearrange(g: _GroupTable, idx: List[int], k: int) -> bool:
+    """Clear the windows summing to O from the points idx (as indices) by a
+    greedy descent over adjacent transpositions, in place.  A step tries the
+    first such window's k + 1 transpositions, (first + t) % n with its
+    successor for t = -1 ... k - 1, in order, and takes the first that
+    clears every window, else the first that leaves fewer.  Every step
+    lowers the count of windows summing to O, so the loop ends within n
+    steps; False means no transposition lowered it.
     """
-    g = _group(c)
-    idx = _indices(c, seq)
     sums = _window_sums(g, idx, k)
-    n = len(seq)
+    n = len(idx)
     while 0 in sums:
         count, first, best = sums.count(0), sums.index(0), None
         for i in ((first + t) % n for t in range(-1, k)):
-            _swap(g, seq, idx, sums, i, k)
+            _swap(g, idx, sums, i, k)
             after = sums.count(0)
-            _swap(g, seq, idx, sums, i, k)
+            _swap(g, idx, sums, i, k)
             if not after:
                 best = i
                 break
@@ -704,7 +678,7 @@ def _local_rearrange(c: EllipticCurve, seq: List[Tuple[int, int]], k: int) -> bo
                 best = i
         if best is None:
             return False
-        _swap(g, seq, idx, sums, best, k)
+        _swap(g, idx, sums, best, k)
     return True
 
 
@@ -723,7 +697,7 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
     # len(flat) is even and len(torsion) <= 3, so n <= N - 3 =
     # len(flat) + len(torsion) - 2 bounds every slice below: an even n by
     # len(flat), an odd n by len(flat) + 1, any n by len(flat) - 2 without torsion
-    def build() -> List[Tuple[int, int]]:
+    def build() -> List[int]:
         if k % 2 == 1:
             if n % 2 == 0:
                 return flat[len(flat) - n :]  # even n <= len(flat)
@@ -749,14 +723,15 @@ def arrange(c: EllipticCurve, n: int, k: int) -> EvalArrangement:
         run = flat[: n - 1]
         return _step1_sequence(run, [flat[n - 1]], k)  # no torsion: n <= len(flat) - 2
 
-    seq = build()
-    if _window_violations(c, seq, k):
-        _switch_pass(c, seq, k)
-        if not _local_rearrange(c, seq, k):  # pragma: no cover - a bug guard
+    g = _group(c)
+    idx = build()
+    if 0 in _window_sums(g, idx, k):
+        _switch_pass(g, idx, k)
+        if not _local_rearrange(g, idx, k):  # pragma: no cover - a bug guard
             raise ConstructionError(
                 f"no valid arrangement found for n={n}, k={k} over GF({f.q})"
             )
-    return EvalArrangement(c, tuple(seq), k)
+    return EvalArrangement(c, tuple(map(list(_point_index(c)).__getitem__, idx)), k)
 
 
 def ec_verdict(a: EvalArrangement, h: CodeMatrix) -> PairCertificate:

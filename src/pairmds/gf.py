@@ -79,6 +79,13 @@ def _shown(x: int) -> str:
     return f"of {digits + (abs(x) >= 10**digits)} digits"
 
 
+def _named(name: str, x: int) -> str:
+    """A named int as a message states it: "n = 4", or "n of 41 digits"
+    for a value that ``_shown`` names by its digit count."""
+    shown = _shown(x)
+    return f"{name} {shown}" if shown.startswith("of ") else f"{name} = {shown}"
+
+
 def _prime_factors(m: int) -> List[int]:
     """The distinct prime factors of m >= 1, ascending, by trial division.
 

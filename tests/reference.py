@@ -15,7 +15,6 @@ from pairmds.ecmds import (
     EllipticCurve,
     _group,
     _point_index,
-    _window_violations,
     ec_add,
     ec_points,
     n_max,
@@ -455,6 +454,24 @@ def subset_sum_count_by_size(a):
     return counts[k][0]
 
 
+def zero_window_starts(c, seq, k):
+    """The starts i of the cyclic k-windows seq[i], ..., seq[i+k-1] (mod n)
+    of the points seq that sum to O, each window summed from scratch
+    through the group table."""
+    add = _group(c).add
+    index = _point_index(c)
+    idx = [index[p] for p in seq]
+    n = len(idx)
+    starts = []
+    for start in range(n):
+        s = 0
+        for t in range(start, start + k):
+            s = add[s][idx[t % n]]
+        if s == 0:
+            starts.append(start)
+    return starts
+
+
 def local_rearrange_by_bfs(c, seq, k, attempts=10_000):
     """The breadth-first search over adjacent transpositions that the greedy
     descent replaced, as it stood: it charges its budget when it queues a
@@ -468,7 +485,7 @@ def local_rearrange_by_bfs(c, seq, k, attempts=10_000):
     while queue and spent < attempts:
         cur = queue.popleft()
         lst = list(cur)
-        violations = _window_violations(c, lst, k)
+        violations = zero_window_starts(c, lst, k)
         if not violations:
             return lst
         first = violations[0]
@@ -492,30 +509,17 @@ def local_rearrange_by_resumming(c, seq, k):
     (first + t) % n with its successor for t = -1 ... k - 1, in order, and
     takes the first that clears every window, else the first that leaves
     fewer; False when none leaves fewer."""
-    add = _group(c).add
-    index = _point_index(c)
     n = len(seq)
-
-    def zero_windows():
-        idx = [index[p] for p in seq]
-        starts = []
-        for start in range(n):
-            s = 0
-            for t in range(start, start + k):
-                s = add[s][idx[t % n]]
-            if s == 0:
-                starts.append(start)
-        return starts
 
     def swap(i):
         j = (i + 1) % n
         seq[i], seq[j] = seq[j], seq[i]
 
-    while zeros := zero_windows():
+    while zeros := zero_window_starts(c, seq, k):
         best = None
         for i in ((zeros[0] + t) % n for t in range(-1, k)):
             swap(i)
-            after = len(zero_windows())
+            after = len(zero_window_starts(c, seq, k))
             swap(i)
             if not after:
                 best = i
@@ -549,3 +553,45 @@ def switch_pass_by_resumming(c, seq, k):
             i, j = (start - 1) % n, start
         seq[i], seq[j] = seq[j], seq[i]
         idx[i], idx[j] = idx[j], idx[i]
+
+
+def step1_sequence_by_cursor(run, specials, k):
+    """The Step-1 threading as it stood before it became one slice per
+    landmark: a cursor walks the body behind the landmarks, and the body is
+    checked to be used up.
+
+    ``run`` is pair-tiled (run[2i] + run[2i+1] = O); ``specials`` are the one
+    or two unpaired points.  Layout: k-1 run points, then after every further
+    k run points one landmark (drawn from the top of the run, then the
+    specials), with the leftover run points and the last special at the end.
+    """
+    n = len(run) + len(specials)
+    s, r = divmod(n, k + 1)
+    if s < 1:
+        raise ValueError("window length exceeds arrangement length")
+    sp1 = specials[0] if len(specials) == 2 else None
+    sp2 = specials[-1]
+    need = s - 1
+    # regular landmarks come from the high end of the run
+    landmarks = [run[len(run) - 1 - t] for t in range(need)]
+    body = run[: len(run) - need]
+    seq = []
+    seq.extend(body[: k - 1])
+    pos = k - 1
+    for j in range(need):
+        seq.append(landmarks[j])
+        seq.extend(body[pos : pos + k])
+        pos += k
+    if sp1 is not None:
+        seq.append(sp1)
+        seq.extend(body[pos : pos + r])
+        pos += r
+        seq.append(sp2)
+    else:
+        # with a single unpaired point the tail behind it is one longer
+        seq.append(sp2)
+        seq.extend(body[pos : pos + r + 1])
+        pos += r + 1
+    if pos != len(body) or len(seq) != n:
+        raise AssertionError("step-1 arrangement miscount")
+    return seq

@@ -462,9 +462,12 @@ def test_unknown_subcommand_usage_error():
             "construct --q 131072 --n 7 --dpair 5",
             "field order 131072 exceeds supported maximum 65536",
         ),
-        ("construct --q 7 --n 4 --dpair 5", "n must lie in [5, q^2+q+1] = [5, 57], got 4"),
+        ("construct --q 7 --n 4 --dpair 5", "n must lie in [5, q^2+q+1] = [5, 57], got n = 4"),
         ("table --q 6 --dpair 5", "6 is not a prime power"),
-        ("table --q 7 --dpair 4", "no length sweep for d_pair=4"),
+        ("table --q 7 --dpair 4", "no length sweep for d_pair 4"),
+        # above every length the GF(7) curve allows, the sweep would be empty
+        ("table --q 7 --dpair 100", "no length sweep for d_pair 100"),
+        (f"table --q 7 --dpair {10**40}", "no length sweep for d_pair of 41 digits"),
         ("ec-search --q 2048", "elliptic curves are supported for q <= 1024"),
         ("ec-search --q 6", "6 is not a prime power"),
     ],
@@ -582,10 +585,10 @@ def test_verifying_an_elliptic_file_builds_only_its_parity_check(monkeypatch):
     ("construct --n 13 --dpair 5 --q {big}", None, "field order of 4001 digits exceeds"),
     ("table --dpair 5 --q {big}", None, "field order of 4001 digits exceeds"),
     ("ec-search --q {big}", None, "field order of 4001 digits exceeds"),
-    ("construct --q 5 --dpair 5 --n {big}", None, "= [5, 31], got of 4001 digits"),
-    ("construct --q 9 --dpair 6 --n {big}", None, "= [6, 82], got of 4001 digits"),
+    ("construct --q 5 --dpair 5 --n {big}", None, "= [5, 31], got n of 4001 digits"),
+    ("construct --q 9 --dpair 6 --n {big}", None, "= [6, 82], got n of 4001 digits"),
     ("construct --q 7 --n 10 --dpair {big}", None, "n must be at least d_pair of 4001 digits"),
-    ("table --q 7 --dpair -{big}", None, "no length sweep for d_pair=of 4001 digits"),
+    ("table --q 7 --dpair -{big}", None, "no length sweep for d_pair of 4001 digits"),
 ], ids=["verify-q", "verify-entry", "verify-p", "construct", "table", "ec-search",
         "construct-n-d5", "construct-n-d6", "construct-dpair", "table-dpair"])
 def test_long_integer_is_named_by_its_digit_count(tmp_path, capsys, argv, mutate, message):

@@ -41,7 +41,9 @@ from reference import (
     local_rearrange_by_resumming,
     min_hamming_distance_bruteforce,
     orthogonal,
+    step1_sequence_by_cursor,
     subset_sum_count_by_size,
+    zero_window_starts,
 )
 
 
@@ -414,12 +416,13 @@ def test_generator_matrix_rows():
 def test_paired_points_structure():
     for q in (11, 13):
         c = find_maximal_curve(field_of_order(q))
+        pts = ec_points(c)
         flat, torsion = ecmds._paired_points(c)
         for i in range(0, len(flat), 2):
-            assert ec_add(c, flat[i], flat[i + 1]) is None
+            assert ec_add(c, pts[flat[i]], pts[flat[i + 1]]) is None
         for t in torsion:
-            assert ec_add(c, t, t) is None
-        assert len(flat) + len(torsion) == ec_point_count(c) - 1
+            assert ec_add(c, pts[t], pts[t]) is None
+        assert sorted(flat + torsion) == list(range(1, ec_point_count(c)))
     # q = 11 is maximal with an even group order: exactly one 2-torsion point
     _, torsion11 = ecmds._paired_points(find_maximal_curve(field(11, 1)))
     assert len(torsion11) == 1
@@ -436,6 +439,26 @@ def test_step1_tail_layout_n19_k6():
     assert seq == [P[i] for i in (1, 2, 3, 4, 5, 14, 6, 7, 8, 9, 10, 11, 15, 12, 13, 17)]
 
 
+def _step1_shapes():
+    """Every (run length, specials, k) with one or two specials, a run of
+    0 to 199 points and 1 <= k <= 39 at n >= k + 1."""
+    for length in range(200):
+        for specials in (1, 2):
+            for k in range(1, min(39, length + specials - 1) + 1):
+                yield length, specials, k
+
+
+def test_step1_slices_are_the_cursor_threading():
+    shapes = 0
+    for length, specials, k in _step1_shapes():
+        run, sp = list(range(length)), [-1, -2][:specials]
+        assert ecmds._step1_sequence(run, sp, k) == step1_sequence_by_cursor(run, sp, k), (
+            length, specials, k
+        )
+        shapes += 1
+    assert shapes == 14_079
+
+
 def test_adjacent_windows_cannot_both_vanish():
     # dropping one point and appending a different one changes the sum
     c = find_maximal_curve(field(13, 1))
@@ -450,7 +473,8 @@ def test_adjacent_windows_cannot_both_vanish():
 
 def test_window_check_paired_list_odd_k():
     c = find_maximal_curve(field(13, 1))
-    flat, _ = ecmds._paired_points(c)
+    pts = ec_points(c)
+    flat = [pts[i] for i in ecmds._paired_points(c)[0]]
     for n, k in [(18, 5), (16, 7), (14, 3)]:
         a = EvalArrangement(c, tuple(flat[len(flat) - n :]), k)
         assert window_check(a)
@@ -458,8 +482,8 @@ def test_window_check_paired_list_odd_k():
 
 def test_window_check_false_for_unrepaired_even_k():
     c = find_maximal_curve(field(13, 1))
-    flat, _ = ecmds._paired_points(c)
-    a = EvalArrangement(c, tuple(flat[:12]), 4)
+    pts = ec_points(c)
+    a = EvalArrangement(c, tuple(pts[i] for i in ecmds._paired_points(c)[0][:12]), 4)
     assert not window_check(a)  # the first four points pair off to O
 
 
@@ -669,12 +693,13 @@ def test_subset_sum_count_builds_the_group_table_once(q, monkeypatch):
 def _window_case(draw):
     q = draw(st.sampled_from([13, 16, 25, 27]))
     c = find_maximal_curve(field_of_order(q))
+    every = ec_points(c)
     if draw(st.booleans()):
         flat, torsion = ecmds._paired_points(c)
-        pts = flat + torsion
+        pts = [every[i] for i in flat + torsion]
         pts = pts[: draw(st.integers(2, len(pts)))]
     else:
-        pool = ec_points(c)[1:]
+        pool = every[1:]
         pts = draw(st.permutations(pool))[: draw(st.integers(2, len(pool)))]
     k = draw(st.integers(1, len(pts) - 1))
     return c, list(pts), k
@@ -690,29 +715,29 @@ def test_sliding_window_violations_match_definition(case):
     assert ecmds._window_sums(ecmds._group(c), [index[p] for p in pts], k) == [
         index[s] for s in sums
     ]
-    assert ecmds._window_violations(c, pts, k) == [i for i, s in enumerate(sums) if s is None]
+    assert window_check(EvalArrangement(c, tuple(pts), k)) == (None not in sums)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_window_case(), data=st.data())
 def test_swaps_keep_the_window_sums_current(case, data):
     # after any run of swaps the maintained sums are the sums of the
-    # sequence as it stands, and a swap done twice restores every list
+    # sequence as it stands, and a swap done twice restores both lists
     c, pts, k = case
     n = len(pts)
     g, index = ecmds._group(c), ecmds._point_index(c)
-    seq = list(pts)
-    idx = [index[p] for p in seq]
+    idx = [index[p] for p in pts]
     sums = ecmds._window_sums(g, idx, k)
     for i in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
-        before = (list(seq), list(idx), list(sums))
-        ecmds._swap(g, seq, idx, sums, i, k)
-        assert (seq[i], seq[(i + 1) % n]) == (before[0][(i + 1) % n], before[0][i])
-        assert idx == [index[p] for p in seq]
+        before = (list(idx), list(sums))
+        ecmds._swap(g, idx, sums, i, k)
+        want = list(before[0])
+        want[i], want[(i + 1) % n] = want[(i + 1) % n], want[i]
+        assert idx == want
         assert sums == ecmds._window_sums(g, idx, k)
-        ecmds._swap(g, seq, idx, sums, i, k)
-        assert (seq, idx, sums) == before
-        ecmds._swap(g, seq, idx, sums, i, k)
+        ecmds._swap(g, idx, sums, i, k)
+        assert (idx, sums) == before
+        ecmds._swap(g, idx, sums, i, k)
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
@@ -721,14 +746,15 @@ def test_local_rearrange_is_the_resumming_descent(q):
     # no clearing transposition and several that leave fewer windows summing
     # to O (11 of these 300), so its tie rule, the first of those, decides
     c = find_maximal_curve(field_of_order(q))
-    pool = ec_points(c)[1:]
+    g, pts = ecmds._group(c), ec_points(c)
+    index = ecmds._point_index(c)
     rng = random.Random(q)
     for _ in range(50):
-        seq = rng.sample(pool, rng.randint(3, len(pool)))
+        seq = rng.sample(pts[1:], rng.randint(3, len(pts) - 1))
         k = rng.randint(1, len(seq) - 1)
-        want = list(seq)
-        assert ecmds._local_rearrange(c, seq, k) == local_rearrange_by_resumming(c, want, k)
-        assert seq == want, (len(seq), k)
+        idx = [index[p] for p in seq]
+        assert ecmds._local_rearrange(g, idx, k) == local_rearrange_by_resumming(c, seq, k)
+        assert [pts[i] for i in idx] == seq, (len(seq), k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -771,9 +797,10 @@ def test_arrange_at_the_longest_lengths_for_each_two_torsion_class(q, t):
 @pytest.mark.parametrize("q", [13, 16, 25, 27])
 def test_pair_tiled_order_violates_every_even_window_start(q):
     c = find_maximal_curve(field_of_order(q))
-    flat, _ = ecmds._paired_points(c)
-    assert ecmds._window_violations(c, flat, 2) == list(range(0, len(flat), 2))
-    assert ecmds._window_violations(c, flat, 4) == list(range(0, len(flat), 2))
+    pts = ec_points(c)
+    flat = [pts[i] for i in ecmds._paired_points(c)[0]]
+    assert zero_window_starts(c, flat, 2) == list(range(0, len(flat), 2))
+    assert zero_window_starts(c, flat, 4) == list(range(0, len(flat), 2))
 
 
 def _ec_verdict_by_full_rank(a, g, h):

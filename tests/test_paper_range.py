@@ -6,6 +6,7 @@ a maximal elliptic curve of N(q) points.  Each sweep is sized to a few
 seconds; larger fields are left to the CI floor job's `table` steps.
 """
 
+import hashlib
 import operator
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from pairmds import ecmds
 from pairmds.d5 import build_h
 from pairmds.d6 import coplanar, elliptic_quadric, order_points
-from pairmds.ecmds import arrange, find_maximal_curve, n_max, window_check
+from pairmds.ecmds import arrange, ec_points, find_maximal_curve, n_max, window_check
 from pairmds.gf import field_of_order
 
 from reference import local_rearrange_by_bfs, switch_pass_by_resumming
@@ -69,11 +70,12 @@ def test_greedy_repair_is_the_bfs_arrangement_wherever_the_bfs_finds_one(q, monk
         lengths = [(213, 8)]  # a repair of two transpositions that the BFS also finds
     repairs = []
     descent = ecmds._local_rearrange
+    pts = ec_points(c)
 
-    def both(c, seq, k):
-        before = list(seq)
-        ok = descent(c, seq, k)
-        repairs.append((k, before, local_rearrange_by_bfs(c, before, k), list(seq)))
+    def both(g, idx, k):
+        before = [pts[i] for i in idx]
+        ok = descent(g, idx, k)
+        repairs.append((k, before, local_rearrange_by_bfs(c, before, k), [pts[i] for i in idx]))
         return ok
 
     monkeypatch.setattr(ecmds, "_local_rearrange", both)
@@ -91,14 +93,29 @@ def test_sliding_switch_pass_is_the_resumming_pass(q, monkeypatch):
     c, lengths = _elliptic_lengths(q)
     passes = []
     sliding = ecmds._switch_pass
+    pts = ec_points(c)
 
-    def both(c, seq, k):
-        want = list(seq)
+    def both(g, idx, k):
+        want = [pts[i] for i in idx]
         switch_pass_by_resumming(c, want, k)
-        sliding(c, seq, k)
-        passes.append(seq == want)
+        sliding(g, idx, k)
+        passes.append([pts[i] for i in idx] == want)
 
     monkeypatch.setattr(ecmds, "_switch_pass", both)
     for n, k in lengths:
         arrange(c, n, k)
     assert passes and all(passes)
+
+
+def test_every_elliptic_arrangement_at_q_up_to_64_is_unchanged():
+    # the sha256 of the points of all 6,760 arrangements, in sweep order,
+    # recorded before the arrangement moved from points to point indices
+    digest = hashlib.sha256()
+    count = 0
+    for q in [q for q in PRIME_POWERS_TO_64 if q >= 7]:
+        c, lengths = _elliptic_lengths(q)
+        for n, k in lengths:
+            digest.update(repr(arrange(c, n, k).points).encode())
+            count += 1
+    assert count == 6760
+    assert digest.hexdigest() == "6e3cbd605dad90cac63280b4ef39687ebc463b1284f1e86fe6f5beacd9f9c3dd"

@@ -28,6 +28,20 @@ g = k, and columns 0 ... k - 1 as a basis once the window check has passed,
 so rank h = n - k is read from the (n - k) x (n - k) block of h on the last
 n - k columns alone.
 
+``construct_ec`` builds h by one of two routes, picked from n and k alone.
+Both give the one reduced basis [R | I], the identity on the last n - k
+columns, so the code file does not depend on the route, and ``ec_verdict``
+checks h from either.  When 5k <= 3n it eliminates g (``null_space``,
+O(k^2 n)).  When 5k > 3n it reads h from residues
+(``residue_parity_check``): the dual of C_L(D, kO) is C_Omega(D, kO)
+(Stichtenoth, Algebraic Function Fields and Codes, 2.2), written through
+the invariant differential dx / (2y + a1 x + a3) (Silverman, The
+Arithmetic of Elliptic Curves, III.1), and the matrix it eliminates has
+about n - k rows, O((n - k)^2 n + n^2).  Its fixed costs, the O(n^2)
+products of its column weights and a matrix about k columns wider than it
+is tall, make it the slower route at low k; it is the faster one above k
+of about 0.6 n.
+
 The pairing of each point with its negative, the window sums and the
 subset-sum count (the counts of every subset size packed into one int per
 group element, so a point is one C-level pass over the group) run on one
@@ -79,7 +93,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .gf import FieldSpec, absolute_trace
-from .linalg import CodeMatrix, LinearCode, null_space, rank_of_vectors
+from .linalg import CodeMatrix, LinearCode, null_space, rank_of_vectors, reduced_echelon
 from .pairmetric import ROUTE_EC, PairCertificate
 
 ECPoint = Optional[Tuple[int, int]]  # None is the identity O at infinity
@@ -561,6 +575,84 @@ def generator_matrix(a: EvalArrangement) -> CodeMatrix:
     return CodeMatrix(f, tuple(map(tuple, _staircase_rows(f, a.points, a.k))))
 
 
+def _residue_weights(c: EllipticCurve, pts: Sequence[Tuple[int, int]]) -> List[int]:
+    """The weight of each point P of pts, a set S closed under negation, in
+    the residue matrix: 1 / (s(P) V'(x_P)), with s = 2y + a1 x + a3 the
+    denominator of the invariant differential and V'(x_P) the product of
+    x_P - X over the other x-coordinates X of S.  s vanishes exactly at the
+    2-torsion points, and the weight there is 1 / V'(x_P)."""
+    f = c.field
+    xs = list(dict.fromkeys(p[0] for p in pts))
+    dv = [1] * len(xs)
+    for i, x in enumerate(xs):
+        diff = f.add_rows(xs, itertools.repeat(f.neg(x)))
+        diff[i] = 1
+        dv = f.mul_rows(dv, diff)
+    dv_at = dict(zip(xs, dv))
+    weights = []
+    for x, y in pts:
+        s = f.add(f.add(y, y), f.add(f.mul(c.a1, x), c.a3))
+        weights.append(f.inv(f.mul(s, dv_at[x]) if s else dv_at[x]))
+    return weights
+
+
+def residue_parity_check(a: EvalArrangement) -> CodeMatrix:
+    """The parity check [R | I] of the arrangement's code from residues:
+    ``null_space(generator_matrix(a))``'s basis, without eliminating g.
+
+    The dual of C_L(D, kO) is C_Omega(D, kO), the residues at D of the
+    differentials eta with (eta) >= kO - D.  Let E be the negatives of D's
+    points that are not in D, S = D + E, t the number of 2-torsion points T
+    in D, and V the product of x - X over the distinct x-coordinates X of S,
+    so div V = S + (T's once more) - (|S| + t)O.  With the invariant
+    differential w0 = dx / (2y + a1 x + a3), which has no zero or pole,
+    eta = (u / V) w0 for u in L(mO), m = |S| + t - k, with u vanishing on E
+    and at every T (where x - x_T has a double zero).  Its residue at a
+    point P of D that is not 2-torsion is u(P) times P's
+    ``_residue_weights``, and at T it is x_T^i / V'(x_T) for u = x^i y and
+    0 for u = x^i.
+
+    The matrix has the m staircase rows (``_staircase_rows``) of L(mO), and
+    its columns, in order: u(T) for each T, u at E (each column weighted,
+    which does not change where it vanishes), then the residues at D's last
+    n - k points and at its first k.  Its rows are independent (a
+    differential of Omega(kO - D) with no residue is 0, since k > 0), so
+    when the first m columns are a basis, the reduced rows of D's last
+    n - k pivots are 0 on the constraint and E columns, 1 at their own
+    column of D and 0 at the others: on D's first k columns they are R.
+    Any other pivot raises ConstructionError.
+    """
+    c = a.curve
+    f = c.field
+    n, k = a.n, a.k
+    neg = _group(c).neg
+    points = list(_point_index(c))
+    in_d = set(a.indices)
+    torsion = [i for i in a.indices if neg[i] == i]
+    order = [neg[i] for i in a.indices if neg[i] not in in_d] + [*a.indices[k:], *a.indices[:k]]
+    pts = [points[i] for i in order]
+    m = len(order) + len(torsion) - k
+    # the residue at T reads x_T^i on the rows x^i y: the staircase at (x_T, 1)
+    # with the rows x^i (i >= 0) zeroed below
+    front = [points[i] for i in torsion]
+    residue_pts = [(p[0], 1) if i in torsion else p for i, p in zip(order, pts)]
+    weights = [1] * len(torsion) + _residue_weights(c, pts)
+    rows = [f.mul_rows(row, weights) for row in _staircase_rows(f, front + residue_pts, m)]
+    for i in torsion:
+        j = len(torsion) + order.index(i)
+        for row in [rows[0], *rows[1::2]]:
+            row[j] = 0
+    pivots, _, reduced = reduced_echelon(f, rows)
+    if pivots != list(range(m)):
+        raise ConstructionError(
+            f"the residue matrix at q={f.q}, n={n}, k={k} has pivots off its first {m} columns"
+        )
+    r = n - k
+    return CodeMatrix(
+        f, tuple((*reduced[m - r + j], *(int(i == j) for i in range(r))) for j in range(r))
+    )
+
+
 class _PackedStaircase:
     """g's columns at every affine point of one curve, packed for the
     vanishing-product kernel (``FieldSpec.pack_columns``) at the largest k
@@ -827,7 +919,10 @@ def construct_ec(f: FieldSpec, n: int, d: int):
         raise ParameterError(f"n exceeds N(q) - 3 = {limit}")
     curve = find_maximal_curve(f)
     arrangement = arrange(curve, n, k)
-    h = null_space(generator_matrix(arrangement))
+    if 5 * k > 3 * n:
+        h = residue_parity_check(arrangement)
+    else:
+        h = null_space(generator_matrix(arrangement))
     cert = check_ec_conditions(arrangement, h)
     if not cert.ok:
         raise ConstructionError(

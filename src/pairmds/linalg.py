@@ -3,8 +3,10 @@
 Row-major matrices of element codes.  One elimination kernel, forward
 elimination (each pivot clears only the rows below it, on the columns after
 it, through the field's row kernel), gives the rank, the pivot columns and,
-by back-substitution onto the free columns alone, the null space (a
-deterministic basis: the reduced row echelon form is unique).  A
+by back-substitution onto the free columns alone, the reduced row echelon
+form on those columns (``reduced_echelon``; the form is unique).  The null
+space reads its deterministic basis from that form, and so does the
+elliptic route's residue parity check (``ecmds.residue_parity_check``).  A
 ``CodeMatrix`` keeps the column basis its first elimination found
 (``CodeMatrix.column_basis``, cached; ``null_space`` fills it in), and a
 certificate that has proven some columns a basis records them there, so no
@@ -258,28 +260,26 @@ def rank_of_vectors(f: FieldSpec, vectors: Sequence[Sequence[int]]) -> int:
     return len(_forward(f, vectors)[0])
 
 
-def null_space(m: CodeMatrix) -> CodeMatrix:
-    """Basis of the right kernel {v : m v^T = 0}, one vector per row.
+def reduced_echelon(
+    f: FieldSpec, rows: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[int], List[List[int]]]:
+    """(pivots, free, reduced): the pivot columns of the rows, the other
+    columns in ascending order, and pivot row i of the reduced row echelon
+    form on the free columns alone (on the pivot columns it is 1 at pivot i
+    and 0 elsewhere).
 
-    The basis vector of free column c has 1 at c, 0 at the other free
-    columns, and minus column c of the reduced row echelon form at the pivot
-    columns.  That form is needed on the free columns only: after forward
-    elimination, back-substitution runs from the last pivot row up, and the
-    multiplier of a later pivot row j in row i is row i's own normalised
-    entry at pivot column j, which no earlier step changes.  The pivot
-    columns are kept on m as its column basis.
+    After forward elimination, back-substitution runs from the last pivot
+    row up, and the multiplier of a later pivot row j in row i is row i's
+    own normalised entry at pivot column j, which no earlier step changes.
     """
-    f = m.field
-    n = m.cols
-    pivots, reduced = _forward(f, m.entries)
-    m.record_column_basis(pivots)
+    width = len(rows[0]) if rows else 0
+    pivots, forward = _forward(f, rows)
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    # rref[i]: pivot row i of the reduced echelon form on the free columns
-    rref: List[List[int]] = [[]] * len(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    reduced: List[List[int]] = [[]] * len(pivots)
     for i in range(len(pivots) - 1, -1, -1):
         p = pivots[i]
-        s, tail = reduced[i]
+        s, tail = forward[i]
         if s != 1:
             tail = f.mul_rows(itertools.repeat(s), tail)
         # tail[c - p - 1] is the entry at column c > p
@@ -287,8 +287,23 @@ def null_space(m: CodeMatrix) -> CodeMatrix:
         for j in range(i + 1, len(pivots)):
             x = tail[pivots[j] - p - 1]
             if x:
-                row = f.row_sub_mul(row, x, rref[j])
-        rref[i] = row
+                row = f.row_sub_mul(row, x, reduced[j])
+        reduced[i] = row
+    return pivots, free, reduced
+
+
+def null_space(m: CodeMatrix) -> CodeMatrix:
+    """Basis of the right kernel {v : m v^T = 0}, one vector per row.
+
+    The basis vector of free column c has 1 at c, 0 at the other free
+    columns, and minus column c of the reduced row echelon form at the pivot
+    columns, which ``reduced_echelon`` gives on the free columns alone.  The
+    pivot columns are kept on m as its column basis.
+    """
+    f = m.field
+    n = m.cols
+    pivots, free, rref = reduced_echelon(f, m.entries)
+    m.record_column_basis(pivots)
     zero = [0] * len(free)
     minus = [f.row_sub_mul(zero, 1, row) for row in rref]
     basis = []

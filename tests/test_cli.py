@@ -870,19 +870,67 @@ def _count_eliminations(monkeypatch):
     return shapes
 
 
-def test_elliptic_construct_and_verify_eliminate_each_matrix_once(tmp_path, monkeypatch):
-    # q=27, n=35, d_pair=7: G is 30 x 35, H is 5 x 35, and H_F, the block of H
-    # on the last n - k columns, is 5 x 5
+def _elliptic_eliminations(tmp_path, monkeypatch, dpair):
+    """The shapes linalg eliminates in construct --q 27 --n 35 --dpair dpair,
+    then in verify of its file."""
     shapes = _count_eliminations(monkeypatch)
     out = tmp_path / "ec.json"
-    assert run(["construct", "--q", "27", "--n", "35", "--dpair", "7", "--out", str(out)]) == 0
-    # null_space(G), then H_F in the certificate; LinearCode reads the rank
-    # the certificate recorded
-    assert shapes == [(30, 35), (5, 5)]
+    args = ["construct", "--q", "27", "--n", "35", "--dpair", str(dpair), "--out", str(out)]
+    assert run(args) == 0
+    built = list(shapes)
     shapes.clear()
-    # rank G = k comes from Riemann-Roch, so verify eliminates H_F alone
     assert run(["verify", str(out)]) == 0
-    assert shapes == [(5, 5)]
+    return built, shapes
+
+
+def test_elliptic_construct_and_verify_eliminate_each_matrix_once(tmp_path, monkeypatch):
+    # q=27, n=35, d_pair=7: k = 30 and 5k > 3n, so construct eliminates the
+    # residue matrix: |S| + t - k = 6 rows (S the 35 points of D, t = 1 for
+    # D's 2-torsion point), and a constraint column for that point besides
+    # D's 35.  H is 5 x 35, and H_F, the block of H on the last n - k
+    # columns, is 5 x 5
+    built, verified = _elliptic_eliminations(tmp_path, monkeypatch, 7)
+    # the residue matrix, then H_F in the certificate; LinearCode reads the
+    # rank the certificate recorded
+    assert built == [(6, 36), (5, 5)]
+    # rank G = k comes from Riemann-Roch, so verify eliminates H_F alone
+    assert verified == [(5, 5)]
+
+
+@pytest.mark.parametrize(
+    "dpair,built",
+    [
+        (15, (14, 36)),  # k = 22, 5k > 3n: the residue matrix
+        (16, (21, 35)),  # k = 21, 5k = 3n: G, k x n
+        (20, (17, 35)),  # k = 17: G
+    ],
+)
+def test_elliptic_construct_eliminates_g_only_when_5k_is_at_most_3n(
+    tmp_path, monkeypatch, dpair, built
+):
+    r = dpair - 2
+    assert _elliptic_eliminations(tmp_path, monkeypatch, dpair) == ([built, (r, r)], [(r, r)])
+
+
+def test_construct_rejects_a_scaled_residue_weight(tmp_path, monkeypatch, capsys):
+    # the weight of D's point k - 1, a column the reduction leaves free, times
+    # 2: H is wrong on that column, and the verdict's H G^T fails construct
+    residue_weights = ecmds._residue_weights
+
+    def scaled(c, pts):
+        weights = residue_weights(c, pts)
+        weights[-1] = c.field.mul(2, weights[-1])
+        return weights
+
+    monkeypatch.setattr(ecmds, "_residue_weights", scaled)
+    out = tmp_path / "ec.json"
+    assert run(["construct", "--q", "27", "--n", "35", "--dpair", "7", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal construction failure: elliptic construction failed verification"
+        " at q=27, n=35: parity-generator-product\n"
+    )
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("q,n,dpair", [(5, 9, 5), (5, 10, 6), (11, 9, 7), (11, 13, 11)])

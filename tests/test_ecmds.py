@@ -23,6 +23,7 @@ from pairmds.ecmds import (
     find_maximal_curve,
     generator_matrix,
     n_max,
+    residue_parity_check,
     subset_sum_count,
     window_check,
 )
@@ -1073,3 +1074,54 @@ def test_packed_staircase_is_built_once_per_curve_and_k(monkeypatch):
     _, cert, _ = construct_ec(f, n, n - 8)
     assert cert.ok and packs == [5, 8]
     ecmds._packed_staircase.cache_clear()
+
+
+def _holds_two_torsion(a):
+    neg = ecmds._group(a.curve).neg
+    return any(neg[i] == i for i in a.indices)
+
+
+@pytest.mark.parametrize("q,torsion", [(7, 0), (8, 7), (9, 15), (11, 20), (13, 0), (16, 0)])
+def test_residue_parity_check_is_the_null_space_of_g_at_every_arrangement(q, torsion):
+    # every elliptic arrangement at q <= 16, on both sides of construct's
+    # 5k > 3n rule; `torsion` of them put a 2-torsion point in D
+    c = find_maximal_curve(field_of_order(q))
+    held = 0
+    for n in range(q + 2, n_max(c.field) - 2):
+        for k in range(2, n - 4):
+            a = arrange(c, n, k)
+            held += _holds_two_torsion(a)
+            assert residue_parity_check(a) == null_space(generator_matrix(a)), (n, k)
+    assert held == torsion
+
+
+@pytest.mark.parametrize("q", [25, 27, 32])
+def test_residue_parity_check_with_a_two_torsion_point(q):
+    # sampled (n, k) whose arrangement puts a 2-torsion point in D, where
+    # the residue reads only the rows x^i y and a constraint column makes
+    # the residue functions vanish at the point
+    c = find_maximal_curve(field_of_order(q))
+    rng = random.Random(q)
+    pairs = [(n, k) for n in range(q + 2, n_max(c.field) - 2) for k in range(2, n - 4)]
+    cases = 0
+    for n, k in rng.sample(pairs, len(pairs)):
+        a = arrange(c, n, k)
+        if _holds_two_torsion(a):
+            assert residue_parity_check(a) == null_space(generator_matrix(a)), (n, k)
+            cases += 1
+            if cases == 10:
+                break
+    assert cases == 10
+
+
+@pytest.mark.parametrize("q", [64, 81, 128])
+def test_residue_parity_check_at_high_rate(q):
+    # k >= n - 10, where construct takes the residue route
+    c = find_maximal_curve(field_of_order(q))
+    rng = random.Random(q)
+    top = n_max(c.field) - 3
+    for n, k in [(top, top - 5), (top, top - 10)] + [
+        (n, n - rng.randint(5, 10)) for n in rng.sample(range(q + 2, top), 5)
+    ]:
+        a = arrange(c, n, k)
+        assert residue_parity_check(a) == null_space(generator_matrix(a)), (n, k)

@@ -16,6 +16,7 @@ from pairmds.linalg import (
     null_space,
     rank,
     rank_of_vectors,
+    reduced_echelon,
     rs_parity_check,
     window_dets,
 )
@@ -517,13 +518,17 @@ def test_forward_rank_equals_gauss_jordan_pivot_count(fm):
 @given(matrices())
 def test_null_space_matches_gauss_jordan_reference(fm):
     # forward elimination plus back-substitution onto the free columns gives
-    # the same basis as full Gauss-Jordan, and keeps its pivots on the matrix
+    # full Gauss-Jordan's reduced rows there and the same basis, and keeps
+    # its pivots on the matrix
     f, rows = fm
     if not rows:
         return
     m = CodeMatrix.from_rows(f, rows)
-    pivots = gauss_jordan(f, [list(r) for r in rows])[1]
+    reduced, pivots = gauss_jordan(f, [list(r) for r in rows])
     assert m.column_basis == tuple(pivots)
+    free = [c for c in range(m.cols) if c not in pivots]
+    on_free = [[row[c] for c in free] for row in reduced[: len(pivots)]]
+    assert reduced_echelon(f, rows) == (pivots, free, on_free)
     m = CodeMatrix.from_rows(f, rows)
     assert null_space(m) == null_space_by_gauss_jordan(m)
     assert m.column_basis == tuple(pivots)

@@ -17,16 +17,21 @@ evaluates the staircase x^i y^j (j <= 1) of L(kO) in pole order 0, 2, 3,
 ..., k: its rows are 1, x and y over the arranged points, and from order 4
 on the row of order t is the row of order t - 2 times the row of
 x-coordinates, so no element is raised to a power.  h g^T = 0 is checked
-by the field's vanishing-product kernel (``FieldSpec.vanishing``), each row
-of h one pass over g's packed columns.  The column of g at a point P is
+by the field's vanishing-product kernels.  The column of g at a point P is
 P's staircase values, and at k they are the first k of its values at any
 larger k.  So the columns of every affine point of a curve are packed once
 (``_PackedStaircase``, cached per curve per process) at the largest k asked
-so far, and a verdict gathers its points' columns and keeps the first k
-slots of each.  The verdict never eliminates g: Riemann-Roch gives rank
-g = k, and columns 0 ... k - 1 as a basis once the window check has passed,
-so rank h = n - k is read from the (n - k) x (n - k) block of h on the last
-n - k columns alone.
+so far, and a verdict gathers its points' tables and reads the first k
+slots.  In fields of order up to ``gf.ELEMENT_TABLE_MAX_ORDER`` = 2^6 a
+point's table holds its packed column times every element
+(``FieldSpec.vanishing_by_elements``), so a row u of h is one lookup pass,
+table i at u_i, with no digit split and no product.  Larger fields keep
+one table per base-p digit (``FieldSpec.vanishing``), a pass per digit of
+u, since element tables take q / a times their memory: 6.5 MB at GF(81)
+and 190 MB at GF(243) at full length.  The verdict never eliminates g:
+Riemann-Roch gives rank g = k, and columns 0 ... k - 1 as a basis once the
+window check has passed, so rank h = n - k is read from the (n - k) x
+(n - k) block of h on the last n - k columns alone.
 
 ``construct_ec`` builds h by one of two routes, picked from n and k alone.
 Both give the one reduced basis [R | I], the identity on the last n - k
@@ -92,7 +97,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .gf import FieldSpec, absolute_trace
+from .gf import ELEMENT_TABLE_MAX_ORDER, FieldSpec, absolute_trace
 from .linalg import CodeMatrix, LinearCode, null_space, rank_of_vectors, reduced_echelon
 from .pairmetric import ROUTE_EC, PairCertificate
 
@@ -655,13 +660,18 @@ def residue_parity_check(a: EvalArrangement) -> CodeMatrix:
 
 class _PackedStaircase:
     """g's columns at every affine point of one curve, packed for the
-    vanishing-product kernel (``FieldSpec.pack_columns``) at the largest k
-    asked so far: ``tables[b][i]`` is the packed column of point i of
-    ``_point_index`` (entry 0, for O, is never read).
+    field's vanishing-product kernels (``FieldSpec.pack_columns``) at the
+    largest k asked so far, entry i for point i of ``_point_index`` (entry
+    0, for O, is never read).  In fields of order up to
+    ``ELEMENT_TABLE_MAX_ORDER``, ``elements[i]`` is point i's element table
+    (``FieldSpec.element_columns``), c g(P_i) packed for every element c,
+    and ``tables`` is empty; in larger fields, whose element tables would
+    take q / a times the memory, ``tables[b][i]`` is the digit table b
+    column, and ``elements`` is empty.
 
     The slot width for the curve's N - 1 affine points serves every
     arrangement on it.  The columns are packed little-endian on every host,
-    so a smaller k keeps the first k slots of each column, its low bits; a
+    so a smaller k reads the first k slots of each column, its low bits; a
     larger k packs the staircase again at that k.
     """
 
@@ -670,18 +680,28 @@ class _PackedStaircase:
         self.k = 0
         self.stride = 0
         self.tables: List[List[int]] = []
+        self.elements: List[Optional[List[int]]] = []
 
-    def columns(self, a: EvalArrangement) -> List[List[int]]:
-        """The packed columns of the k rows of g at a's points, in a's order,
-        a list per digit table, at ``stride``."""
+    def vanishing(self, a: EvalArrangement, us: Sequence[Sequence[int]]) -> Iterator[List[bool]]:
+        """For each row u of `us`, the list over the k rows v of g at a's
+        points of whether u . v is 0: in fields with element tables one
+        lookup pass per u over a's tables, masked to k slots, and in the
+        others the digit kernel over a's digit columns, cut to k slots."""
         f, k = self.curve.field, a.k
         if k > self.k:
             affine = list(_point_index(self.curve))[1:]
             tables, self.stride = f.pack_columns(_staircase_rows(f, affine, k))
-            self.tables = [[0, *table] for table in tables]
+            if f.q <= ELEMENT_TABLE_MAX_ORDER:
+                self.elements = [None, *f.element_columns(tables)]
+            else:
+                self.tables = [[0, *table] for table in tables]
             self.k = k
+        if self.elements:
+            columns = list(map(self.elements.__getitem__, a.indices))
+            return f.vanishing_by_elements(us, columns, k, self.stride)
         mask = (1 << 8 * self.stride * k) - 1  # the low bits hold the first k slots
-        return [[table[i] & mask for i in a.indices] for table in self.tables]
+        columns = [[table[i] & mask for i in a.indices] for table in self.tables]
+        return f.vanishing(us, columns, k, self.stride)
 
 
 @functools.lru_cache(maxsize=None)
@@ -840,9 +860,10 @@ def ec_verdict(a: EvalArrangement, h: CodeMatrix) -> PairCertificate:
     verdict never reads it, so ``pairmds verify`` calls this alone.
 
     h g^T = 0 is read from g's columns as the curve's ``_PackedStaircase``
-    holds them, packed once per curve and k: the verdict gathers a's
-    columns and keeps their first k slots, and each row of h is one pass of
-    the vanishing-product kernel over them.
+    holds them, packed once per curve and k: the verdict gathers a's tables
+    and reads their first k slots.  Each row of h is one lookup pass over
+    a's element tables in fields of order up to ``ELEMENT_TABLE_MAX_ORDER``,
+    and one pass per base-p digit over a's digit columns above it.
 
     g is never eliminated: Riemann-Roch gives what its elimination would.
     The points are distinct and affine, and a nonzero f in L(kO) has at most
@@ -870,9 +891,7 @@ def ec_verdict(a: EvalArrangement, h: CodeMatrix) -> PairCertificate:
     window_ok = window_check(a)
     product_zero = False
     if h.cols == n:
-        staircase = _packed_staircase(a.curve)
-        columns = staircase.columns(a)
-        product_zero = all(map(all, f.vanishing(h.entries, columns, k, staircase.stride)))
+        product_zero = all(map(all, _packed_staircase(a.curve).vanishing(a, h.entries)))
     rank_ok = False
     if window_ok and product_zero and h.rows == n - k:
         rank_ok = rank_of_vectors(f, [row[k:] for row in h.entries]) == n - k

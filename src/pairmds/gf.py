@@ -36,8 +36,13 @@ elementwise steps of the batched window determinants, the elliptic
 generator matrix and codeword enumeration, ``minor_rows`` the elementwise
 a*b - c*d of the window determinants, ``pack_columns`` and ``vanishing``
 the vanishing-product kernel (which u . v are 0, for the elliptic h g^T:
-the vectors' columns packed once into ints, little-endian on every host,
-then one pass over them per u), ``addition_rows`` the addition-table rows
+the vectors' columns packed once into ints, one per base-p digit,
+little-endian on every host, then one pass over them per digit of u),
+``element_columns`` and ``vanishing_by_elements`` its element-table form
+(each packed column times every element, so u takes one lookup pass and
+no product; the elliptic verdict reads it in fields up to
+``ELEMENT_TABLE_MAX_ORDER``, since the tables take q / a times the
+memory), ``addition_rows`` the addition-table rows
 that codeword enumeration reads whole cosets from, and ``normal_form`` and
 ``project`` the project-and-normalise step of the checker's dependent-set
 search; ``project`` maps every later vector from one pivot in one call, and
@@ -54,12 +59,18 @@ import itertools
 import math
 import operator
 import struct
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 MAX_ORDER = 1 << 16
 
 # odd-extension fields up to this order get a flat q x q addition table
 ADD_TABLE_MAX_ORDER = 1 << 8
+
+# fields up to this order read vanishing products from element tables
+# (``FieldSpec.element_columns``), which take q / a times the memory of the
+# digit tables: at a curve's full length 0.6 MB at GF(64), 6.5 MB at GF(81)
+# and 190 MB at GF(243)
+ELEMENT_TABLE_MAX_ORDER = 1 << 6
 
 # the struct format of an unsigned slot of 1, 2, 4 or 8 bytes
 _SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -191,7 +202,9 @@ class FieldSpec:
     Immutable after construction: every lookup table is built eagerly, and
     the digit tables of the vanishing-product kernel (``pack_columns``,
     ``vanishing``, which pack and read little-endian on every host) are
-    module caches keyed by the field.  Every field has one exp/log pair
+    module caches keyed by the field; the element tables of its lookup form
+    (``element_columns``, ``vanishing_by_elements``) are built from packed
+    columns and belong to their caller.  Every field has one exp/log pair
     that is safe at 0.  With q1 = q - 1 and the sentinel
     z = 3*q1 - 1, ``_log[x]`` is the logarithm of x != 0 to the generator g
     and ``_log[0] = z``; ``_exp`` holds g^0 .. g^(2*q1 - 1) (offsets
@@ -392,6 +405,31 @@ class FieldSpec:
             tables.append([int.from_bytes(packed[i:i + size], "little") for i in starts])
         return tables, stride
 
+    def element_columns(self, tables: Sequence[Sequence[int]]) -> List[List[int]]:
+        """The element tables of the digit tables `tables` (``pack_columns``):
+        for each column t, the list over every element c of the packed c v_t,
+        whose slots are those of S in ``vanishing`` at u_t = c.
+
+        c v_t is the sum over b of d_b(c) T[b][t] (an XOR in binary fields),
+        so each list doubles over the digits: the elements below p^(b+1) are
+        those below p^b, then d p^b more for d = 1 .. p - 1, each entry one
+        big-int add of T[b][t] to the entry p^b below it.  A slot holds at
+        most a (p - 1)^2, one column's share of the bound that sets the
+        slot width, so sums of at most n entries do not carry either.
+        Memory is q / a times the digit tables'.
+        """
+        add = operator.xor if self.p == 2 else operator.add
+        rep = itertools.repeat
+        out = []
+        for column in zip(*tables):
+            row = [0]
+            for packed in column:
+                block = len(row)
+                for _ in range(self.p - 1):
+                    row += map(add, row[-block:], rep(packed))
+            out.append(row)
+        return out
+
     def vanishing(
         self, us: Iterable[Sequence[int]], tables: Sequence[Sequence[int]], count: int, stride: int
     ) -> Iterator[List[bool]]:
@@ -402,26 +440,21 @@ class FieldSpec:
 
         The slots of S = sum over t and b of d_b(u_t) T[b][t] hold the
         digits of u . v for every v: one C-level pass over the columns per
-        digit of u.  S is read back little-endian, as it was packed, one
-        unsigned slot at a time.  Binary fields XOR the columns at the set
-        bits of u, so the slots of S are the products themselves.  Other
-        fields add, and u . v is 0 when every slot of v is 0 mod p.
+        digit of u, read back by ``_zero_slots``.  Binary fields XOR the
+        columns at the set bits of u, so the slots of S are the products
+        themselves.
         """
         p, a = self.p, self.a
-        size = count * stride
-        width = stride if p == 2 else stride // a
-        slots = struct.Struct(f"<{size // width}{_SLOT_FORMAT[width]}").unpack
+        zeros = self._zero_slots(count, stride)
         digit_rows = _digit_rows(self) if p != 2 and a > 1 else None
-        rep, compress, mul, not_ = itertools.repeat, itertools.compress, operator.mul, operator.not_
+        rep, compress, mul = itertools.repeat, itertools.compress, operator.mul
         for u in us:
             if p == 2:
                 s = 0
                 for b, table in enumerate(tables):
                     bits = map(operator.and_, u, rep(1 << b))
                     s = functools.reduce(operator.xor, compress(table, bits), s)
-                yield list(map(not_, slots(s.to_bytes(size, "little"))))
-                continue
-            if a == 1:
+            elif a == 1:
                 # a prime field's one digit is the element itself; reading
                 # it through a digit row made prime fields 1.5x slower
                 s = sum(map(mul, compress(tables[0], u), filter(None, u)))
@@ -431,8 +464,52 @@ class FieldSpec:
                     sum(map(mul, compress(table, u), map(row.__getitem__, nonzero)))
                     for table, row in zip(tables, digit_rows)
                 ])
-            rests = map(operator.mod, slots(s.to_bytes(size, "little")), rep(p))
-            yield list(map(not_, rests if a == 1 else map(any, zip(*[rests] * a))))
+            yield zeros(s)
+
+    def vanishing_by_elements(
+        self, us: Iterable[Sequence[int]], columns: Sequence[List[int]], count: int, stride: int
+    ) -> Iterator[List[bool]]:
+        """``vanishing`` read from element tables: `columns` holds, per
+        column t, its list from ``element_columns``, and each u is as long
+        as `columns`.  The vectors packed there may number more than
+        `count`; the first `count` are read.
+
+        S = sum over t of columns[t][u_t] (an XOR in binary fields) is one
+        C-level lookup pass per u, with no digit split and no product.  No
+        slot carries, so the low `count` slots of S are the first `count`
+        vectors' own, and the rest is masked off before ``_zero_slots``
+        reads them back.
+        """
+        zeros = self._zero_slots(count, stride)
+        mask = (1 << 8 * count * stride) - 1
+        get, xor, reduce = list.__getitem__, operator.xor, functools.reduce
+        binary = self.p == 2
+        for u in us:
+            terms = map(get, columns, u)
+            yield zeros((reduce(xor, terms, 0) if binary else sum(terms)) & mask)
+
+    def _zero_slots(self, count: int, stride: int) -> Callable[[int], List[bool]]:
+        """The read-back of both vanishing kernels: a packed sum S of
+        `count` vectors at `stride` bytes each, read little-endian, as it
+        was packed, one unsigned slot at a time, to the list of whether
+        each vector's product is 0.  In a binary field a vector's slot is
+        the product itself; in other fields the product is 0 when every
+        one of the vector's a slots is 0 mod p."""
+        p, a = self.p, self.a
+        size = count * stride
+        width = stride if p == 2 else stride // a
+        slots = struct.Struct(f"<{size // width}{_SLOT_FORMAT[width]}").unpack
+        rep, mod, not_ = itertools.repeat, operator.mod, operator.not_
+
+        def zeros(s: int) -> List[bool]:
+            found = slots(s.to_bytes(size, "little"))
+            if p != 2:
+                found = map(mod, found, rep(p))
+                if a > 1:
+                    found = map(any, zip(*[found] * a))
+            return list(map(not_, found))
+
+        return zeros
 
     def normal_form(self, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """v scaled so its first nonzero entry is 1; None for the zero vector.

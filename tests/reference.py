@@ -4,6 +4,7 @@ Each is a plain, direct computation of something the package computes
 faster or more indirectly, kept here so that tests can compare the two.
 """
 
+import bisect
 import functools
 import itertools
 import operator
@@ -308,27 +309,34 @@ def insertion_assignment_recursive(x):
 
 def insertion_assignment_by_stack(x):
     """The insertion values of ``d5.insertion_scheme_even``, by the same
-    augmenting-path matching on an explicit stack, each frame scanning the
-    values from 0 and skipping the excluded and the seen ones: O(q) reads
-    per frame, but no recursion depth, so it runs at every even q."""
+    augmenting-path matching on an explicit stack.  A search keeps the
+    values no frame has taken yet in one sorted list; a frame resumes at
+    the first of them after its last value (a bisection), skips its
+    excluded ones and deletes the value it takes.  So it reads no value
+    that the search has seen, and it needs no recursion depth, so it runs
+    at every even q."""
     q = x.field.q
     excl = [set(location_exclusions(x, j)) for j in range(q)]
     match_of_value = {}
 
     def augment(root):
-        seen = set()
-        # the open locations, each with its values left to try, and the
-        # value each but the last has taken from the next one's owner
-        stack = [(root, iter(range(q)))]
+        unseen = list(range(q))
+        # the open locations, each with the least value it may try next,
+        # and the value each but the last has taken from the next one's owner
+        stack = [[root, 0]]
         path = []
         while stack:
-            j, values = stack[-1]
-            y = next((y for y in values if y not in excl[j] and y not in seen), None)
-            if y is None:
+            frame = stack[-1]
+            j = frame[0]
+            i = bisect.bisect_left(unseen, frame[1])
+            while i < len(unseen) and unseen[i] in excl[j]:
+                i += 1
+            if i == len(unseen):
                 stack.pop()
                 del path[-1:]
                 continue
-            seen.add(y)
+            y = unseen.pop(i)
+            frame[1] = y + 1
             owner = match_of_value.get(y)
             if owner is None:
                 match_of_value[y] = j
@@ -336,7 +344,7 @@ def insertion_assignment_by_stack(x):
                     match_of_value[v] = k
                 return True
             path.append(y)
-            stack.append((owner, iter(range(q))))
+            stack.append([owner, 0])
         return False
 
     for j in range(q):

@@ -742,14 +742,18 @@ def test_mutated_code_file_ends_with_one_message_line(tmp_path, data):
 
 
 # one code file per route at full size: (q, n, d_pair); d5 and the ovoid
-# file reach the 3- and 4-row certificate, the elliptic ones have 35 points
-# and 147 points at k = 138, and the Reed-Solomon one has 257 columns of 5
-# rows, C(257, 4) = 1.8e8 projections for a full dependent-set search
+# file reach the 3- and 4-row certificate; the elliptic ones have 35 points
+# over GF(27), read through the curve's element tables, and 147 points at
+# k = 138 over GF(128) and 345 points at k = 340 over GF(343), a field
+# without an addition table, both read through its digit tables; and the
+# Reed-Solomon one has 257 columns of 5 rows, C(257, 4) = 1.8e8 projections
+# for a full dependent-set search
 _LARGE_BASES = {
     "d5": ("25", "651", "5"),
     "ovoid": ("16", "257", "6"),
     "elliptic": ("27", "35", "7"),
     "elliptic-128": ("128", "147", "9"),
+    "elliptic-343": ("343", "345", "7"),
     "rs": ("256", "257", "7"),
 }
 

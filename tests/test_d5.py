@@ -102,7 +102,8 @@ def test_insertion_scheme_matches_the_recursive_matching(q):
 @pytest.mark.parametrize("q", [8, 16, 32, 64, 128, 256, 512, 1024])
 def test_insertion_scheme_matches_the_scanning_stack_matching(q):
     # the pointer array visits the values in the order of a scan from 0 in
-    # every frame; at q = 1024 the scan takes about 15 s, the pointers 0.5 s
+    # every frame, and so does the reference's sorted list of unseen values;
+    # at q = 1024 the reference takes about 0.35 s
     x = canonical_xorder(field_of_order(q))
     assert insertion_scheme_even(x).assignment == insertion_assignment_by_stack(x)
 

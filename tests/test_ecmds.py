@@ -903,17 +903,18 @@ def test_parity_rank_proof_matches_full_rank_reference(q, data, mix, mutation, s
 
 
 def _decoded_column(f, packed, k, stride):
-    """The k field elements that one digit table's packed column holds: a
-    slot of `stride` bytes per vector, little-endian with the first vector
-    in the lowest bits, in a binary field one code and elsewhere the a
-    base-p digits of the code."""
+    """The k field elements that one packed column holds: a slot of
+    `stride` bytes per vector, little-endian with the first vector in the
+    lowest bits, in a binary field one code and elsewhere the a base-p
+    digits of the code, each slot read mod p (an element table's slot is a
+    sum of digit products)."""
     raw = packed.to_bytes(k * stride, "little")
     width = stride if f.p == 2 else stride // f.a
     slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
     if f.p == 2:
         return slots
     digits = [slots[i:i + f.a] for i in range(0, len(slots), f.a)]
-    return [sum(d * f.p**j for j, d in enumerate(ds)) for ds in digits]
+    return [sum(d % f.p * f.p**j for j, d in enumerate(ds)) for ds in digits]
 
 
 @pytest.mark.parametrize(
@@ -925,50 +926,107 @@ def test_packed_staircase_columns_are_the_staircase_at_every_k(q):
     c = find_maximal_curve(field_of_order(q))
     f = c.field
     pts = tuple(ec_points(c)[1:])  # every affine point, in point-index order
-    big = len(pts) - 1
+    n = len(pts)
+    big = n - 1
     staircase = ecmds._PackedStaircase(c)
-    top = staircase.columns(EvalArrangement(c, pts, big))
+    staircase.vanishing(EvalArrangement(c, pts, big), [])
     stride = staircase.stride
     rows = ecmds._staircase_rows(f, pts, big)
-    # digit table b holds e_b g, e_b the element of code p^b
-    for b, table in enumerate(top):
-        scaled = [f.mul_rows(itertools.repeat(f.p**b), row) for row in rows]
-        for t, packed in enumerate(table):
-            assert _decoded_column(f, packed, big, stride) == [row[t] for row in scaled], (b, t)
+    columns = [[row[t] for row in rows] for t in range(n)]
+    if q <= gf.ELEMENT_TABLE_MAX_ORDER:
+        # the element table of point t holds c g(P_t) for every element c
+        assert not staircase.tables and len(staircase.elements) == n + 1
+        for t, table in enumerate(staircase.elements[1:]):
+            assert len(table) == q
+            for x, packed in enumerate(table):
+                want = f.mul_rows(itertools.repeat(x), columns[t])
+                assert _decoded_column(f, packed, big, stride) == want, (t, x)
+    else:
+        # digit table b holds e_b g, e_b the element of code p^b
+        assert not staircase.elements and len(staircase.tables) == f.a
+        for b, table in enumerate(staircase.tables):
+            assert len(table) == n + 1
+            for t, packed in enumerate(table[1:]):
+                want = f.mul_rows(itertools.repeat(f.p**b), columns[t])
+                assert _decoded_column(f, packed, big, stride) == want, (b, t)
     for k in (1, 2, 3, 4, big // 2, big - 1):
         assert ecmds._staircase_rows(f, pts, k) == rows[:k]
-    # every smaller k keeps the first k slots of each column, with no repacking
-    whole = [[x.to_bytes(big * stride, "little") for x in table] for table in top]
+    # every smaller k reads the first k slots of each column, with no
+    # repacking: u0 is orthogonal to every row of g at big, so to its first
+    # k rows; one entry of it changed, and a random row, are not in general
+    rng = random.Random(q)
+    (u0,) = null_space(CodeMatrix.from_rows(f, rows)).entries
+    changed = list(u0)
+    j = rng.randrange(n)
+    changed[j] = f.add(changed[j], rng.randrange(1, q))
+    us = [u0, changed, [rng.randrange(q) for _ in range(n)]]
+    zero = [[dot(f, u, v) == 0 for v in rows] for u in us]
+    assert zero[0] == [True] * big
+    tables, elements = staircase.tables, staircase.elements
     for k in range(1, big):
-        cols = staircase.columns(EvalArrangement(c, pts, k))
-        for table, full in zip(cols, whole):
-            assert [x.to_bytes(k * stride, "little") for x in table] == [
-                x[: k * stride] for x in full
-            ], k
+        got = list(staircase.vanishing(EvalArrangement(c, pts, k), us))
+        assert got == [z[:k] for z in zero], k
     assert staircase.k == big and staircase.stride == stride
+    assert staircase.tables is tables and staircase.elements is elements
     # gathered in an arrangement's order, by point index
-    order = random.Random(q).sample(range(len(pts)), len(pts))
+    order = rng.sample(range(n), n)
     mixed = EvalArrangement(c, tuple(pts[i] for i in order), 5)
-    want = staircase.columns(EvalArrangement(c, pts, 5))
-    assert staircase.columns(mixed) == [[table[i] for i in order] for table in want]
+    us = [[u[i] for i in order] for u in us]
+    vs = [[v[i] for i in order] for v in rows[:5]]
+    got = list(staircase.vanishing(mixed, us))
+    assert got == [[dot(f, u, v) == 0 for v in vs] for u in us]
+    assert got[0] == [True] * 5
 
 
-# prime, binary and odd-extension fields: 2,583 cases in all
+@pytest.mark.parametrize("q,elements", [(64, True), (81, False), (128, False), (243, False)])
+def test_element_tables_only_in_fields_up_to_their_order(q, elements, monkeypatch):
+    # GF(64) has the largest element tables; above it a curve keeps its
+    # digit tables, since element tables take q / a times their memory
+    # (about 190 MB at GF(243))
+    built = []
+    element_columns = FieldSpec.element_columns
+
+    def counted(self, tables):
+        built.append(self.q)
+        return element_columns(self, tables)
+
+    monkeypatch.setattr(FieldSpec, "element_columns", counted)
+    c = find_maximal_curve(field_of_order(q))
+    ecmds._packed_staircase.cache_clear()
+    n = n_max(c.field) - 3
+    for k in (5, n - 5):
+        a = arrange(c, n, k)
+        assert ec_verdict(a, null_space(generator_matrix(a))).ok
+    staircase = ecmds._packed_staircase(c)
+    assert (q <= gf.ELEMENT_TABLE_MAX_ORDER) == elements
+    if elements:
+        assert built == [q, q] and staircase.elements and not staircase.tables
+    else:
+        assert built == [] and not staircase.elements and staircase.tables
+    ecmds._packed_staircase.cache_clear()
+
+
+# prime, binary and odd-extension fields, all but GF(81) on the element
+# tables: 3,395 cases in all
 _PRODUCT_FIELDS = [7, 8, 9, 11, 13, 16, 19, 25, 27, 31, 32, 49, 64, 81]
 
 
 @pytest.mark.parametrize("q", _PRODUCT_FIELDS)
 def test_verdict_product_decision_is_the_orthogonal_kernel_on_the_staircase(q):
-    # h g^T = 0 as the verdict reads it from the curve's packed columns, and
-    # as the kernel decides it on the staircase rows packed afresh at n
-    # points, for h as built and with one entry changed; k rises and falls,
-    # so the cache both repacks and truncates
+    # h g^T = 0 as the verdict reads it from the curve's packed tables, and
+    # as the digit kernel decides it on the staircase rows packed afresh at
+    # n points, for h as built and with one entry changed: a cross-check of
+    # the element tables against the digit kernel up to GF(64), and of the
+    # curve's digit tables at GF(81).  Every (n, k) at q <= 16, and four k
+    # per n above; k rises and falls, so the cache both repacks and reads
+    # fewer slots
     c = find_maximal_curve(field_of_order(q))
     f = c.field
     rng = random.Random(q)
     cases = 0
     for n in range(q + 2, n_max(f) - 2):
-        for k in sorted({1, 2, (n - 5) // 2, n - 5}, key=lambda k: rng.random()):
+        ks = range(1, n - 4) if q <= 16 else {1, 2, (n - 5) // 2, n - 5}
+        for k in sorted(ks, key=lambda k: rng.random()):
             a = arrange(c, n, k)
             h = [list(row) for row in null_space(generator_matrix(a)).entries]
             variants = [h]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pairmds import gf
 from pairmds.gf import (
     ADD_TABLE_MAX_ORDER,
+    ELEMENT_TABLE_MAX_ORDER,
     MAX_ORDER,
     FieldError,
     FieldSpec,
@@ -16,6 +17,7 @@ from pairmds.gf import (
     _least_irreducible,
     _mul_raw,
     _pow_raw,
+    _prime_factors,
     absolute_trace,
     field,
     field_of_order,
@@ -299,6 +301,16 @@ def test_frobenius(q):
         assert f.pow(x, q) == x
 
 
+def by_elements(f, us, vectors, extra=()):
+    """For each u in `us`, the list over `vectors` of whether u . v is 0,
+    by the element-table kernel: the columns of `vectors` and then of
+    `extra` packed and expanded to element tables, of which the kernel
+    reads the first len(vectors) slots."""
+    tables, stride = f.pack_columns([*vectors, *extra])
+    columns = f.element_columns(tables)
+    return list(f.vanishing_by_elements(us, columns, len(vectors), stride))
+
+
 # prime, 2^a, odd extension with the flat addition table, odd extension
 # with the digit loop
 @settings(max_examples=200, deadline=None)
@@ -320,6 +332,9 @@ def test_dot_matches_scalar_reference(q, n, data):
     assert dot(f, u, v) == want
     assert orthogonal(f, [u], [v]) == [[want == 0]]
     assert orthogonal(f, [tuple(v)], [tuple(u)]) == [[want == 0]]
+    if q <= ELEMENT_TABLE_MAX_ORDER:
+        assert by_elements(f, [u], [v]) == [[want == 0]]
+        assert by_elements(f, [tuple(v)], [tuple(u)]) == [[want == 0]]
 
 
 def _with_product(f, u, v, target, rng):
@@ -357,14 +372,44 @@ def test_orthogonal_matches_the_reference_dot(q):
         assert got[0][-1]
 
 
+# every field with element tables: prime, binary and odd-extension
+_ELEMENT_FIELDS = [q for q in range(2, ELEMENT_TABLE_MAX_ORDER + 1) if len(_prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", _ELEMENT_FIELDS)
+def test_element_table_kernel_matches_the_reference_dot(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    targets = [0] + [f.p**b for b in range(f.a)] + [q - 1]
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        density = rng.choice([0.0, 0.1, 0.5, 1.0])  # zero, sparse and dense rows
+        us = [
+            [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        us += [[0] * n, [q - 1] * n]
+        vs = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, 12))]
+        vs.append([q - 1] * n)
+        planted = [u for u in us if any(u)]
+        vs += [_with_product(f, rng.choice(planted), v, rng.choice(targets), rng) for v in vs[:6]]
+        vs.append(_with_product(f, us[0] if any(us[0]) else us[-1], vs[0], 0, rng))
+        # vectors packed after the read ones are masked off
+        extra = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        got = by_elements(f, us, vs, extra)
+        assert got == [[dot(f, u, v) == 0 for v in vs] for u in us], (q, us, vs)
+        assert got[-2] == [True] * len(vs)
+
+
 def test_orthogonal_on_edge_shapes():
     for q in (5, 8, 9):
         f = field_of_order(q)
-        assert orthogonal(f, [[1, 2]], []) == [[]]
-        assert orthogonal(f, [], [[1, 2]]) == []
-        got = orthogonal(f, [[0, 0], [1, 0]], [[0, 1], [1, 1]])
-        assert got == [[True, True], [True, False]]
-        assert orthogonal(f, [()], [(), ()]) == [[True, True]]
+        for kernel in (orthogonal, by_elements):
+            assert kernel(f, [[1, 2]], []) == [[]]
+            assert kernel(f, [], [[1, 2]]) == []
+            got = kernel(f, [[0, 0], [1, 0]], [[0, 1], [1, 1]])
+            assert got == [[True, True], [True, False]]
+            assert kernel(f, [()], [(), ()]) == [[True, True]]
 
 
 def point_code(q, w):
